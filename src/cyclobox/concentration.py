@@ -24,14 +24,13 @@ excluded from aggregates.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from . import rng
+from . import kernels, rng
 from .core import (
     BoxSpec,
     CyclotomicInt,
@@ -40,7 +39,9 @@ from .core import (
     GuardError,
     north_pole_point,
 )
-from .moments import _vertex_matrix, avg_point_to_vertices, avg_vertex_pairs
+# also importable from here under this name, which the tests use
+from .kernels import IntervalTester as _IntervalTester  # noqa: F401
+from .moments import avg_point_to_vertices, avg_vertex_pairs
 
 __all__ = [
     "SamplerConfig",
@@ -58,7 +59,6 @@ __all__ = [
     "pyramid_report",
 ]
 
-EXHAUSTIVE_MAX_P = 17        # full vertex sweep
 EXHAUSTIVE_MAX_P_PAIRS = 13  # full ordered-pair sweep
 
 
@@ -108,27 +108,6 @@ def within_sqrt_interval(d_sq, spec: IntervalSpec) -> bool:
     if lhs <= 0:
         return True
     return lhs * lhs <= 4 * spec.center_sq * d
-
-
-class _IntervalTester:
-    """Integer-only membership test for d^2 = n / d2 with fixed interval."""
-
-    def __init__(self, spec: IntervalSpec, d2: int):
-        a, e2 = spec.center_sq, spec.epsilon * spec.epsilon
-        an, ad = a.numerator, a.denominator
-        fn, fd = e2.numerator, e2.denominator
-        self.c1 = ad * fd
-        self.c0 = (an * fd - fn * ad) * d2
-        self.c2 = 4 * an * ad * fd * fd * d2
-
-    def member(self, n: int) -> bool:
-        lhs = n * self.c1 + self.c0
-        return lhs <= 0 or lhs * lhs <= self.c2 * n
-
-    def mask(self, nvals: np.ndarray) -> np.ndarray:
-        uniq, inv = np.unique(nvals, return_inverse=True)
-        ok = np.array([self.member(int(u)) for u in uniq], dtype=bool)
-        return ok[inv]
 
 
 @dataclass(frozen=True)
@@ -184,53 +163,6 @@ def sample_box_point(box: BoxSpec, stream: CounterStream) -> CyclotomicInt:
     return CyclotomicInt(box.p, tuple(int(o) for o in offs))
 
 
-# --- engine -------------------------------------------------------------------
-
-_BATCH_ELEMENTS = 1 << 21  # per-batch int64 budget, ~16 MB per temporary
-
-
-def _chunk_ranges(total: int, unit_dim: int) -> list:
-    """Split [0, total) into batches small enough to keep temporaries bounded.
-
-    The split depends only on `total` and the row width, never on the worker
-    count, and tallies are summed, so results are worker-count independent.
-    """
-    batch = max(1, _BATCH_ELEMENTS // max(unit_dim, 1))
-    return [(lo, min(lo + batch, total)) for lo in range(0, total, batch)]
-
-
-def _run_chunks(fn, total: int, workers: int, unit_dim: int = 1) -> list:
-    ranges = _chunk_ranges(total, unit_dim)
-    if workers <= 1 or len(ranges) <= 1:
-        return [fn(a, b) for a, b in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        futures = [ex.submit(fn, a, b) for a, b in ranges]
-        return [f.result() for f in futures]
-
-
-def _norm_vals(p: int, diff: np.ndarray) -> np.ndarray:
-    q = np.sum(diff * diff, axis=-1)
-    s = np.sum(diff, axis=-1)
-    return p * p * q - (p + 1) * s * s
-
-
-def _norm_vals_checked(p: int, diff: np.ndarray, diff_max: int, dim: int) -> np.ndarray:
-    bound = p * p * dim * diff_max * diff_max + (p + 1) * (dim * diff_max) ** 2
-    if bound < 2 ** 62:
-        return _norm_vals(p, diff)
-    return _norm_vals(p, diff.astype(object))
-
-
-def _exact_sum(nvals: np.ndarray) -> int:
-    if nvals.dtype == object:
-        return int(sum(int(v) for v in nvals))
-    if len(nvals) == 0:
-        return 0
-    if len(nvals) * int(np.max(np.abs(nvals))) < 2 ** 62:
-        return int(np.sum(nvals))
-    return int(sum(int(v) for v in nvals))
-
-
 def _eta_of(p: int, eps: Fraction) -> float:
     return math.log(1.0 / float(eps)) / math.log(p)
 
@@ -251,8 +183,9 @@ def _alpha_label(alpha: CyclotomicInt) -> str:
     return f"custom(trace={alpha.trace()},eucl_sq={alpha.euclid_norm_sq()})"
 
 
-def _finish(theorem, box, cfg, hits, trials, bound, formula, *, exhaustive=False,
-            alpha=None, K=None, T=None, eps=None, eta=None, center_sq=None, extra=None):
+def _finish(theorem, box, cfg, hits, trials, bound, formula, *, eps=None, center_sq=None,
+            **fields):
+    """The report of a tally; `fields` sets ConcentrationReport's optional fields."""
     proportion = hits / trials if trials else float("nan")
     vacuous = bound is not None and bound <= 0.0
     passed = vacuous or (bound is not None and proportion >= bound)
@@ -270,45 +203,32 @@ def _finish(theorem, box, cfg, hits, trials, bound, formula, *, exhaustive=False
         seed=cfg.seed,
         sample_count=cfg.sample_count,
         worker_count=cfg.worker_count,
-        exhaustive=exhaustive,
-        alpha=alpha,
-        K=K,
-        T=T,
         epsilon=None if eps is None else f"{eps.numerator}/{eps.denominator}",
         epsilon_float=None if eps is None else float(eps),
-        eta=eta,
         center_sq=None if center_sq is None else f"{center_sq.numerator}/{center_sq.denominator}",
-        extra=extra or {},
+        **fields,
     )
 
 
 # --- theorem reports ----------------------------------------------------------
 
+def _vertex_draw(box: BoxSpec, K: int, cfg: SamplerConfig, exhaustive: bool) -> tuple:
+    """(draw, trials): sampled vertex K-tuples, or every one of them."""
+    if exhaustive:
+        v = kernels.box_vertices(box)
+        return kernels.draw_every_tuple(v), len(v) ** K
+    return kernels.draw_vertices, cfg.sample_count
+
+
 def theorem4_report(alpha: CyclotomicInt, box: BoxSpec, eps, cfg: SamplerConfig,
                     exhaustive: bool = False) -> ConcentrationReport:
     """Distances from a fixed point to vertices concentrate at sqrt(A(alpha))."""
-    if alpha.p != box.p:
-        raise FieldMismatchError("alpha and box disagree on p")
     eps = Fraction(eps)
     a_val = avg_point_to_vertices(alpha, box)
-    tester = _IntervalTester(IntervalSpec(a_val, eps), box.diameter_sq())
-    amax = max(abs(c) for c in alpha.coeffs)
-    avec = np.array(alpha.coeffs, dtype=np.int64 if amax < 2 ** 53 else object)
-    diff_max = box.N + amax
-
-    if exhaustive:
-        v = _vertex_matrix(box)  # guards p <= 17
-        nvals = _norm_vals_checked(box.p, v - avec[None, :], diff_max, box.dim)
-        hits, trials = int(np.sum(tester.mask(nvals))), len(v)
-    else:
-        def work(start, stop):
-            x = rng.vertex_signs(cfg.seed, start, stop - start, box.dim) * box.N
-            nvals = _norm_vals_checked(box.p, x - avec[None, :], diff_max, box.dim)
-            return int(np.sum(tester.mask(nvals)))
-
-        hits = sum(_run_chunks(work, cfg.sample_count, cfg.worker_count, box.dim))
-        trials = cfg.sample_count
-
+    draw, trials = _vertex_draw(box, 1, cfg, exhaustive)
+    leg = (0, kernels.APEX, (IntervalSpec(a_val, eps),))
+    spec = kernels.EdgeSpec(box, 1, draw, (leg,), apex=alpha.coeffs)
+    (hits,) = kernels.tally(spec, cfg.seed, trials, cfg.worker_count).hits
     return _finish(
         "T4", box, cfg, hits, trials, _bound(box.p, eps, 22.0),
         "1 - 22/p^(1-2*eta)", exhaustive=exhaustive, alpha=_alpha_label(alpha),
@@ -318,23 +238,11 @@ def theorem4_report(alpha: CyclotomicInt, box: BoxSpec, eps, cfg: SamplerConfig,
 
 def isosceles_report(alpha: CyclotomicInt, box: BoxSpec, eps, cfg: SamplerConfig) -> ConcentrationReport:
     """Both legs from a fixed point to two random vertices share the interval."""
-    if alpha.p != box.p:
-        raise FieldMismatchError("alpha and box disagree on p")
     eps = Fraction(eps)
     a_val = avg_point_to_vertices(alpha, box)
-    tester = _IntervalTester(IntervalSpec(a_val, eps), box.diameter_sq())
-    amax = max(abs(c) for c in alpha.coeffs)
-    avec = np.array(alpha.coeffs, dtype=np.int64 if amax < 2 ** 53 else object)
-    diff_max = box.N + amax
-
-    def work(start, stop):
-        cnt = stop - start
-        signs = rng.vertex_signs(cfg.seed, 2 * start, 2 * cnt, box.dim) * box.N
-        m1 = tester.mask(_norm_vals_checked(box.p, signs[0::2] - avec, diff_max, box.dim))
-        m2 = tester.mask(_norm_vals_checked(box.p, signs[1::2] - avec, diff_max, box.dim))
-        return int(np.sum(m1 & m2))
-
-    hits = sum(_run_chunks(work, cfg.sample_count, cfg.worker_count, 2 * box.dim))
+    legs = tuple((j, kernels.APEX, (IntervalSpec(a_val, eps),)) for j in range(2))
+    spec = kernels.EdgeSpec(box, 2, kernels.draw_vertices, legs, apex=alpha.coeffs)
+    (hits,) = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count).hits
     return _finish(
         "isosceles", box, cfg, hits, cfg.sample_count, _bound(box.p, eps, 44.0),
         "1 - 44/p^(1-2*eta)", alpha=_alpha_label(alpha),
@@ -352,43 +260,14 @@ def vertex_pair_report(box: BoxSpec, eps, cfg: SamplerConfig,
     """
     eps = Fraction(eps)
     a_vv = avg_vertex_pairs(box)
-    d2 = box.diameter_sq()
-    tester = _IntervalTester(IntervalSpec(a_vv, eps), d2)
-    tester_half = _IntervalTester(IntervalSpec(Fraction(1, 2), eps), d2)
-
-    if exhaustive:
-        if box.p > EXHAUSTIVE_MAX_P_PAIRS:
-            raise GuardError(f"pairwise sweep refuses p={box.p} > {EXHAUSTIVE_MAX_P_PAIRS}")
-        v = _vertex_matrix(box)
-        n = len(v)
-        hits = hits_half = 0
-        total_d2 = 0
-        chunk = max(1, (1 << 22) // (n * box.dim))
-        for lo in range(0, n, chunk):
-            diff = v[lo : lo + chunk, None, :] - v[None, :, :]
-            nvals = _norm_vals_checked(box.p, diff, 2 * box.N, box.dim).reshape(-1)
-            hits += int(np.sum(tester.mask(nvals)))
-            hits_half += int(np.sum(tester_half.mask(nvals)))
-            total_d2 += _exact_sum(nvals)
-        trials = n * n
-    else:
-        def work(start, stop):
-            cnt = stop - start
-            signs = rng.vertex_signs(cfg.seed, 2 * start, 2 * cnt, box.dim) * box.N
-            nvals = _norm_vals_checked(box.p, signs[0::2] - signs[1::2], 2 * box.N, box.dim)
-            return (
-                int(np.sum(tester.mask(nvals))),
-                int(np.sum(tester_half.mask(nvals))),
-                _exact_sum(nvals),
-            )
-
-        parts = _run_chunks(work, cfg.sample_count, cfg.worker_count, 2 * box.dim)
-        hits = sum(x[0] for x in parts)
-        hits_half = sum(x[1] for x in parts)
-        total_d2 = sum(x[2] for x in parts)
-        trials = cfg.sample_count
-
-    mean_d2 = Fraction(total_d2, trials * d2)
+    if exhaustive and box.p > EXHAUSTIVE_MAX_P_PAIRS:
+        raise GuardError(f"pairwise sweep refuses p={box.p} > {EXHAUSTIVE_MAX_P_PAIRS}")
+    draw, trials = _vertex_draw(box, 2, cfg, exhaustive)
+    intervals = (IntervalSpec(a_vv, eps), IntervalSpec(Fraction(1, 2), eps))
+    spec = kernels.EdgeSpec(box, 2, draw, ((0, 1, intervals),), keep_sums=True)
+    result = kernels.tally(spec, cfg.seed, trials, cfg.worker_count)
+    hits, hits_half = result.hits
+    mean_d2 = Fraction(result.d2_sum, trials * box.diameter_sq())
     return _finish(
         "T5", box, cfg, hits, trials, _bound(box.p, eps, 2.0),
         "1 - 2/p^(1-2*eta)", exhaustive=exhaustive,
@@ -409,20 +288,9 @@ def polytope_report(box: BoxSpec, K: int, T: float, cfg: SamplerConfig) -> Conce
     if not T > 1:
         raise ValueError("need T > 1")
     eps = 1 / Fraction(T)  # exact reciprocal of the given (possibly float) T
-    tester = _IntervalTester(IntervalSpec(Fraction(1, 2), eps), box.diameter_sq())
-
-    def work(start, stop):
-        cnt = stop - start
-        signs = rng.vertex_signs(cfg.seed, K * start, K * cnt, box.dim) * box.N
-        pts = signs.reshape(cnt, K, box.dim)
-        ok = np.ones(cnt, dtype=bool)
-        for j in range(K):
-            for k in range(j + 1, K):
-                nvals = _norm_vals_checked(box.p, pts[:, j] - pts[:, k], 2 * box.N, box.dim)
-                ok &= tester.mask(nvals)
-        return int(np.sum(ok))
-
-    hits = sum(_run_chunks(work, cfg.sample_count, cfg.worker_count, K * box.dim))
+    edges = kernels.all_edges(K, (IntervalSpec(Fraction(1, 2), eps),))
+    spec = kernels.EdgeSpec(box, K, kernels.draw_vertices, edges)
+    (hits,) = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count).hits
     eta = math.log(float(T)) / math.log(box.p)
     bound = 1.0 - K * (K - 1) * float(T) ** 2 / box.p
     return _finish(
@@ -451,26 +319,24 @@ def right_angle_report(alpha: CyclotomicInt, box: BoxSpec, eps_cos: float,
         raise ValueError("eps_cos must be positive")
     en2 = eps_frac.numerator ** 2
     ed2 = eps_frac.denominator ** 2
-    p, n_box = box.p, box.N
-    tr_a = alpha.trace()
-    amax = max(abs(c) for c in alpha.coeffs)
-    inner_bound = p * p * box.dim * n_box * amax + (p + 1) * box.dim * n_box * box.dim * amax
-    dtype = np.int64 if inner_bound < 2 ** 62 else object
-    avec = np.array(alpha.coeffs, dtype=dtype)
+    p, dim = box.p, box.dim
+    m = box.N + max(abs(c) for c in alpha.coeffs)
+    # 2<alpha, x> = ||alpha||^2 + ||x||^2 - d^2(alpha, x), at most ||alpha||^2 + ||x||^2
+    nb_bound = kernels.dist_sq_bound(p, dim, box.N)
+    twice_bound = na + nb_bound + kernels.dist_sq_bound(p, dim, m)
+    compare_bound = max((na + nb_bound) ** 2 * ed2, 4 * en2 * na * nb_bound)
+    avec = kernels.coeff_array(alpha.coeffs)
 
     def work(start, stop):
-        signs = rng.vertex_signs(cfg.seed, start, stop - start, box.dim)
-        x = (signs * n_box).astype(dtype)
-        tr_x = -np.sum(x, axis=1)
-        inner = p * p * (x @ avec) - (p + 1) * tr_x * tr_a
-        nb = p * p * (p - 1) * n_box * n_box - (p + 1) * tr_x * tr_x
-        inner_o = inner.astype(object)
-        nb_o = nb.astype(object)
-        ok = (inner_o * inner_o) * ed2 <= en2 * na * nb_o
-        cos_abs = np.abs(inner.astype(np.float64)) / np.sqrt(float(na) * nb.astype(np.float64))
+        x = kernels.draw_vertices(box, 1, cfg.seed, start, stop)[0][:, 0]
+        nb = kernels.dist_sq(p, x, 0, box.N)
+        twice = kernels.lift(nb, twice_bound) + na - kernels.dist_sq(p, x, avec, m)
+        tw = kernels.lift(twice, compare_bound)
+        ok = tw * tw * ed2 <= 4 * en2 * na * kernels.lift(nb, compare_bound)
+        cos_abs = np.abs(twice.astype(np.float64) / 2) / np.sqrt(float(na) * nb.astype(np.float64))
         return int(np.sum(ok)), cos_abs
 
-    parts = _run_chunks(work, cfg.sample_count, cfg.worker_count, box.dim)
+    parts = kernels.run_chunks(work, cfg.sample_count, cfg.worker_count, dim)
     hits = sum(x[0] for x in parts)
     cos_all = np.concatenate([x[1] for x in parts])
     d_origin = Fraction(na, box.diameter_sq())
@@ -503,30 +369,14 @@ def pyramid_report(apex: CyclotomicInt, box: BoxSpec, K: int, eps,
     if not box.contains(apex):
         raise ValueError("apex must lie inside the box")
     eps = Fraction(eps)
-    d2 = box.diameter_sq()
-    d_apex_sq = Fraction(apex.norm_sq(), d2)
+    d_apex_sq = Fraction(apex.norm_sq(), box.diameter_sq())
     apex_near_origin = d_apex_sq <= eps * eps
     lateral_center = Fraction(1, 4) if apex_near_origin else avg_point_to_vertices(apex, box)
-    base_tester = _IntervalTester(IntervalSpec(Fraction(1, 2), eps), d2)
-    lat_tester = _IntervalTester(IntervalSpec(lateral_center, eps), d2)
-    avec = np.array(apex.coeffs, dtype=np.int64)
-    diff_max = 2 * box.N
-
-    def work(start, stop):
-        cnt = stop - start
-        signs = rng.vertex_signs(cfg.seed, K * start, K * cnt, box.dim) * box.N
-        pts = signs.reshape(cnt, K, box.dim)
-        ok = np.ones(cnt, dtype=bool)
-        for j in range(K):
-            for k in range(j + 1, K):
-                nvals = _norm_vals_checked(box.p, pts[:, j] - pts[:, k], diff_max, box.dim)
-                ok &= base_tester.mask(nvals)
-        for j in range(K):
-            nvals = _norm_vals_checked(box.p, pts[:, j] - avec[None, :], diff_max, box.dim)
-            ok &= lat_tester.mask(nvals)
-        return int(np.sum(ok))
-
-    hits = sum(_run_chunks(work, cfg.sample_count, cfg.worker_count, K * box.dim))
+    lateral = (IntervalSpec(lateral_center, eps),)
+    edges = (kernels.all_edges(K, (IntervalSpec(Fraction(1, 2), eps),))
+             + tuple((j, kernels.APEX, lateral) for j in range(K)))
+    spec = kernels.EdgeSpec(box, K, kernels.draw_vertices, edges, apex=apex.coeffs)
+    (hits,) = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count).hits
     bound = _bound(box.p, eps, float(K * (K - 1) + 22 * K))
     return _finish(
         "pyramid", box, cfg, hits, cfg.sample_count, bound,

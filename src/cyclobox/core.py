@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 
+VERTEX_ENUM_MAX_P = 17  # 2^16 vertices, 2^32 ordered pairs: the feasibility edge
+
+
 class CycloboxError(Exception):
     """Base class for errors raised by this package."""
 
@@ -229,8 +232,9 @@ class BoxSpec:
 
     def vertices(self) -> Iterator[CyclotomicInt]:
         """Enumerate all 2^(p-1) vertices; guarded for feasibility."""
-        if self.p > 17:
-            raise GuardError(f"refusing to enumerate 2^{self.p - 1} vertices (p={self.p} > 17)")
+        if self.p > VERTEX_ENUM_MAX_P:
+            raise GuardError(f"refusing to enumerate 2^{self.dim} vertices "
+                             f"(p={self.p} > {VERTEX_ENUM_MAX_P})")
         dim, N = self.dim, self.N
         for mask in range(1 << dim):
             coeffs = tuple(N if (mask >> j) & 1 else -N for j in range(dim))

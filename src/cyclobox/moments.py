@@ -20,14 +20,14 @@ formula/oracle match is a zero-tolerance certificate at that (p, N).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .core import BoxSpec, CyclotomicInt, FieldMismatchError, GuardError
+from . import kernels
+from .core import BoxSpec, CyclotomicInt, FieldMismatchError
 
 __all__ = [
     "MomentReport",
@@ -40,9 +40,6 @@ __all__ = [
     "oracle_moments",
     "oracle_cancellation_sums",
 ]
-
-ORACLE_MAX_P = 17  # 2^16 vertices, 2^32 ordered pairs: the feasibility edge
-
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -129,58 +126,13 @@ def variance_vertex_pairs(box: BoxSpec) -> Fraction:
 
 # --- exhaustive oracle -------------------------------------------------------
 
-def _vertex_matrix(box: BoxSpec) -> np.ndarray:
-    if box.p > ORACLE_MAX_P:
-        raise GuardError(f"oracle refuses p={box.p} > {ORACLE_MAX_P}")
-    dim = box.dim
-    v = np.array(list(itertools.product((-box.N, box.N), repeat=dim)), dtype=np.int64)
-    return v
-
-
-def _dist_sq_block(p: int, diff: np.ndarray) -> np.ndarray:
-    q = np.sum(diff * diff, axis=-1)
-    s = np.sum(diff, axis=-1)
-    return p * p * q - (p + 1) * s * s
-
-
-def _exact_power_sums(p: int, diff_max: int, dim: int, blocks) -> tuple:
-    """Sum of d^2 and d^4 over all rows yielded by `blocks`, as Python ints.
-
-    Falls back to object arithmetic when the int64 fast path could overflow.
-    """
-    d2_bound = p * p * dim * diff_max * diff_max + (p + 1) * (dim * diff_max) ** 2
-    fast = d2_bound ** 2 < 2 ** 62
-    total2 = 0
-    total4 = 0
-    for diff in blocks:
-        if fast:
-            d2 = _dist_sq_block(p, diff)
-            # chunk sums stay far below 2^63 given the d2_bound check above
-            total2 += int(np.sum(d2, dtype=np.int64))
-            total4 += int(np.sum(d2 * d2, dtype=np.int64))
-        else:
-            d2 = _dist_sq_block(p, diff.astype(object))
-            total2 += int(np.sum(d2))
-            total4 += int(np.sum(d2 * d2))
-    return total2, total4
-
-
-def _point_power_sums(alpha: CyclotomicInt, box: BoxSpec) -> tuple:
-    v = _vertex_matrix(box)
-    a = np.array(alpha.coeffs, dtype=object if max(map(abs, alpha.coeffs), default=0) > 10 ** 6 else np.int64)
-    diff = v - a[None, :]
-    diff_max = box.N + max((abs(c) for c in alpha.coeffs), default=0)
-    t2, t4 = _exact_power_sums(box.p, diff_max, box.dim, [diff])
-    return len(v), t2, t4
-
-
 def _pair_power_sums(box: BoxSpec) -> tuple:
     """Power sums of d^2 over all ordered vertex pairs.
 
     Works block-triangularly: an off-diagonal block stands for both orders
     of its pairs, so it is enumerated once and counted twice.
     """
-    v = _vertex_matrix(box)
+    v = kernels.box_vertices(box)
     n = len(v)
     block = max(1, int(((1 << 22) // max(box.dim, 1)) ** 0.5))
     total2 = 0
@@ -188,8 +140,8 @@ def _pair_power_sums(box: BoxSpec) -> tuple:
     for i0 in range(0, n, block):
         vi = v[i0 : i0 + block]
         for j0 in range(i0, n, block):
-            diff = vi[:, None, :] - v[None, j0 : j0 + block, :]
-            s2, s4 = _exact_power_sums(box.p, 2 * box.N, box.dim, [diff])
+            s2, s4 = kernels.power_sums(box.p, vi[:, None, :], v[None, j0 : j0 + block, :],
+                                        2 * box.N)
             weight = 1 if i0 == j0 else 2
             total2 += weight * s2
             total4 += weight * s4
@@ -208,9 +160,11 @@ def oracle_moments(box: BoxSpec, alpha: Optional[CyclotomicInt] = None) -> list:
     reports = []
     if alpha is not None:
         _check_pair(alpha, box)
-        count, s2, s4 = _point_power_sums(alpha, box)
-        mean = Fraction(s2, count * d2)
-        var = Fraction(s4, count * d2 * d2) - mean * mean
+        v = kernels.box_vertices(box)
+        m = box.N + max(abs(c) for c in alpha.coeffs)
+        s2, s4 = kernels.power_sums(box.p, v, kernels.coeff_array(alpha.coeffs), m)
+        mean = Fraction(s2, len(v) * d2)
+        var = Fraction(s4, len(v) * d2 * d2) - mean * mean
         reports.append(
             MomentReport("avg_point_vertices", box.p, box.N,
                          avg_point_to_vertices(alpha, box), mean, alpha.coeffs)
@@ -260,13 +214,13 @@ class CancellationCheck:
 def oracle_cancellation_sums(alpha: CyclotomicInt, box: BoxSpec) -> CancellationCheck:
     """Verify by enumeration the sums over vertices that cancel or collapse."""
     _check_pair(alpha, box)
-    v = _vertex_matrix(box)
+    # object dtype keeps every sum exact regardless of the size of alpha and N
+    v = kernels.box_vertices(box).astype(object)
     p, N = box.p, box.N
     nv = len(v)
-    # object dtype keeps every sum exact regardless of the size of alpha
     a = np.array(alpha.coeffs, dtype=object)
-    dots = v.astype(object) @ a
-    srow = v.sum(axis=1).astype(object)
+    dots = v @ a
+    srow = v.sum(axis=1)
     lin = int(np.sum(dots))
     quad = int(np.sum(dots * dots))
     s2 = int(np.sum(srow * srow))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import kernels, rng
 from .core import BoxSpec, GuardError, east_pole, north_pole
 
 __all__ = ["SceneSpec", "render_scene"]
@@ -52,13 +52,6 @@ def _embed_rows(coeffs: np.ndarray, q: int) -> np.ndarray:
     return coeffs.astype(np.float64) @ _roots(q)
 
 
-def _all_vertices(q: int, N: int) -> np.ndarray:
-    dim = q - 1
-    masks = np.arange(1 << dim, dtype=np.uint64)[:, None]
-    bits = (masks >> np.arange(dim, dtype=np.uint64)[None, :]) & np.uint64(1)
-    return bits.astype(np.int64) * 2 * N - N
-
-
 def _box_cloud(scene: SceneSpec, prime_required: bool = True):
     """Box point coefficient matrix, full if it fits the budget, else sampled."""
     q, N = scene.q, scene.N
@@ -80,12 +73,12 @@ def _vertex_cloud(scene: SceneSpec):
     q, N = scene.q, scene.N
     total = 2 ** (q - 1)
     if total <= scene.budget:
-        return _all_vertices(q, N), False
+        return kernels.vertex_matrix(q - 1, N), False
     if not scene.allow_sampling:
         raise GuardError(
             f"scene has {total} vertices, budget {scene.budget}; sampling not allowed"
         )
-    return rng.vertex_signs(scene.seed, 1 << 33, scene.budget, q - 1) * N, True
+    return kernels.scaled(rng.vertex_signs(scene.seed, 1 << 33, scene.budget, q - 1), N), True
 
 
 def _fmt(v: float) -> str:
@@ -169,8 +162,8 @@ def render_scene(scene: SceneSpec) -> str:
         clouds.append((vxs, "vx", 1.0))
         if sampled:
             desc.append(f"sampled={len(vxs)}_of_{2 ** (q - 1)}")
-        np_c = np.array(north_pole(q, scene.N), dtype=np.int64)
-        ep_c = np.array(east_pole(q, scene.N), dtype=np.int64)
+        np_c = kernels.coeff_array(north_pole(q, scene.N))
+        ep_c = kernels.coeff_array(east_pole(q, scene.N))
         poles = np.stack([np_c, ep_c, -np_c, -ep_c])
         clouds.append((poles, "pole", 2.4))
         zs = _embed_rows(poles, q)
@@ -190,8 +183,8 @@ def render_scene(scene: SceneSpec) -> str:
             desc.append(f"sampled={len(pts)}_of_{(2 * scene.N + 1) ** (q - 1)}")
         desc.append(f"K={scene.K}")
         desc.append(f"count={scene.count}")
-        base = rng.vertex_signs(scene.seed, 1 << 34, scene.count * scene.K, q - 1) * scene.N
-        base = base.reshape(scene.count, scene.K, q - 1)
+        signs = rng.vertex_signs(scene.seed, 1 << 34, scene.count * scene.K, q - 1)
+        base = kernels.scaled(signs, scene.N).reshape(scene.count, scene.K, q - 1)
         apexes = None
         if scene.kind == "pyramids":
             apexes = rng.box_offsets(scene.seed, 1 << 35, scene.count, q - 1, scene.N)

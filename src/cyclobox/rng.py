@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import GuardError
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -56,10 +58,13 @@ def box_offsets_at(seed: int, streams, dim: int, N: int) -> np.ndarray:
 
     Draws the smallest power-of-two superset of {0, ..., 2N} per coefficient
     and rejects overshoots, retrying with fresh counters within the stream.
+    Each draw is one 64-bit word, so 2N + 1 may not exceed 2^64.
     """
+    m = 2 * N + 1
+    if m > 1 << 64:
+        raise GuardError(f"box draws take one 64-bit word per coefficient; 2N+1 = {m} > 2^64")
     streams = np.asarray(streams, dtype=np.uint64)
     count = len(streams)
-    m = 2 * N + 1
     nbits = m.bit_length()
     mask = _U((1 << nbits) - 1)
     streams_f = np.repeat(streams, dim)

@@ -18,19 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import combinations
 
 import numpy as np
 
-from . import rng
-from .concentration import (
-    CounterStream,
-    IntervalSpec,
-    SamplerConfig,
-    _exact_sum,
-    _IntervalTester,
-    _norm_vals_checked,
-    _run_chunks,
-)
+from . import kernels, rng
+from .concentration import CounterStream, IntervalSpec, SamplerConfig
 from .core import BoxSpec, CyclotomicInt, FieldMismatchError, GuardError
 
 __all__ = [
@@ -66,44 +60,36 @@ def oracle_mean_box_pair_dist_sq(box: BoxSpec) -> Fraction:
     if npts > 1 << 12:
         raise GuardError(f"pair enumeration refuses {npts}^2 ordered pairs")
     pts = np.array([pt.coeffs for pt in box.points()], dtype=np.int64)
-    total = 0
-    for row in pts:
-        nvals = _norm_vals_checked(box.p, pts - row[None, :], 2 * box.N, box.dim)
-        total += _exact_sum(nvals)
+    bound = kernels.dist_sq_bound(box.p, box.dim, 2 * box.N)
+    total = sum(kernels.exact_sum(kernels.dist_sq(box.p, pts, row, 2 * box.N), bound)
+                for row in pts)
     return Fraction(total, npts * npts * box.diameter_sq())
 
 
 def box_pair_mean_report(box: BoxSpec, cfg: SamplerConfig) -> Fraction:
     """Exact sample mean of d^2 over cfg.sample_count uniform box-point pairs."""
-
-    def work(start, stop):
-        cnt = stop - start
-        pts = rng.box_offsets(cfg.seed, 2 * start, 2 * cnt, box.dim, box.N)
-        nvals = _norm_vals_checked(box.p, pts[0::2] - pts[1::2], 2 * box.N, box.dim)
-        return _exact_sum(nvals)
-
-    total = sum(_run_chunks(work, cfg.sample_count, cfg.worker_count, 2 * box.dim))
+    spec = kernels.EdgeSpec(box, 2, kernels.draw_box_points, ((0, 1, ()),), keep_sums=True)
+    total = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count).d2_sum
     return Fraction(total, cfg.sample_count * box.diameter_sq())
 
 
-def _pairwise_visible(pts: np.ndarray) -> np.ndarray:
+def _pairwise_visible(pts: np.ndarray, n_box: int) -> np.ndarray:
     """(count,) mask: all C(K,2) difference vectors of each tuple primitive."""
     count, k, _ = pts.shape
     ok = np.ones(count, dtype=bool)
-    for j in range(k):
-        for m in range(j + 1, k):
-            g = np.gcd.reduce(np.abs(pts[:, j] - pts[:, m]), axis=-1)
-            ok &= g == 1
+    for j, m in combinations(range(k), 2):
+        diff = kernels.lift(pts[:, j], 2 * n_box) - pts[:, m]
+        ok &= np.gcd.reduce(np.abs(diff), axis=-1) == 1
     return ok
 
 
-def _sample_visible_tuples(seed: int, box: BoxSpec, K: int, start: int, stop: int,
+def _sample_visible_tuples(box: BoxSpec, K: int, seed: int, start: int, stop: int,
                            max_attempts: int):
     """Self-visible K-tuples for tuple indices [start, stop).
 
     Tuple t, retry a, member m reads stream (t*max_attempts + a)*K + m, so
     the result is a pure function of (seed, t).  Returns the points and the
-    number of draw attempts made per tuple.
+    number of draw attempts made, in the form of an `EdgeSpec` draw.
     """
     count = stop - start
     dim, n_box = box.dim, box.N
@@ -125,9 +111,9 @@ def _sample_visible_tuples(seed: int, box: BoxSpec, K: int, start: int, stop: in
         fresh = rng.box_offsets_at(seed, streams, dim, n_box).reshape(len(active), K, dim)
         pts[active] = fresh
         attempts[active] += 1
-        ok = _pairwise_visible(fresh)
+        ok = _pairwise_visible(fresh, n_box)
         active = active[~ok]
-    return pts, attempts
+    return pts, int(np.sum(attempts))
 
 
 def sample_self_visible_polytope(box: BoxSpec, K: int, stream: CounterStream,
@@ -136,7 +122,7 @@ def sample_self_visible_polytope(box: BoxSpec, K: int, stream: CounterStream,
     if K < 2:
         raise ValueError("need K >= 2")
     t = stream.take()
-    pts, _ = _sample_visible_tuples(stream.seed, box, K, t, t + 1, max_attempts)
+    pts, _ = _sample_visible_tuples(box, K, stream.seed, t, t + 1, max_attempts)
     return tuple(CyclotomicInt(box.p, tuple(int(c) for c in row)) for row in pts[0])
 
 
@@ -175,29 +161,13 @@ def visibility_concentration_report(box: BoxSpec, K: int, eps: float,
     if K < 2:
         raise ValueError("need K >= 2")
     eps_frac = Fraction(eps)
-    d2 = box.diameter_sq()
-    tester = _IntervalTester(IntervalSpec(Fraction(1, 6), eps_frac), d2)
-
-    def work(start, stop):
-        pts, attempts = _sample_visible_tuples(cfg.seed, box, K, start, stop, max_attempts)
-        ok = np.ones(stop - start, dtype=bool)
-        total_d2 = 0
-        n_edges = 0
-        for j in range(K):
-            for m in range(j + 1, K):
-                nvals = _norm_vals_checked(box.p, pts[:, j] - pts[:, m], 2 * box.N, box.dim)
-                ok &= tester.mask(nvals)
-                total_d2 += _exact_sum(nvals)
-                n_edges += len(nvals)
-        return int(np.sum(ok)), int(np.sum(attempts)), total_d2, n_edges
-
-    parts = _run_chunks(work, cfg.sample_count, cfg.worker_count, K * box.dim)
-    hits = sum(x[0] for x in parts)
-    attempts = sum(x[1] for x in parts)
-    total_d2 = sum(x[2] for x in parts)
-    n_edges = sum(x[3] for x in parts)
+    draw = partial(_sample_visible_tuples, max_attempts=max_attempts)
+    edges = kernels.all_edges(K, (IntervalSpec(Fraction(1, 6), eps_frac),))
+    spec = kernels.EdgeSpec(box, K, draw, edges, keep_sums=True)
+    result = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count)
+    (hits,) = result.hits
+    mean_d2 = Fraction(result.d2_sum, cfg.sample_count * len(edges) * box.diameter_sq())
     proportion = hits / cfg.sample_count
-    mean_d2 = Fraction(total_d2, n_edges * d2)
     target = 1.0 - float(eps)
     np_ratio = box.N / box.p
     return VisibilityReport(
@@ -205,7 +175,7 @@ def visibility_concentration_report(box: BoxSpec, K: int, eps: float,
         N=box.N,
         K=K,
         sample_count=cfg.sample_count,
-        visible_fraction=cfg.sample_count / attempts,
+        visible_fraction=cfg.sample_count / result.attempts,
         proportion_near_center=proportion,
         center=1.0 / math.sqrt(6.0),
         center_sq="1/6",

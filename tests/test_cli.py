@@ -198,3 +198,27 @@ class TestSerialization:
         r = vertex_pair_report(BoxSpec(5, 1), "1/3", SamplerConfig(1, 100))
         arr = json.loads(to_json([r, r]))
         assert isinstance(arr, list) and len(arr) == 2
+
+
+class TestLargeBoxes:
+    def test_oracle_at_large_N_exact_equal(self, capsys):
+        code, out, _ = run(capsys, "verify", "--oracle", "--p", "5", "--N", "1600")
+        assert code == 0
+        assert "MISMATCH" not in out
+
+    def test_vertex_sample_beyond_int64(self, capsys):
+        code, out, err = run(
+            capsys, "sample", "--theorem", "t5", "--p", "3", "--N", str(2 ** 63),
+            "--eps", "1/10", "--samples", "10",
+        )
+        assert code == 0  # the bound is vacuous at p = 3
+        assert json.loads(out[out.index("{"):])["trials"] == 10
+        assert "Traceback" not in err
+
+    def test_box_draw_beyond_one_word_is_a_guard_violation(self, capsys):
+        code, _, err = run(
+            capsys, "visibility", "--p", "3", "--N", str(2 ** 63), "--K", "2",
+            "--eps", "1/10", "--samples", "10",
+        )
+        assert code == 2
+        assert "64-bit" in err

@@ -299,3 +299,54 @@ class TestPyramids:
         from cyclobox.moments import avg_point_to_vertices
 
         assert F(int(num), int(den)) == avg_point_to_vertices(apex, box)
+
+
+class TestWideBoxes:
+    """Coefficients at and beyond the int64 range follow the one-point path."""
+
+    def test_right_angle_unit_alpha_at_large_N(self):
+        from cyclobox.core import cos_central_angle
+
+        box = BoxSpec(101, 10 ** 7)
+        alpha = CyclotomicInt(101, (1,) + (0,) * 99)
+        assert right_angle_report(alpha, box, 0.1, SamplerConfig(4, 1000)).trials == 1000
+        prefix = right_angle_report(alpha, box, 0.1, SamplerConfig(4, 64))
+        stream = CounterStream(4)
+        bound = F(0.1) ** 2
+        want = sum(cos_central_angle(alpha, sample_vertex(box, stream))[1] <= bound
+                   for _ in range(64))
+        assert 0 < want < 64
+        assert prefix.hits == want
+
+    def test_vertex_pair_differences_past_int64(self):
+        from cyclobox.core import dist_sq
+
+        box = BoxSpec(3, 2 ** 62)  # 2N = 2^63 does not fit int64
+        r = vertex_pair_report(box, F(1, 10), SamplerConfig(1, 64))
+        stream = CounterStream(1)
+        total = sum(dist_sq(sample_vertex(box, stream), sample_vertex(box, stream))
+                    for _ in range(64))
+        mean = F(total, 64 * box.diameter_sq())
+        assert r.extra["mean_dist_sq"] == f"{mean.numerator}/{mean.denominator}"
+
+    @pytest.mark.parametrize("N", [2 ** 62, 2 ** 63, 3 ** 50])
+    def test_vertex_reports_scale_free_in_N(self, N):
+        # normalized vertex distances and angles do not depend on N
+        def reports(box):
+            pole = north_pole_point(box)
+            origin = CyclotomicInt.zero(box.p)
+            cfg = SamplerConfig(6, 300, 2)
+            return [
+                vertex_pair_report(box, F(1, 10), cfg),
+                theorem4_report(pole, box, F(1, 10), cfg),
+                isosceles_report(pole, box, F(1, 5), cfg),
+                polytope_report(box, 3, 4.0, cfg),
+                right_angle_report(pole, box, 0.2, cfg),
+                pyramid_report(origin, box, 3, F(1, 4), cfg),
+            ]
+
+        cos = "median_abs_cos"  # a float, which rounds huge coefficients
+        for big, small in zip(reports(BoxSpec(7, N)), reports(BoxSpec(7, 1))):
+            assert big.extra.get(cos, 0.0) == pytest.approx(small.extra.get(cos, 0.0), rel=1e-12)
+            assert (dataclasses.replace(big, N=1, extra={**big.extra, cos: None})
+                    == dataclasses.replace(small, extra={**small.extra, cos: None}))

@@ -165,3 +165,16 @@ class TestCancellationSums:
             assert c.trace_quadratic[0] == dumb["trace_quadratic"]
             assert c.cubic[0] == dumb["cubic"]
             assert c.quartic[0] == dumb["quartic"]
+
+
+class TestOracleExactAtLargeN:
+    @pytest.mark.parametrize("p,N", [(5, 1600), (13, 40)])
+    def test_pair_power_sums_do_not_wrap(self, p, N):
+        # each d^4 fits in int64 here, but their sum over a block does not
+        reports = oracle_moments(BoxSpec(p, N))
+        assert [r.kind for r in reports if not r.exact_equal] == []
+
+    def test_cancellation_sums_beyond_int64_row_sums(self):
+        # 16 coefficients of 2^60 sum past 2^63
+        box = BoxSpec(17, 2 ** 60)
+        assert oracle_cancellation_sums(north_pole_point(box), box).all_match

@@ -71,3 +71,13 @@ class TestScenes:
             SceneSpec("box_points", q=2)
         with pytest.raises(ValueError):
             render_scene(SceneSpec("box_points", q=9))  # box scenes need a prime
+
+
+class TestWideBoxes:
+    @pytest.mark.parametrize("q,budget", [(13, 10 ** 5), (23, 1000)])
+    def test_vertex_scene_beyond_int64_is_the_unit_scene(self, q, budget):
+        # the viewport scales by the box radius, so N only shows in the description
+        N = 2 ** 63
+        big = render_scene(SceneSpec("poles_circle", q=q, N=N, budget=budget))
+        unit = render_scene(SceneSpec("poles_circle", q=q, N=1, budget=budget))
+        assert big.replace(f"N={N}", "N=1") == unit

@@ -50,3 +50,16 @@ def test_offsets_uniform_each_value():
     expected = o.size / 3
     for c in counts:
         assert abs(c - expected) < 5 * np.sqrt(expected)
+
+
+def test_box_offsets_cover_one_word_and_refuse_more():
+    import pytest
+
+    from cyclobox.core import GuardError
+
+    N = 2 ** 63 - 1  # 2N + 1 = 2^64 - 1: the widest range one word draws
+    x = rng.box_offsets(3, 0, 2000, 4, N)
+    assert x.dtype == np.int64
+    assert x.min() < -(2 ** 61) and x.max() > 2 ** 61
+    with pytest.raises(GuardError):
+        rng.box_offsets(3, 0, 1, 4, N + 1)

@@ -144,3 +144,32 @@ class TestSampler:
             BoxSpec(101, 1000), 4, 0.2, SamplerConfig(8, 300)
         )
         assert r.visible_fraction == 1.0
+
+
+class TestWideBoxes:
+    N = 2 ** 63 - 1  # coefficient differences reach 2^64 - 2
+
+    def test_self_visible_tuples_are_visible(self):
+        box = BoxSpec(5, self.N)
+        for t in range(64):
+            pts = sample_self_visible_polytope(box, 3, CounterStream(7, t))
+            assert all(is_visible(pts[j], pts[k]) for j in range(3) for k in range(j + 1, 3))
+
+    def test_means_follow_the_one_point_path(self):
+        from cyclobox.concentration import sample_box_point
+        from cyclobox.core import dist_sq
+
+        box = BoxSpec(5, self.N)
+        r = visibility_concentration_report(box, 3, 0.1, SamplerConfig(7, 32))
+        total = 0
+        for t in range(32):
+            pts = sample_self_visible_polytope(box, 3, CounterStream(7, t))
+            total += sum(dist_sq(pts[j], pts[k]) for j in range(3) for k in range(j + 1, 3))
+        mean = Fraction(total, 32 * 3 * box.diameter_sq())
+        assert r.mean_dist_sq == f"{mean.numerator}/{mean.denominator}"
+
+        stream = CounterStream(7)
+        total = sum(dist_sq(sample_box_point(box, stream), sample_box_point(box, stream))
+                    for _ in range(32))
+        got = box_pair_mean_report(box, SamplerConfig(7, 32))
+        assert got == Fraction(total, 32 * box.diameter_sq())
