@@ -213,10 +213,9 @@ def _finish(theorem, box, cfg, hits, trials, bound, formula, *, eps=None, center
 # --- theorem reports ----------------------------------------------------------
 
 def _vertex_draw(box: BoxSpec, K: int, cfg: SamplerConfig, exhaustive: bool) -> tuple:
-    """(draw, trials): sampled vertex K-tuples, or every one of them."""
+    """(draw, trials): sampled vertex K-tuples, or the vertex matrix to sweep."""
     if exhaustive:
-        v = kernels.box_vertices(box)
-        return kernels.draw_every_tuple(v), len(v) ** K
+        return kernels.box_vertices(box), box.num_vertices() ** K
     return kernels.draw_vertices, cfg.sample_count
 
 
@@ -264,7 +263,7 @@ def vertex_pair_report(box: BoxSpec, eps, cfg: SamplerConfig,
         raise GuardError(f"pairwise sweep refuses p={box.p} > {EXHAUSTIVE_MAX_P_PAIRS}")
     draw, trials = _vertex_draw(box, 2, cfg, exhaustive)
     intervals = (IntervalSpec(a_vv, eps), IntervalSpec(Fraction(1, 2), eps))
-    spec = kernels.EdgeSpec(box, 2, draw, ((0, 1, intervals),), keep_sums=True)
+    spec = kernels.EdgeSpec(box, 2, draw, ((0, 1, intervals),), keep_sums=1)
     result = kernels.tally(spec, cfg.seed, trials, cfg.worker_count)
     hits, hits_half = result.hits
     mean_d2 = Fraction(result.d2_sum, trials * box.diameter_sq())

@@ -7,12 +7,13 @@ arrays) when it does not, and `lift` promotes an operand just before the
 first step that could wrap.  `exact_sum` adds int64 pieces whose totals
 provably fit.  The kernel is d^2 = p^2 sum(d_j^2) - (p+1) (sum d_j)^2 of a
 coefficient difference d; `tally` runs an `EdgeSpec` chunk by chunk, and
-chunks depend only on the sample count and the row width, so tallies are
-the same for any worker count.
+chunks depend only on the sample count (or the swept rows) and the row
+width, so tallies are the same for any worker count.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -81,12 +82,18 @@ def exact_sum(vals: np.ndarray, bound: int) -> int:
     return sum(int(np.sum(flat[i : i + step])) for i in range(0, flat.size, step))
 
 
+def _power_totals(d2: np.ndarray, bound: int, count: int) -> tuple:
+    """Exact totals of d^2 and d^4 over `d2` (each at most `bound`), the first `count`."""
+    totals = [exact_sum(d2, bound)] if count else []
+    if count > 1:
+        sq = lift(d2, bound * bound)
+        totals.append(exact_sum(sq * sq, bound * bound))
+    return tuple(totals)
+
+
 def power_sums(p: int, x: np.ndarray, y: np.ndarray, m: int) -> tuple:
     """Exact sums of d^2 and d^4 over the broadcast rows of x and y."""
-    bound = dist_sq_bound(p, x.shape[-1], m)
-    d2 = dist_sq(p, x, y, m)
-    sq = lift(d2, bound * bound)
-    return exact_sum(d2, bound), exact_sum(sq * sq, bound * bound)
+    return _power_totals(dist_sq(p, x, y, m), dist_sq_bound(p, x.shape[-1], m), 2)
 
 
 def vertex_matrix(dim: int, N: int) -> np.ndarray:
@@ -94,6 +101,13 @@ def vertex_matrix(dim: int, N: int) -> np.ndarray:
     masks = np.arange(1 << dim, dtype=np.int64)[:, None]
     bits = (masks >> np.arange(dim, dtype=np.int64)[None, :]) & 1
     return scaled(bits * 2 - 1, N)
+
+
+def box_matrix(dim: int, N: int) -> np.ndarray:
+    """All (2N+1)^dim box points in `BoxSpec.points()` order: the last coordinate varies fastest."""
+    side = 2 * N + 1
+    idx = np.arange(side ** dim, dtype=np.int64)[:, None]
+    return idx // side ** np.arange(dim - 1, -1, -1, dtype=np.int64) % side - N
 
 
 def box_vertices(box: BoxSpec) -> np.ndarray:
@@ -105,7 +119,9 @@ def box_vertices(box: BoxSpec) -> np.ndarray:
 
 
 class IntervalTester:
-    """Integer-only membership test for d^2 = n / d2 with fixed interval."""
+    """Integer-only membership test for d^2 = n / d2 with fixed interval.  Members
+    n >= 0 form one range [lo, hi] (none if lo > hi) that, if nonempty, holds floor or
+    ceil(A * d2) and ends below 2 (A + eps^2) d2; bisection with `member` finds it."""
 
     def __init__(self, spec, d2: int):
         a, e2 = spec.center_sq, spec.epsilon * spec.epsilon
@@ -114,15 +130,33 @@ class IntervalTester:
         self.c1 = ad * fd
         self.c0 = (an * fd - fn * ad) * d2
         self.c2 = 4 * an * ad * fd * fd * d2
+        center = a * d2
+        starts = [n for n in (math.floor(center), math.ceil(center)) if self.member(n)]
+        beyond = math.floor(2 * (a + e2) * d2) + 1
+        self.lo, self.hi = ((self._edge(starts[0], -1), self._edge(starts[0], beyond))
+                            if starts else (1, 0))
 
     def member(self, n: int) -> bool:
         lhs = n * self.c1 + self.c0
         return lhs <= 0 or lhs * lhs <= self.c2 * n
 
+    def _edge(self, inside: int, outside: int) -> int:
+        """The last member from member `inside` toward non-member `outside`."""
+        while abs(outside - inside) > 1:
+            mid = (inside + outside) // 2
+            inside, outside = (mid, outside) if self.member(mid) else (inside, mid)
+        return inside
+
     def mask(self, nvals: np.ndarray) -> np.ndarray:
-        uniq, inv = np.unique(nvals, return_inverse=True)
-        ok = np.array([self.member(int(u)) for u in uniq], dtype=bool)
-        return ok[inv]
+        return (nvals >= self.lo) & (nvals <= self.hi)
+
+
+def _run(fn, tasks: list, workers: int) -> list:
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(*t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        futures = [ex.submit(fn, *t) for t in tasks]
+        return [f.result() for f in futures]
 
 
 def run_chunks(fn, total: int, workers: int, unit_dim: int = 1) -> list:
@@ -132,12 +166,22 @@ def run_chunks(fn, total: int, workers: int, unit_dim: int = 1) -> list:
     count, and tallies are summed, so results are worker-count independent.
     """
     batch = max(1, _BATCH_ELEMENTS // max(unit_dim, 1))
-    ranges = [(lo, min(lo + batch, total)) for lo in range(0, total, batch)]
-    if workers <= 1 or len(ranges) <= 1:
-        return [fn(a, b) for a, b in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        futures = [ex.submit(fn, a, b) for a, b in ranges]
-        return [f.result() for f in futures]
+    return _run(fn, [(lo, min(lo + batch, total)) for lo in range(0, total, batch)], workers)
+
+
+def _block_pairs(rows: np.ndarray) -> list:
+    """(members, pairs, multiplicity) chunks that visit every ordered pair of
+    `rows` once: block pairs i <= j of side isqrt(budget / dim), as broadcast
+    views.  A diagonal block holds both orders of its pairs; an off-diagonal
+    one stands for both with multiplicity 2, exact because d^2 is symmetric."""
+    side = max(1, math.isqrt(_BATCH_ELEMENTS // rows.shape[1]))
+    blocks = [rows[i0 : i0 + side] for i0 in range(0, len(rows), side)]
+    chunks = []
+    for i, bi in enumerate(blocks):
+        for j, bj in enumerate(blocks[i:], i):
+            weight = 1 if i == j else 2
+            chunks.append(((bi[:, None], bj[None, :]), weight * len(bi) * len(bj), weight))
+    return chunks
 
 
 def draw_vertices(box: BoxSpec, K: int, seed: int, start: int, stop: int) -> tuple:
@@ -154,19 +198,6 @@ def draw_box_points(box: BoxSpec, K: int, seed: int, start: int, stop: int) -> t
     return pts.reshape(count, K, box.dim), count
 
 
-def draw_every_tuple(rows: np.ndarray) -> Callable:
-    """A draw that enumerates K-tuples of `rows`: tuple i is the base-len(rows)
-    digits of i, so samples [0, len(rows)^K) visit every tuple once."""
-    n = len(rows)
-
-    def draw(box: BoxSpec, K: int, seed: int, start: int, stop: int) -> tuple:
-        idx = np.arange(start, stop)
-        pts = np.stack([rows[(idx // n ** (K - 1 - m)) % n] for m in range(K)], axis=1)
-        return pts, stop - start
-
-    return draw
-
-
 # --- engine -------------------------------------------------------------------------
 
 def all_edges(K: int, intervals: tuple) -> tuple:
@@ -178,27 +209,31 @@ def all_edges(K: int, intervals: tuple) -> tuple:
 class EdgeSpec:
     """A distance law.  Each sample draws K points of `box`:
     draw(box, K, seed, start, stop) -> ((count, K, dim) points, tuples drawn).
+    In place of a draw, an (n, dim) row matrix sweeps every ordered K-tuple
+    of its rows once (K <= 2; a K = 2 sweep joins only points 0 and 1).
     Edge (j, k, intervals) joins points j and k (k == APEX: the fixed `apex`)
     and must hit intervals[v] for verdict v; every edge lists one interval
-    per verdict.  With `keep_sums`, the exact total of all d^2 is kept."""
+    per verdict.  keep_sums of the exact totals of d^2, d^4 are kept."""
 
     box: BoxSpec
     K: int
     draw: Callable
     edges: tuple
     apex: Optional[tuple] = None
-    keep_sums: bool = False
+    keep_sums: int = 0
 
 
 @dataclass(frozen=True)
 class Tally:
     hits: tuple    # per verdict: samples whose every edge hits its interval
     attempts: int  # K-tuples drawn, rejected ones included
-    d2_sum: int    # exact total of d^2 over all edges of all samples (keep_sums)
+    d2_sum: int = 0  # exact total of d^2 over all edges of all samples (keep_sums >= 1)
+    d4_sum: int = 0  # and of d^4 (keep_sums == 2)
 
 
 def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
-    """Run samples [0, total) of `spec` in chunks and merge their counts."""
+    """Run samples [0, total) of `spec` in chunks and merge their counts.
+    A sweep draws no stream and visits all total = n^K tuples of its rows."""
     box = spec.box
     p, d2 = box.p, box.diameter_sq()
     apex = None if spec.apex is None else coeff_array(spec.apex)
@@ -207,17 +242,27 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
     plan = [(j, k, box.N + (apex_max if k == APEX else box.N),
              [IntervalTester(iv, d2) for iv in ivs]) for j, k, ivs in spec.edges]
 
-    def work(start, stop):
-        pts, attempts = spec.draw(box, spec.K, seed, start, stop)
-        ok = np.ones((verdicts, stop - start), dtype=bool)
-        d2_sum = 0
+    def work(members, attempts, weight):
+        ok = [True] * verdicts
+        sums = []  # per edge: its totals of d^2 and d^4
         for j, k, m, testers in plan:
-            vals = dist_sq(p, pts[:, j], apex if k == APEX else pts[:, k], m)
-            for row, tester in zip(ok, testers):
-                row &= tester.mask(vals)
-            if spec.keep_sums:
-                d2_sum += exact_sum(vals, dist_sq_bound(p, box.dim, m))
-        return [int(h) for h in np.sum(ok, axis=1)], attempts, d2_sum
+            vals = dist_sq(p, members[j], apex if k == APEX else members[k], m)
+            ok = [row & tester.mask(vals) for row, tester in zip(ok, testers)]
+            sums.append(_power_totals(vals, dist_sq_bound(p, box.dim, m), spec.keep_sums))
+        hits = [weight * int(np.count_nonzero(row)) for row in ok]
+        return hits, attempts, [weight * sum(s) for s in zip(*sums)]
 
-    hits, attempts, d2_sums = zip(*run_chunks(work, total, workers, spec.K * box.dim))
-    return Tally(tuple(map(sum, zip(*hits))), sum(attempts), sum(d2_sums))
+    rows = spec.draw if isinstance(spec.draw, np.ndarray) else None
+
+    def chunk(start, stop):
+        if rows is not None:  # a K = 1 sweep: a slice of the rows
+            return work((rows[start:stop],), stop - start, 1)
+        pts, attempts = spec.draw(box, spec.K, seed, start, stop)
+        return work([pts[:, m] for m in range(spec.K)], attempts, 1)
+
+    if rows is not None and spec.K == 2:
+        parts = _run(work, _block_pairs(rows), workers)
+    else:
+        parts = run_chunks(chunk, total, workers, spec.K * box.dim)
+    hits, attempts, sums = zip(*parts)
+    return Tally(tuple(map(sum, zip(*hits))), sum(attempts), *map(sum, zip(*sums)))

@@ -126,28 +126,6 @@ def variance_vertex_pairs(box: BoxSpec) -> Fraction:
 
 # --- exhaustive oracle -------------------------------------------------------
 
-def _pair_power_sums(box: BoxSpec) -> tuple:
-    """Power sums of d^2 over all ordered vertex pairs.
-
-    Works block-triangularly: an off-diagonal block stands for both orders
-    of its pairs, so it is enumerated once and counted twice.
-    """
-    v = kernels.box_vertices(box)
-    n = len(v)
-    block = max(1, int(((1 << 22) // max(box.dim, 1)) ** 0.5))
-    total2 = 0
-    total4 = 0
-    for i0 in range(0, n, block):
-        vi = v[i0 : i0 + block]
-        for j0 in range(i0, n, block):
-            s2, s4 = kernels.power_sums(box.p, vi[:, None, :], v[None, j0 : j0 + block, :],
-                                        2 * box.N)
-            weight = 1 if i0 == j0 else 2
-            total2 += weight * s2
-            total4 += weight * s4
-    return n * n, total2, total4
-
-
 def oracle_moments(box: BoxSpec, alpha: Optional[CyclotomicInt] = None) -> list:
     """Recompute moments by full enumeration and pair them with the formulas.
 
@@ -156,37 +134,25 @@ def oracle_moments(box: BoxSpec, alpha: Optional[CyclotomicInt] = None) -> list:
     Oracle values are computed from exact integer power sums, so equality
     with the closed forms is literal rational equality.
     """
-    d2 = box.diameter_sq()
-    reports = []
     if alpha is not None:
         _check_pair(alpha, box)
-        v = kernels.box_vertices(box)
-        m = box.N + max(abs(c) for c in alpha.coeffs)
-        s2, s4 = kernels.power_sums(box.p, v, kernels.coeff_array(alpha.coeffs), m)
-        mean = Fraction(s2, len(v) * d2)
-        var = Fraction(s4, len(v) * d2 * d2) - mean * mean
-        reports.append(
-            MomentReport("avg_point_vertices", box.p, box.N,
-                         avg_point_to_vertices(alpha, box), mean, alpha.coeffs)
-        )
-        reports.append(
-            MomentReport("second_moment_point_vertices", box.p, box.N,
-                         second_moment_point_to_vertices(alpha, box), var, alpha.coeffs)
-        )
-        return reports
-
-    count, s2, s4 = _pair_power_sums(box)
-    mean = Fraction(s2, count * d2)
-    fourth = Fraction(s4, count * d2 * d2)
-    reports.append(MomentReport("avg_vertex_pairs", box.p, box.N, avg_vertex_pairs(box), mean))
-    reports.append(
-        MomentReport("fourth_vertex_pairs", box.p, box.N, fourth_moment_vertex_pairs(box), fourth)
-    )
-    reports.append(
-        MomentReport("variance_vertex_pairs", box.p, box.N,
-                     variance_vertex_pairs(box), fourth - mean * mean)
-    )
-    return reports
+    K, edge = (2, (0, 1, ())) if alpha is None else (1, (0, kernels.APEX, ()))
+    apex = None if alpha is None else alpha.coeffs
+    spec = kernels.EdgeSpec(box, K, kernels.box_vertices(box), (edge,), apex=apex, keep_sums=2)
+    result = kernels.tally(spec, 0, box.num_vertices() ** K, 1)
+    d2 = box.diameter_sq()
+    mean = Fraction(result.d2_sum, result.attempts * d2)
+    fourth = Fraction(result.d4_sum, result.attempts * d2 * d2)
+    if alpha is not None:
+        laws = [("avg_point_vertices", avg_point_to_vertices(alpha, box), mean),
+                ("second_moment_point_vertices", second_moment_point_to_vertices(alpha, box),
+                 fourth - mean * mean)]
+    else:
+        laws = [("avg_vertex_pairs", avg_vertex_pairs(box), mean),
+                ("fourth_vertex_pairs", fourth_moment_vertex_pairs(box), fourth),
+                ("variance_vertex_pairs", variance_vertex_pairs(box), fourth - mean * mean)]
+    return [MomentReport(kind, box.p, box.N, formula, value, apex)
+            for kind, formula, value in laws]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ are byte-identical.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,15 +51,12 @@ def _embed_rows(coeffs: np.ndarray, q: int) -> np.ndarray:
     return coeffs.astype(np.float64) @ _roots(q)
 
 
-def _box_cloud(scene: SceneSpec, prime_required: bool = True):
+def _box_cloud(scene: SceneSpec):
     """Box point coefficient matrix, full if it fits the budget, else sampled."""
     q, N = scene.q, scene.N
     total = (2 * N + 1) ** (q - 1)
     if total <= scene.budget:
-        pts = np.array(
-            list(itertools.product(range(-N, N + 1), repeat=q - 1)), dtype=np.int64
-        )
-        return pts, False
+        return kernels.box_matrix(q - 1, N), False
     if not scene.allow_sampling:
         raise GuardError(
             f"scene has {total} points, budget {scene.budget}; sampling not allowed"
@@ -148,16 +144,7 @@ def render_scene(scene: SceneSpec) -> str:
     labels = []   # (z, text)
     ring_radius = None
 
-    if scene.kind == "box_points":
-        BoxSpec(q, scene.N)  # box scenes require an odd prime
-        pts, sampled = _box_cloud(scene)
-        vx_mask = np.all(np.abs(pts) == scene.N, axis=1)
-        clouds.append((pts[~vx_mask], "pt", 1.0))
-        clouds.append((pts[vx_mask], "vx", 1.6))
-        if sampled:
-            desc.append(f"sampled={len(pts)}_of_{(2 * scene.N + 1) ** (q - 1)}")
-
-    elif scene.kind == "poles_circle":
+    if scene.kind == "poles_circle":
         vxs, sampled = _vertex_cloud(scene)
         clouds.append((vxs, "vx", 1.0))
         if sampled:
@@ -173,14 +160,16 @@ def render_scene(scene: SceneSpec) -> str:
             float(np.max(np.abs(_embed_rows(vxs, q)))), float(abs(zs[0]))
         )
 
-    elif scene.kind in ("random_polytopes", "pyramids"):
-        BoxSpec(q, scene.N)
+    else:
+        BoxSpec(q, scene.N)  # box scenes require an odd prime
         pts, sampled = _box_cloud(scene)
         vx_mask = np.all(np.abs(pts) == scene.N, axis=1)
         clouds.append((pts[~vx_mask], "pt", 1.0))
         clouds.append((pts[vx_mask], "vx", 1.6))
         if sampled:
             desc.append(f"sampled={len(pts)}_of_{(2 * scene.N + 1) ** (q - 1)}")
+
+    if scene.kind in ("random_polytopes", "pyramids"):
         desc.append(f"K={scene.K}")
         desc.append(f"count={scene.count}")
         signs = rng.vertex_signs(scene.seed, 1 << 34, scene.count * scene.K, q - 1)

@@ -59,16 +59,15 @@ def oracle_mean_box_pair_dist_sq(box: BoxSpec) -> Fraction:
     npts = box.num_points()
     if npts > 1 << 12:
         raise GuardError(f"pair enumeration refuses {npts}^2 ordered pairs")
-    pts = np.array([pt.coeffs for pt in box.points()], dtype=np.int64)
-    bound = kernels.dist_sq_bound(box.p, box.dim, 2 * box.N)
-    total = sum(kernels.exact_sum(kernels.dist_sq(box.p, pts, row, 2 * box.N), bound)
-                for row in pts)
+    rows = kernels.box_matrix(box.dim, box.N)
+    spec = kernels.EdgeSpec(box, 2, rows, ((0, 1, ()),), keep_sums=1)
+    total = kernels.tally(spec, 0, npts * npts, 1).d2_sum
     return Fraction(total, npts * npts * box.diameter_sq())
 
 
 def box_pair_mean_report(box: BoxSpec, cfg: SamplerConfig) -> Fraction:
     """Exact sample mean of d^2 over cfg.sample_count uniform box-point pairs."""
-    spec = kernels.EdgeSpec(box, 2, kernels.draw_box_points, ((0, 1, ()),), keep_sums=True)
+    spec = kernels.EdgeSpec(box, 2, kernels.draw_box_points, ((0, 1, ()),), keep_sums=1)
     total = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count).d2_sum
     return Fraction(total, cfg.sample_count * box.diameter_sq())
 
@@ -163,7 +162,7 @@ def visibility_concentration_report(box: BoxSpec, K: int, eps: float,
     eps_frac = Fraction(eps)
     draw = partial(_sample_visible_tuples, max_attempts=max_attempts)
     edges = kernels.all_edges(K, (IntervalSpec(Fraction(1, 6), eps_frac),))
-    spec = kernels.EdgeSpec(box, K, draw, edges, keep_sums=True)
+    spec = kernels.EdgeSpec(box, K, draw, edges, keep_sums=1)
     result = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count)
     (hits,) = result.hits
     mean_d2 = Fraction(result.d2_sum, cfg.sample_count * len(edges) * box.diameter_sq())

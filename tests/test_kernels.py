@@ -1,4 +1,8 @@
+import math
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,9 +15,12 @@ from cyclobox.concentration import (
     IntervalSpec,
     SamplerConfig,
     sample_vertex,
+    vertex_pair_report,
     within_sqrt_interval,
 )
 from cyclobox.core import BoxSpec, CyclotomicInt, GuardError
+from cyclobox.moments import avg_vertex_pairs
+from cyclobox.visibility import mean_box_pair_dist_sq, oracle_mean_box_pair_dist_sq
 
 PRIMES = st.sampled_from([3, 5, 7, 13])
 SIZES = st.sampled_from([1, 2 ** 20, 2 ** 31, 2 ** 62, 10 ** 12])
@@ -131,3 +138,100 @@ class TestEngine:
         assert got.hits == (hits,)
         assert got.attempts == 200
         assert got.d2_sum == total
+
+
+class TestBoxMatrix:
+    @pytest.mark.parametrize("p,N", [(3, 1), (3, 4), (5, 1), (7, 2)])
+    def test_order_of_box_points(self, p, N):
+        box = BoxSpec(p, N)
+        got = [tuple(row) for row in kernels.box_matrix(box.dim, N).tolist()]
+        assert got == [pt.coeffs for pt in box.points()]
+
+
+# D = 4 N^2 p^2 (p-1) at (p, N) = (3, 1), (7, 3), (1009, 1), (101, 2^40)
+DIAMETERS = st.sampled_from([72, 3240, 4 * 1009 ** 2 * 1008, 4 * 2 ** 80 * 101 ** 2 * 100])
+
+
+class TestIntervalRange:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        DIAMETERS,
+        st.fractions(min_value=0, max_value=2, max_denominator=10 ** 6),
+        st.fractions(min_value=Fraction(1, 10 ** 5), max_value=1, max_denominator=10 ** 6),
+    )
+    def test_range_is_the_member_set(self, d2, center, eps):
+        spec = IntervalSpec(center, eps)
+        tester = kernels.IntervalTester(spec, d2)
+        lo, hi = tester.lo, tester.hi
+        if lo <= hi:
+            assert tester.member(lo) and tester.member(hi)
+            assert lo == 0 or not tester.member(lo - 1)
+            assert not tester.member(hi + 1)
+            ends = (0, lo, hi)
+        else:
+            ends = (0, math.floor(center * d2))
+        window = sorted({n for e in ends for n in range(e - 3, e + 4) if n >= 0})
+        want = [within_sqrt_interval(Fraction(n, d2), spec) for n in window]
+        assert tester.mask(np.array(window, dtype=object)).tolist() == want
+        assert tester.mask(np.array([window], dtype=object)).tolist() == [want]
+        small = [n for n in window if n <= kernels.INT64_MAX]
+        assert (tester.mask(np.array(small, dtype=np.int64)).tolist()
+                == [within_sqrt_interval(Fraction(n, d2), spec) for n in small])
+
+    def test_interval_between_two_integers_masks_nothing(self):
+        # A * D = 72/7 = 10.29, and the interval holds only d^2 in [10.23, 10.34]
+        tester = kernels.IntervalTester(IntervalSpec(Fraction(1, 7), Fraction(1, 1000)), 72)
+        assert not tester.member(10) and not tester.member(11)
+        assert not tester.mask(np.arange(200, dtype=np.int64)).any()
+
+
+@lru_cache(maxsize=None)
+def _pair_histogram(p):
+    """d^2 -> number of ordered vertex pairs at N = 1, from numpy row chunks."""
+    v = np.array([x.coeffs for x in BoxSpec(p, 1).vertices()], dtype=np.int64)
+    hist = Counter()
+    for i in range(0, len(v), 64):
+        diff = v[i : i + 64, None, :] - v[None, :, :]
+        d2 = p * p * np.sum(diff * diff, axis=-1) - (p + 1) * np.sum(diff, axis=-1) ** 2
+        vals, counts = np.unique(d2, return_counts=True)
+        hist.update(dict(zip(vals.tolist(), counts.tolist())))
+    return hist
+
+
+class TestExhaustiveSweeps:
+    @pytest.mark.parametrize("p,eps,row_blocks", [
+        (11, Fraction(1, 100), 3),
+        (11, Fraction(1, 10), 3),
+        (11, Fraction(3, 4), 3),
+        (13, Fraction(3, 4), 10),
+    ])
+    def test_t5_hits_match_the_pair_histogram(self, p, eps, row_blocks):
+        box = BoxSpec(p, 1)
+        v = kernels.box_vertices(box)
+        assert len(kernels._block_pairs(v)) == row_blocks * (row_blocks + 1) // 2
+        r = vertex_pair_report(box, eps, SamplerConfig(1, 1), exhaustive=True)
+        d2 = box.diameter_sq()
+
+        def hits(center):
+            spec = IntervalSpec(center, eps)
+            return sum(c for n, c in _pair_histogram(p).items()
+                       if within_sqrt_interval(Fraction(n, d2), spec))
+
+        a_vv = avg_vertex_pairs(box)
+        assert r.trials == len(v) ** 2
+        assert r.hits == hits(a_vv)
+        assert r.extra["hits_half"] == hits(Fraction(1, 2))
+        assert Fraction(r.extra["mean_dist_sq"]) == a_vv
+        if eps * eps > a_vv:  # every pair hits, the diagonal ones included
+            assert r.hits == r.extra["hits_half"] == r.trials
+
+    def test_exhaustive_worker_count_invariance(self):
+        box = BoxSpec(11, 1)
+        one, two = (vertex_pair_report(box, Fraction(1, 10), SamplerConfig(1, 1, w),
+                                       exhaustive=True) for w in (1, 2))
+        assert replace(two, worker_count=1) == one
+
+    def test_box_pair_oracle_over_several_blocks(self):
+        box = BoxSpec(5, 3)  # 2401 points: 4 row blocks
+        assert box.num_points() == 2401
+        assert oracle_mean_box_pair_dist_sq(box) == mean_box_pair_dist_sq(box)

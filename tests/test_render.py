@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -81,3 +82,20 @@ class TestWideBoxes:
         big = render_scene(SceneSpec("poles_circle", q=q, N=N, budget=budget))
         unit = render_scene(SceneSpec("poles_circle", q=q, N=1, budget=budget))
         assert big.replace(f"N={N}", "N=1") == unit
+
+
+class TestOutputPinned:
+    # SHA-256 of each scene's SVG as rendered from an itertools.product box cloud,
+    # so the box-point order and every coordinate stay byte-identical
+    @pytest.mark.parametrize("scene,digest", [
+        (SceneSpec("box_points", q=5, N=1),
+         "ddecba961efea090a82bcdd98619683ddb0c0c498c107372bfcaf34088ffbc99"),
+        (SceneSpec("poles_circle", q=7),
+         "69fe429a10e1a633c19aad79e9af3a53f35054c39d509ca861c8d57823d4a338"),
+        (SceneSpec("random_polytopes", q=5, N=1, K=3, count=4, seed=3),
+         "646a95d3502ae42f413d374d783e4e026471da9132145455e2f1602edee31448"),
+        (SceneSpec("pyramids", q=5, N=2, K=3, count=3, seed=7),
+         "98ee566e0d604f0080873c401abaccd4b13a49bc0dd30ada054b9e16dcfe46c0"),
+    ])
+    def test_svg_bytes(self, scene, digest):
+        assert hashlib.sha256(render_scene(scene).encode()).hexdigest() == digest
