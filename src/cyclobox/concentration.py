@@ -213,9 +213,9 @@ def _finish(theorem, box, cfg, hits, trials, bound, formula, *, eps=None, center
 # --- theorem reports ----------------------------------------------------------
 
 def _vertex_draw(box: BoxSpec, K: int, cfg: SamplerConfig, exhaustive: bool) -> tuple:
-    """(draw, trials): sampled vertex K-tuples, or the vertex matrix to sweep."""
+    """(draw, trials): sampled vertex K-tuples, or the packed vertex rows to sweep."""
     if exhaustive:
-        return kernels.box_vertices(box), box.num_vertices() ** K
+        return kernels.box_vertex_rows(box), box.num_vertices() ** K
     return kernels.draw_vertices, cfg.sample_count
 
 
@@ -319,17 +319,18 @@ def right_angle_report(alpha: CyclotomicInt, box: BoxSpec, eps_cos: float,
     en2 = eps_frac.numerator ** 2
     ed2 = eps_frac.denominator ** 2
     p, dim = box.p, box.dim
-    m = box.N + max(abs(c) for c in alpha.coeffs)
     # 2<alpha, x> = ||alpha||^2 + ||x||^2 - d^2(alpha, x), at most ||alpha||^2 + ||x||^2
     nb_bound = kernels.dist_sq_bound(p, dim, box.N)
-    twice_bound = na + nb_bound + kernels.dist_sq_bound(p, dim, m)
+    apex = kernels.PackedApex(box, alpha.coeffs)
+    origin = kernels.PackedApex(box, (0,) * dim)
+    twice_bound = na + nb_bound + apex.bound
     compare_bound = max((na + nb_bound) ** 2 * ed2, 4 * en2 * na * nb_bound)
-    avec = kernels.coeff_array(alpha.coeffs)
 
     def work(start, stop):
         x = kernels.draw_vertices(box, 1, cfg.seed, start, stop)[0][:, 0]
-        nb = kernels.dist_sq(p, x, 0, box.N)
-        twice = kernels.lift(nb, twice_bound) + na - kernels.dist_sq(p, x, avec, m)
+        pcx = kernels.popcount(x)
+        nb = origin.dist_sq(x, pcx)
+        twice = kernels.lift(nb, twice_bound) + na - apex.dist_sq(x, pcx)
         tw = kernels.lift(twice, compare_bound)
         ok = tw * tw * ed2 <= 4 * en2 * na * kernels.lift(nb, compare_bound)
         cos_abs = np.abs(twice.astype(np.float64) / 2) / np.sqrt(float(na) * nb.astype(np.float64))

@@ -5,8 +5,10 @@ Overflow policy: each array step knows a bound on every value it makes;
 `exact_dtype` picks int64 when the bound fits and Python ints (object
 arrays) when it does not, and `lift` promotes an operand just before the
 first step that could wrap.  `exact_sum` adds int64 pieces whose totals
-provably fit.  The kernel is d^2 = p^2 sum(d_j^2) - (p+1) (sum d_j)^2 of a
-coefficient difference d; `tally` runs an `EdgeSpec` chunk by chunk, and
+provably fit.  The kernel is d^2 = p^2 q - (p+1) s^2 with q = sum(d_j^2) and
+s = sum(d_j) of a difference d.  Coefficient rows reduce d directly; vertices
+stay packed sign words (bit j set: coordinate j is +N), and q and s come from
+popcounts of whole rows.  `tally` runs an `EdgeSpec` chunk by chunk, and
 chunks depend only on the sample count (or the swept rows) and the row
 width, so tallies are the same for any worker count.
 """
@@ -64,13 +66,72 @@ def dist_sq_bound(p: int, dim: int, m: int) -> int:
     return p * p * dim * m * m
 
 
+def _combine(p: int, q, s):
+    """d^2 from q = sum(d_j^2) and s = sum(d_j) of a difference d."""
+    return p * p * q - (p + 1) * s * s
+
+
 def dist_sq(p: int, x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     """Exact d^2(x, y) over the broadcast rows of x and y, given |x_j - y_j| <= m."""
     x = lift(x, m)
     diff = lift(x - y, dist_sq_bound(p, x.shape[-1], m))
-    q = np.sum(diff * diff, axis=-1)
-    s = np.sum(diff, axis=-1)
-    return p * p * q - (p + 1) * s * s
+    return _combine(p, np.einsum("...j,...j->...", diff, diff), np.einsum("...j->...", diff))
+
+
+def popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each packed row (the last axis), as int64."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def vertex_dist_sq(box: BoxSpec, x: np.ndarray, y: np.ndarray,
+                   pcx: np.ndarray, pcy: np.ndarray) -> np.ndarray:
+    """Exact d^2 between the broadcast rows of packed vertices x and y, given their
+    popcounts: d_j is 0 or +-2N, so q = 4N^2 pc(x ^ y) and s = 2N (pc(x) - pc(y))."""
+    N = box.N
+    bound = dist_sq_bound(box.p, box.dim, 2 * N)
+    q = lift(popcount(x ^ y), bound) * (4 * N * N)
+    return _combine(box.p, q, lift(pcx - pcy, bound) * (2 * N))
+
+
+def _pack(indices: list, dim: int) -> np.ndarray:
+    """The packed row whose set bits are `indices`."""
+    bits = np.zeros(64 * ((dim + 63) // 64), dtype=np.uint8)
+    bits[indices] = 1
+    return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
+
+
+class PackedApex:
+    """A fixed point alpha of `box`, seen from packed vertices x.  With E = sum alpha_j^2,
+    T = sum alpha_j and alpha = sum_c c * 1[M_c] over masks M_c, d = x - alpha has
+    q = N^2 dim + E + 2NT - 4N sum_c c pc(x & M_c) and s = N (2 pc(x) - dim) - T.
+    The masks are one per distinct nonzero alpha_j, or one per sign and bit of
+    |alpha_j| when that takes fewer, so no alpha needs more than 2 bitlen(max |alpha_j|)."""
+
+    def __init__(self, box: BoxSpec, coeffs: tuple):
+        N, dim = box.N, box.dim
+        self.box = box
+        self.m = N + max(abs(c) for c in coeffs)
+        self.bound = dist_sq_bound(box.p, dim, self.m)
+        trace = sum(coeffs)
+        self.q0 = N * N * dim + sum(c * c for c in coeffs) + 2 * N * trace
+        self.s0 = N * dim + trace
+        by_value, by_bit = {}, {}
+        for j, c in enumerate(coeffs):
+            if c:
+                by_value.setdefault(c, []).append(j)
+            for k in range(abs(c).bit_length()):
+                if abs(c) >> k & 1:
+                    by_bit.setdefault((1 if c > 0 else -1) << k, []).append(j)
+        terms = min(by_value, by_bit, key=len)
+        self.terms = [(-4 * N * c, _pack(idx, dim)) for c, idx in terms.items()]
+
+    def dist_sq(self, x: np.ndarray, pcx: np.ndarray) -> np.ndarray:
+        """Exact d^2(x, alpha) over packed vertex rows x with popcounts pcx."""
+        q = self.q0
+        for weight, mask in self.terms:
+            q = q + lift(popcount(x & mask), self.bound) * weight
+        s = lift(pcx, self.bound) * (2 * self.box.N) - self.s0
+        return _combine(self.box.p, q, s)
 
 
 def exact_sum(vals: np.ndarray, bound: int) -> int:
@@ -96,11 +157,15 @@ def power_sums(p: int, x: np.ndarray, y: np.ndarray, m: int) -> tuple:
     return _power_totals(dist_sq(p, x, y, m), dist_sq_bound(p, x.shape[-1], m), 2)
 
 
+def vertex_rows(dim: int) -> np.ndarray:
+    """All 2^dim vertices as packed rows, in `BoxSpec.vertices()` order: row i is i,
+    so bit j of i set means coordinate j is +N."""
+    return np.arange(1 << dim, dtype=np.uint64)[:, None]
+
+
 def vertex_matrix(dim: int, N: int) -> np.ndarray:
-    """All 2^dim vertices in `BoxSpec.vertices()` order: row i is +N where bit j of i is set."""
-    masks = np.arange(1 << dim, dtype=np.int64)[:, None]
-    bits = (masks >> np.arange(dim, dtype=np.int64)[None, :]) & 1
-    return scaled(bits * 2 - 1, N)
+    """All 2^dim vertex coefficient rows, in `vertex_rows` order."""
+    return scaled(rng.unpack_signs(vertex_rows(dim), dim), N)
 
 
 def box_matrix(dim: int, N: int) -> np.ndarray:
@@ -110,12 +175,17 @@ def box_matrix(dim: int, N: int) -> np.ndarray:
     return idx // side ** np.arange(dim - 1, -1, -1, dtype=np.int64) % side - N
 
 
-def box_vertices(box: BoxSpec) -> np.ndarray:
-    """The vertex matrix of `box`, refused above the enumeration guard."""
+def box_vertex_rows(box: BoxSpec) -> np.ndarray:
+    """The packed vertex rows of `box`, refused above the enumeration guard."""
     if box.p > VERTEX_ENUM_MAX_P:
         raise GuardError(f"refusing to enumerate 2^{box.dim} vertices "
                          f"(p={box.p} > {VERTEX_ENUM_MAX_P})")
-    return vertex_matrix(box.dim, box.N)
+    return vertex_rows(box.dim)
+
+
+def box_vertices(box: BoxSpec) -> np.ndarray:
+    """The vertex matrix of `box`, refused above the enumeration guard."""
+    return scaled(rng.unpack_signs(box_vertex_rows(box), box.dim), box.N)
 
 
 class IntervalTester:
@@ -185,10 +255,10 @@ def _block_pairs(rows: np.ndarray) -> list:
 
 
 def draw_vertices(box: BoxSpec, K: int, seed: int, start: int, stop: int) -> tuple:
-    """Uniform vertices; member m of sample i reads stream K*i + m."""
+    """Uniform vertices as packed sign words; member m of sample i reads stream K*i + m."""
     count = stop - start
-    signs = rng.vertex_signs(seed, K * start, K * count, box.dim)
-    return scaled(signs, box.N).reshape(count, K, box.dim), count
+    words = rng.vertex_words(seed, K * start, K * count, box.dim)
+    return words.reshape(count, K, -1), count
 
 
 def draw_box_points(box: BoxSpec, K: int, seed: int, start: int, stop: int) -> tuple:
@@ -208,8 +278,9 @@ def all_edges(K: int, intervals: tuple) -> tuple:
 @dataclass(frozen=True)
 class EdgeSpec:
     """A distance law.  Each sample draws K points of `box`:
-    draw(box, K, seed, start, stop) -> ((count, K, dim) points, tuples drawn).
-    In place of a draw, an (n, dim) row matrix sweeps every ordered K-tuple
+    draw(box, K, seed, start, stop) -> ((count, K, width) points, tuples drawn),
+    where a point is `dim` coefficients, or packed sign words if uint64 (a vertex).
+    In place of a draw, an (n, width) row matrix sweeps every ordered K-tuple
     of its rows once (K <= 2; a K = 2 sweep joins only points 0 and 1).
     Edge (j, k, intervals) joins points j and k (k == APEX: the fixed `apex`)
     and must hit intervals[v] for verdict v; every edge lists one interval
@@ -237,16 +308,24 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
     box = spec.box
     p, d2 = box.p, box.diameter_sq()
     apex = None if spec.apex is None else coeff_array(spec.apex)
-    apex_max = 0 if spec.apex is None else max(abs(c) for c in spec.apex)
+    packed_apex = None if spec.apex is None else PackedApex(box, spec.apex)
     verdicts = len(spec.edges[0][2])
-    plan = [(j, k, box.N + (apex_max if k == APEX else box.N),
+    plan = [(j, k, packed_apex.m if k == APEX else 2 * box.N,
              [IntervalTester(iv, d2) for iv in ivs]) for j, k, ivs in spec.edges]
 
+    def edge_dist_sq(members, pcs, j, k, m):
+        if pcs is None:
+            return dist_sq(p, members[j], apex if k == APEX else members[k], m)
+        if k == APEX:
+            return packed_apex.dist_sq(members[j], pcs[j])
+        return vertex_dist_sq(box, members[j], members[k], pcs[j], pcs[k])
+
     def work(members, attempts, weight):
+        pcs = [popcount(x) for x in members] if members[0].dtype == np.uint64 else None
         ok = [True] * verdicts
         sums = []  # per edge: its totals of d^2 and d^4
         for j, k, m, testers in plan:
-            vals = dist_sq(p, members[j], apex if k == APEX else members[k], m)
+            vals = edge_dist_sq(members, pcs, j, k, m)
             ok = [row & tester.mask(vals) for row, tester in zip(ok, testers)]
             sums.append(_power_totals(vals, dist_sq_bound(p, box.dim, m), spec.keep_sums))
         hits = [weight * int(np.count_nonzero(row)) for row in ok]

@@ -42,15 +42,32 @@ def words(seed: int, stream, counter) -> np.ndarray:
         return _mix64(z + (counter + _U(1)) * _GOLDEN)
 
 
-def vertex_signs(seed: int, first_stream: int, count: int, dim: int) -> np.ndarray:
-    """(count, dim) array of +-1 signs; point i uses stream first_stream+i."""
+def vertex_words(seed: int, first_stream: int, count: int, dim: int) -> np.ndarray:
+    """(count, ceil(dim/64)) packed sign words; point i uses stream first_stream+i.
+
+    Bit j of a row (bit j % 64 of word j // 64) set means coordinate j is
+    positive.  Bits past `dim` are cleared, so a row's popcount counts its
+    positive coordinates.
+    """
     nwords = (dim + 63) // 64
     streams = (np.arange(count, dtype=np.uint64) + _U(first_stream))[:, None]
     ctrs = np.arange(nwords, dtype=np.uint64)[None, :]
-    w = words(seed, streams, ctrs)
-    bytes_le = w.astype("<u8").reshape(count, nwords).view(np.uint8)
+    w = words(seed, streams, ctrs).reshape(count, nwords)
+    if dim % 64:
+        w[:, -1] &= _U((1 << dim % 64) - 1)
+    return w
+
+
+def unpack_signs(packed: np.ndarray, dim: int) -> np.ndarray:
+    """(count, dim) array of +-1 signs of (count, nwords) packed sign words."""
+    bytes_le = packed.astype("<u8").view(np.uint8)
     bits = np.unpackbits(bytes_le, axis=1, bitorder="little")[:, :dim]
     return bits.astype(np.int64) * 2 - 1
+
+
+def vertex_signs(seed: int, first_stream: int, count: int, dim: int) -> np.ndarray:
+    """(count, dim) array of +-1 signs; point i uses stream first_stream+i."""
+    return unpack_signs(vertex_words(seed, first_stream, count, dim), dim)
 
 
 def box_offsets_at(seed: int, streams, dim: int, N: int) -> np.ndarray:

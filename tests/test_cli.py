@@ -222,3 +222,18 @@ class TestLargeBoxes:
         )
         assert code == 2
         assert "64-bit" in err
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_command_line(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-m", "cyclobox", "moments", "--p", "5"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "A(alpha,V) = 19/100" in done.stdout

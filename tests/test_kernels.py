@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclobox import core, kernels
+from cyclobox import core, kernels, rng
 from cyclobox.concentration import (
     CounterStream,
     IntervalSpec,
     SamplerConfig,
     sample_vertex,
+    theorem4_report,
     vertex_pair_report,
     within_sqrt_interval,
 )
@@ -235,3 +236,81 @@ class TestExhaustiveSweeps:
         box = BoxSpec(5, 3)  # 2401 points: 4 row blocks
         assert box.num_points() == 2401
         assert oracle_mean_box_pair_dist_sq(box) == mean_box_pair_dist_sq(box)
+
+
+PACKED_PRIMES = st.sampled_from([3, 67, 193, 1009])
+
+
+@st.composite
+def _packed_vertices(draw, dim, rows):
+    """(rows, nwords) packed sign words and the same rows as Python ints."""
+    ints = draw(st.lists(st.integers(0, 2 ** dim - 1), min_size=rows, max_size=rows))
+    nwords = (dim + 63) // 64
+    words = [[v >> 64 * k & (2 ** 64 - 1) for k in range(nwords)] for v in ints]
+    return np.array(words, dtype=np.uint64), ints
+
+
+def _vertex_of(p, N, bits):
+    return CyclotomicInt(p, tuple(N if bits >> j & 1 else -N for j in range(p - 1)))
+
+
+@st.composite
+def _apexes(draw, box):
+    """The origin, the poles, an in-box alpha with repeated and distinct values, or
+    an alpha with coefficients at and past float precision and int64."""
+    p, N, dim = box.p, box.N, box.dim
+    kind = draw(st.sampled_from(["origin", "north-pole", "alternating", "in-box", "wide"]))
+    if kind == "origin":
+        return (0,) * dim
+    if kind == "north-pole":
+        return core.north_pole_point(box).coeffs
+    if kind == "alternating":
+        return core.alternating_point(box).coeffs
+    coeff = (st.one_of(st.sampled_from([-N, -(N // 3), 0, 1, N]), st.integers(-N, N))
+             if kind == "in-box" else COEFFS)
+    return tuple(draw(st.lists(coeff, min_size=dim, max_size=dim)))
+
+
+class TestPackedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), PACKED_PRIMES, SIZES, st.integers(1, 5))
+    def test_vertex_vertex(self, data, p, N, rows):
+        box = BoxSpec(p, N)
+        x, xs = data.draw(_packed_vertices(p - 1, rows))
+        y, ys = data.draw(_packed_vertices(p - 1, rows))
+        got = kernels.vertex_dist_sq(box, x, y, kernels.popcount(x), kernels.popcount(y))
+        want = [core.dist_sq(_vertex_of(p, N, a), _vertex_of(p, N, b)) for a, b in zip(xs, ys)]
+        assert [int(v) for v in got] == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), PACKED_PRIMES, SIZES, st.integers(1, 5))
+    def test_vertex_apex(self, data, p, N, rows):
+        box = BoxSpec(p, N)
+        x, xs = data.draw(_packed_vertices(p - 1, rows))
+        alpha = data.draw(_apexes(box))
+        apex = kernels.PackedApex(box, alpha)
+        got = apex.dist_sq(x, kernels.popcount(x))
+        a = CyclotomicInt(p, alpha)
+        assert [int(v) for v in got] == [core.dist_sq(_vertex_of(p, N, v), a) for v in xs]
+        widest = max(abs(c) for c in alpha)
+        assert len(apex.terms) <= min(len(set(alpha) - {0}), 2 * widest.bit_length())
+
+    @pytest.mark.parametrize("p,N", [(3, 1), (7, 5), (13, 2 ** 62)])
+    def test_sweep_rows_unpack_to_the_vertex_matrix(self, p, N):
+        box = BoxSpec(p, N)
+        rows = kernels.box_vertex_rows(box)
+        assert rows.dtype == np.uint64 and rows.shape == (2 ** box.dim, 1)
+        want = [v.coeffs for v in box.vertices()]
+        coords = [tuple(N if int(row) >> j & 1 else -N for j in range(box.dim)) for row in rows[:, 0]]
+        assert coords == want
+        got = kernels.scaled(rng.unpack_signs(rows, box.dim), N)
+        assert [tuple(row) for row in got.tolist()] == want == [
+            tuple(row) for row in kernels.box_vertices(box).tolist()]
+
+    def test_exhaustive_guard_on_packed_rows(self):
+        box = BoxSpec(19, 1)
+        with pytest.raises(GuardError):
+            kernels.box_vertex_rows(box)
+        with pytest.raises(GuardError):
+            theorem4_report(CyclotomicInt.zero(19), box, Fraction(1, 10), SamplerConfig(1, 1),
+                            exhaustive=True)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from cyclobox import rng
 
@@ -63,3 +64,23 @@ def test_box_offsets_cover_one_word_and_refuse_more():
     assert x.min() < -(2 ** 61) and x.max() > 2 ** 61
     with pytest.raises(GuardError):
         rng.box_offsets(3, 0, 1, 4, N + 1)
+
+
+def _as_int(row) -> int:
+    return sum(int(word) << 64 * k for k, word in enumerate(row))
+
+
+@pytest.mark.parametrize("p", [67, 193, 113])  # dim % 64 = 2, 0, 48
+def test_vertex_words_are_the_stream_words_cut_to_dim(p):
+    dim = p - 1
+    nwords = (dim + 63) // 64
+    w = rng.vertex_words(5, 40, 300, dim)
+    assert w.dtype == np.uint64 and w.shape == (300, nwords)
+    raw = rng.words(5, np.arange(40, 340, dtype=np.uint64)[:, None],
+                    np.arange(nwords, dtype=np.uint64)[None, :])
+    want = [_as_int(row) & ((1 << dim) - 1) for row in raw]
+    assert [_as_int(row) for row in w] == want  # bits past dim are zero
+    assert any(row >> (dim - 1) for row in want)  # the top coordinate is drawn
+    signs = [[1 if row >> j & 1 else -1 for j in range(dim)] for row in want]
+    assert rng.unpack_signs(w, dim).tolist() == signs
+    assert rng.vertex_signs(5, 40, 300, dim).tolist() == signs
