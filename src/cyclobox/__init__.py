@@ -11,27 +11,20 @@ from .core import (
     CycloboxError,
     CyclotomicInt,
     DegenerateAngleError,
-    ExactRational,
     FieldMismatchError,
     GuardError,
     TraceVector,
     alternating_point,
     cos_central_angle,
-    diameter_sq,
     dist_sq,
     east_pole,
     embed_complex,
-    euclid_norm_sq,
     euclidean_diameter,
-    galois_apply,
     inner_product,
     is_odd_prime,
-    norm_sq,
     normalized_dist_sq,
     north_pole,
     north_pole_point,
-    psi,
-    trace,
 )
 from .moments import (
     CancellationCheck,

@@ -13,12 +13,15 @@ Subcommands:
 
 Exit codes: 0 success/pass, 1 usage error, 2 guard violation,
 3 acceptance-check failure.  A config file (`key = value` lines) supplies
-flag defaults; flags win.  CYCLOBOX_SEED provides the default seed.
+flags to the chosen subcommand, parsed like flags: on/off keys take
+true/false, a repeatable key appends, keys the subcommand lacks are ignored,
+and flags on the command line win.  CYCLOBOX_SEED provides the default seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -71,15 +74,16 @@ def _parse_alpha(spec: str, box: BoxSpec) -> CyclotomicInt:
 
 def _default_seed() -> int:
     env = os.environ.get("CYCLOBOX_SEED")
-    if env is not None:
-        try:
-            return int(env, 0)
-        except ValueError:
-            pass
-    return 0
+    if env is None:
+        return 0
+    try:
+        return int(env, 0)
+    except ValueError:
+        raise ValueError(f"CYCLOBOX_SEED must be an integer, got {env!r}") from None
 
 
 def _load_config(path: str) -> dict:
+    """Each key of the file with its values, in file order."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -89,8 +93,32 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            values.setdefault(key.strip().replace("-", "_"), []).append(value.strip())
     return values
+
+
+_SWITCH = {"true": True, "yes": True, "on": True, "1": True,
+           "false": False, "no": False, "off": False, "0": False}
+
+
+def _config_flags(sub: argparse.ArgumentParser, values: dict) -> list:
+    """The config values that `sub` takes, as its own flags, so that argparse
+    applies their types, choices and repeats as on the command line."""
+    flags = []
+    for action in sub._actions:
+        raw = values.get(action.dest)
+        if raw is None or action.dest == "help":
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # an on/off flag: the last value decides
+            switch = _SWITCH.get(raw[-1].lower())
+            if switch is None:
+                raise ValueError(f"{action.dest} takes true or false, got {raw[-1]!r}")
+            flags += [flag] if switch else []
+        else:
+            # `--flag=value` keeps a value that starts with "-" a value
+            flags += [f"{flag}={value}" for value in raw]
+    return flags
 
 
 def _add_common(sub, *, sampling=True):
@@ -200,39 +228,39 @@ def _cfg(args) -> con.SamplerConfig:
     return cfg
 
 
+def _p_power(p: int, eta: float, sign: int = 1) -> float:
+    """p ** (sign * eta) for a finite eta; an overflowing power is a usage error."""
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
+    try:
+        return p ** (sign * eta)
+    except OverflowError:
+        raise ValueError(f"p ** {sign * eta} overflows a float (p={p})") from None
+
+
 def _eps_of(args, p: int) -> Fraction:
     if getattr(args, "eps", None) is not None:
         return args.eps
     if getattr(args, "eta", None) is not None:
-        return Fraction(p ** -args.eta).limit_denominator(10 ** 6)
+        return Fraction(_p_power(p, args.eta, -1)).limit_denominator(10 ** 6)
     return Fraction(1, 2)
+
+
+_MOMENT_LABELS = {
+    "avg_vertex_pairs": "A(V,V)",
+    "fourth_vertex_pairs": "L(V,V)",
+    "variance_vertex_pairs": "M(V,V)",
+    "avg_point_vertices": "A(alpha,V)",
+    "second_moment_point_vertices": "M(alpha,V)",
+}
 
 
 def _cmd_moments(args) -> int:
     box = BoxSpec(args.p, args.N)
-    out = []
-    if args.pairwise:
-        a = mom.avg_vertex_pairs(box)
-        l4 = mom.fourth_moment_vertex_pairs(box)
-        m = mom.variance_vertex_pairs(box)
-        print(f"A(V,V) = {a}")
-        print(f"L(V,V) = {l4}")
-        print(f"M(V,V) = {m}")
-        out = [
-            mom.MomentReport("avg_vertex_pairs", box.p, box.N, a),
-            mom.MomentReport("fourth_vertex_pairs", box.p, box.N, l4),
-            mom.MomentReport("variance_vertex_pairs", box.p, box.N, m),
-        ]
-    else:
-        alpha = _parse_alpha(args.alpha, box)
-        a = mom.avg_point_to_vertices(alpha, box)
-        m = mom.second_moment_point_to_vertices(alpha, box)
-        print(f"A(alpha,V) = {a}")
-        print(f"M(alpha,V) = {m}")
-        out = [
-            mom.MomentReport("avg_point_vertices", box.p, box.N, a, None, alpha.coeffs),
-            mom.MomentReport("second_moment_point_vertices", box.p, box.N, m, None, alpha.coeffs),
-        ]
+    alpha = None if args.pairwise else _parse_alpha(args.alpha, box)
+    out = mom.closed_forms(box, alpha)
+    for r in out:
+        print(f"{_MOMENT_LABELS[r.kind]} = {r.formula_value}")
     if args.out:
         return _emit(args, out, failed=False)
     return EXIT_OK
@@ -270,6 +298,8 @@ def _summary(r) -> str:
 def _cmd_sample(args) -> int:
     box = BoxSpec(args.p, args.N)
     eps = _eps_of(args, box.p)
+    if args.exhaustive and args.theorem == "isosceles":
+        raise ValueError("--exhaustive applies to --theorem t4 and t5 only")
     cfg = _cfg(args)
     t0 = time.perf_counter()
     if args.theorem == "t5":
@@ -287,7 +317,7 @@ def _cmd_sample(args) -> int:
 def _cmd_angles(args) -> int:
     box = BoxSpec(args.p, args.N)
     alpha = _parse_alpha(args.alpha, box)
-    r = con.right_angle_report(alpha, box, float(args.eps), _cfg(args), target=args.target)
+    r = con.right_angle_report(alpha, box, args.eps, _cfg(args), target=args.target)
     print(_summary(r) + f" median|cos|={r.extra['median_abs_cos']:.6f}")
     return _emit(args, r, failed=not r.passed)
 
@@ -296,7 +326,7 @@ def _cmd_polytopes(args) -> int:
     box = BoxSpec(args.p, args.N)
     t_val = args.T
     if t_val is None:
-        t_val = box.p ** args.eta if args.eta is not None else 2.0
+        t_val = _p_power(box.p, args.eta) if args.eta is not None else 2.0
     r = con.polytope_report(box, args.K, t_val, _cfg(args))
     print(_summary(r))
     return _emit(args, r, failed=not r.passed)
@@ -313,7 +343,7 @@ def _cmd_pyramids(args) -> int:
 def _cmd_visibility(args) -> int:
     box = BoxSpec(args.p, args.N)
     r = vis.visibility_concentration_report(
-        box, args.K, float(args.eps), _cfg(args), max_attempts=args.max_attempts
+        box, args.K, args.eps, _cfg(args), max_attempts=args.max_attempts
     )
     warn = " (N/p below 10: asymptotic regime not reached)" if r.np_ratio_warning else ""
     print(
@@ -375,24 +405,19 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
 
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = _Parser(prog="cyclobox", add_help=False)
     pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
+    known, rest = pre.parse_known_args(argv)
 
     parser = build_parser()
-    if known.config:
+    if known.config and rest and rest[0] in parser.subcommands:
         try:
-            defaults = _load_config(known.config)
+            flags = _config_flags(parser.subcommands[rest[0]], _load_config(known.config))
         except (OSError, ValueError) as exc:
             print(f"cyclobox: config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        for sub in parser.subcommands.values():
-            typed = {}
-            for action in sub._actions:
-                if action.dest in defaults:
-                    raw = defaults[action.dest]
-                    typed[action.dest] = action.type(raw) if action.type else raw
-            sub.set_defaults(**typed)
+        # right after the subcommand's name, so that the command line's own flags win
+        argv = rest[:1] + flags + rest[1:]
 
     args = parser.parse_args(argv)
     try:

@@ -39,8 +39,6 @@ from .core import (
     GuardError,
     north_pole_point,
 )
-# also importable from here under this name, which the tests use
-from .kernels import IntervalTester as _IntervalTester  # noqa: F401
 from .moments import avg_point_to_vertices, avg_vertex_pairs
 
 __all__ = [
@@ -284,8 +282,8 @@ def polytope_report(box: BoxSpec, K: int, T: float, cfg: SamplerConfig) -> Conce
     """All C(K,2) edges of a random K-polytope land within 1/T of 1/sqrt(2)."""
     if K < 2:
         raise ValueError("a K-polytope needs K >= 2")
-    if not T > 1:
-        raise ValueError("need T > 1")
+    if not 1 < T < math.inf:
+        raise ValueError(f"need a finite T > 1, got {T}")
     eps = 1 / Fraction(T)  # exact reciprocal of the given (possibly float) T
     edges = kernels.all_edges(K, (IntervalSpec(Fraction(1, 2), eps),))
     spec = kernels.EdgeSpec(box, K, kernels.draw_vertices, edges)

@@ -25,28 +25,19 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
-ExactRational = Fraction
-
 __all__ = [
     "CycloboxError",
     "FieldMismatchError",
     "DegenerateAngleError",
     "GuardError",
-    "ExactRational",
     "CyclotomicInt",
     "TraceVector",
     "BoxSpec",
     "is_odd_prime",
-    "trace",
-    "psi",
-    "norm_sq",
-    "euclid_norm_sq",
     "dist_sq",
     "inner_product",
-    "diameter_sq",
     "normalized_dist_sq",
     "cos_central_angle",
-    "galois_apply",
     "north_pole",
     "east_pole",
     "north_pole_point",
@@ -180,10 +171,6 @@ class CyclotomicInt:
             out[(k * j) % self.p - 1] = self.coeffs[j - 1]
         return CyclotomicInt(self.p, tuple(out))
 
-    def embed(self) -> complex:
-        """Value of the element as a complex number."""
-        return embed_complex(self.coeffs, self.p)
-
 
 @dataclass(frozen=True)
 class TraceVector:
@@ -255,22 +242,6 @@ class BoxSpec:
 
 # --- operations -------------------------------------------------------------
 
-def trace(alpha: CyclotomicInt) -> int:
-    return alpha.trace()
-
-
-def psi(alpha: CyclotomicInt) -> TraceVector:
-    return alpha.psi()
-
-
-def norm_sq(alpha: CyclotomicInt) -> int:
-    return alpha.norm_sq()
-
-
-def euclid_norm_sq(alpha: CyclotomicInt) -> int:
-    return alpha.euclid_norm_sq()
-
-
 def dist_sq(alpha: CyclotomicInt, beta: CyclotomicInt) -> int:
     """Squared trace-metric distance ||beta - alpha||^2 (exact integer)."""
     return (beta - alpha).norm_sq()
@@ -283,10 +254,6 @@ def inner_product(alpha: CyclotomicInt, beta: CyclotomicInt) -> int:
     # The norm formula forces the numerator even; a failure here is a bug.
     assert twice % 2 == 0, "polarization numerator must be even"
     return twice // 2
-
-
-def diameter_sq(box: BoxSpec) -> int:
-    return box.diameter_sq()
 
 
 def normalized_dist_sq(alpha: CyclotomicInt, beta: CyclotomicInt, box: BoxSpec) -> Fraction:
@@ -309,10 +276,6 @@ def cos_central_angle(alpha: CyclotomicInt, beta: CyclotomicInt):
     sign = (ip > 0) - (ip < 0)
     cos_sq = Fraction(ip * ip, na * nb)
     return sign, cos_sq, sign * math.sqrt(cos_sq)
-
-
-def galois_apply(alpha: CyclotomicInt, k: int) -> CyclotomicInt:
-    return alpha.galois(k)
 
 
 def north_pole(q: int, N: int = 1) -> tuple:

@@ -152,11 +152,6 @@ def _power_totals(d2: np.ndarray, bound: int, count: int) -> tuple:
     return tuple(totals)
 
 
-def power_sums(p: int, x: np.ndarray, y: np.ndarray, m: int) -> tuple:
-    """Exact sums of d^2 and d^4 over the broadcast rows of x and y."""
-    return _power_totals(dist_sq(p, x, y, m), dist_sq_bound(p, x.shape[-1], m), 2)
-
-
 def vertex_rows(dim: int) -> np.ndarray:
     """All 2^dim vertices as packed rows, in `BoxSpec.vertices()` order: row i is i,
     so bit j of i set means coordinate j is +N."""

@@ -20,7 +20,7 @@ formula/oracle match is a zero-tolerance certificate at that (p, N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -37,6 +37,7 @@ __all__ = [
     "avg_vertex_pairs",
     "fourth_moment_vertex_pairs",
     "variance_vertex_pairs",
+    "closed_forms",
     "oracle_moments",
     "oracle_cancellation_sums",
 ]
@@ -124,18 +125,32 @@ def variance_vertex_pairs(box: BoxSpec) -> Fraction:
     return value
 
 
+def closed_forms(box: BoxSpec, alpha: Optional[CyclotomicInt] = None) -> list:
+    """The closed-form moments as formula-only reports.
+
+    With `alpha` given, the point-to-vertices average and second moment;
+    otherwise the pairwise average, fourth moment and variance.
+    """
+    if alpha is None:
+        laws = [("avg_vertex_pairs", avg_vertex_pairs(box)),
+                ("fourth_vertex_pairs", fourth_moment_vertex_pairs(box)),
+                ("variance_vertex_pairs", variance_vertex_pairs(box))]
+    else:
+        laws = [("avg_point_vertices", avg_point_to_vertices(alpha, box)),
+                ("second_moment_point_vertices", second_moment_point_to_vertices(alpha, box))]
+    apex = None if alpha is None else alpha.coeffs
+    return [MomentReport(kind, box.p, box.N, value, None, apex) for kind, value in laws]
+
+
 # --- exhaustive oracle -------------------------------------------------------
 
 def oracle_moments(box: BoxSpec, alpha: Optional[CyclotomicInt] = None) -> list:
-    """Recompute moments by full enumeration and pair them with the formulas.
+    """Recompute the `closed_forms` moments by full enumeration and pair them up.
 
-    With `alpha` given, returns the point-to-vertices average and second
-    moment; otherwise the exact pairwise average, fourth moment and variance.
     Oracle values are computed from exact integer power sums, so equality
     with the closed forms is literal rational equality.
     """
-    if alpha is not None:
-        _check_pair(alpha, box)
+    forms = closed_forms(box, alpha)
     K, edge = (2, (0, 1, ())) if alpha is None else (1, (0, kernels.APEX, ()))
     apex = None if alpha is None else alpha.coeffs
     spec = kernels.EdgeSpec(box, K, kernels.box_vertices(box), (edge,), apex=apex, keep_sums=2)
@@ -143,16 +158,9 @@ def oracle_moments(box: BoxSpec, alpha: Optional[CyclotomicInt] = None) -> list:
     d2 = box.diameter_sq()
     mean = Fraction(result.d2_sum, result.attempts * d2)
     fourth = Fraction(result.d4_sum, result.attempts * d2 * d2)
-    if alpha is not None:
-        laws = [("avg_point_vertices", avg_point_to_vertices(alpha, box), mean),
-                ("second_moment_point_vertices", second_moment_point_to_vertices(alpha, box),
-                 fourth - mean * mean)]
-    else:
-        laws = [("avg_vertex_pairs", avg_vertex_pairs(box), mean),
-                ("fourth_vertex_pairs", fourth_moment_vertex_pairs(box), fourth),
-                ("variance_vertex_pairs", variance_vertex_pairs(box), fourth - mean * mean)]
-    return [MomentReport(kind, box.p, box.N, formula, value, apex)
-            for kind, formula, value in laws]
+    central = fourth - mean * mean
+    values = [mean, central] if alpha is not None else [mean, fourth, central]
+    return [replace(r, oracle_value=value) for r, value in zip(forms, values)]
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,8 @@ from cyclobox.core import (
     dist_sq,
     east_pole,
     embed_complex,
-    euclid_norm_sq,
-    norm_sq,
     north_pole,
     north_pole_point,
-    psi,
 )
 from cyclobox.concentration import (
     SamplerConfig,
@@ -124,7 +121,7 @@ def test_c03_norm_formula_equivalence():
         for _ in range(250):
             coeffs = tuple(int(x) for x in gen.integers(-50, 51, p - 1))
             a = CyclotomicInt(p, coeffs)
-            ok &= norm_sq(a) == psi(a).norm_sq()
+            ok &= a.norm_sq() == a.psi().norm_sq()
     elapsed = time.perf_counter() - t0
     assert _verdict(3, "norm formula equals trace-embedding square sum (1000 cases)",
                     ok, f"({elapsed:.2f}s)")
@@ -154,7 +151,7 @@ def test_c05_norm_inequality_and_moment_bound():
     for _ in range(10_000):
         p = int(gen.choice([3, 5, 7, 11, 13]))
         a = CyclotomicInt(p, tuple(int(x) for x in gen.integers(-30, 31, p - 1)))
-        ok &= euclid_norm_sq(a) <= norm_sq(a)
+        ok &= a.euclid_norm_sq() <= a.norm_sq()
     for _ in range(1000):
         p = int(gen.choice(PRIMES_TO_101))
         n_box = int(gen.integers(1, 11))

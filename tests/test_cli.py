@@ -80,6 +80,13 @@ class TestCommands:
         assert "empirical_proportion" in header.split(",")
         assert len(row.split(",")) == len(header.split(","))
 
+    def test_angles_keeps_the_exact_eps(self, capsys, tmp_path):
+        out_file = tmp_path / "a.json"
+        code, _, _ = run(capsys, "angles", "--p", "11", "--eps", "1/10", "--samples", "50",
+                         "--out", str(out_file))
+        assert code in (0, 3)
+        assert json.loads(out_file.read_text())["epsilon"] == "1/10"
+
     def test_angles_and_failure_exit(self, capsys):
         code, out, _ = run(
             capsys, "angles", "--p", "101", "--alpha", "north-pole",
@@ -148,6 +155,26 @@ class TestErrorPaths:
                            "--eps", "1/3", "--alpha", "1,2,3", "--samples", "10")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("polytopes", "--p", "11", "--T", "inf"),
+        ("polytopes", "--p", "11", "--eta", "1e400"),
+        ("polytopes", "--p", "11", "--eta", "1e300"),
+        ("sample", "--p", "11", "--eta=-inf"),
+        ("sample", "--theorem", "isosceles", "--p", "5", "--exhaustive"),
+    ])
+    def test_bad_input_is_a_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--samples", "10")
+        assert code == 1
+        assert "cyclobox: error" in err
+        assert "Traceback" not in err
+
+    def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CYCLOBOX_SEED", "abc")
+        code, _, err = run(capsys, "sample", "--p", "5", "--samples", "10")
+        assert code == 1
+        assert "cyclobox: error" in err and "CYCLOBOX_SEED" in err
+        assert "Traceback" not in err
+
 
 class TestConfigAndEnv:
     def test_config_defaults_flags_win(self, capsys, tmp_path):
@@ -179,6 +206,62 @@ class TestConfigAndEnv:
         assert code == 0
         assert json.loads(out_file.read_text())["seed"] == 31337
 
+    def test_env_seed_hex(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("CYCLOBOX_SEED", "0x10")
+        out_file = tmp_path / "r.json"
+        code, _, _ = run(capsys, "sample", "--p", "5", "--samples", "10", "--out", str(out_file))
+        assert code == 0
+        assert json.loads(out_file.read_text())["seed"] == 16
+
+    @pytest.mark.parametrize("value, trials", [("false", 50), ("no", 50), ("yes", 256)])
+    def test_config_on_off_key(self, capsys, tmp_path, value, trials):
+        conf = tmp_path / "cb.conf"
+        conf.write_text(f"exhaustive = {value}\nsamples = 50\n")
+        out_file = tmp_path / "r.json"
+        code, _, _ = run(capsys, "--config", str(conf), "sample", "--p", "5",
+                         "--out", str(out_file))
+        assert code == 0
+        parsed = json.loads(out_file.read_text())
+        assert parsed["trials"] == trials
+        assert parsed["exhaustive"] is (trials == 256)
+
+    def test_config_bad_on_off_value(self, capsys, tmp_path):
+        conf = tmp_path / "cb.conf"
+        conf.write_text("exhaustive = maybe\n")
+        code, _, err = run(capsys, "--config", str(conf), "sample", "--p", "5")
+        assert code == 1
+        assert "config error" in err
+
+    def test_config_choices_are_checked(self, capsys, tmp_path):
+        conf = tmp_path / "cb.conf"
+        conf.write_text("format = xml\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(conf), "sample", "--p", "5", "--samples", "10"])
+        assert exc.value.code == 1
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+    def test_config_repeatable_alpha_comes_first(self, capsys, tmp_path):
+        conf = tmp_path / "cb.conf"
+        conf.write_text("alpha = 1,1,1,1\n")
+        code, out, _ = run(capsys, "--config", str(conf), "verify", "--oracle", "--p", "5",
+                           "--alpha", "0,0,0,1")
+        assert code == 0
+        assert out.index("alpha=(1,1,1,1)") < out.index("alpha=(0,0,0,1)")
+
+    def test_config_supplies_a_required_flag(self, capsys, tmp_path):
+        conf = tmp_path / "cb.conf"
+        conf.write_text("p = 3\npairwise = on\n")
+        code, out, _ = run(capsys, "--config", str(conf), "moments")
+        assert code == 0
+        assert "A(V,V) = 5/18" in out
+
+    def test_config_keys_of_other_commands_ignored(self, capsys, tmp_path):
+        conf = tmp_path / "cb.conf"
+        conf.write_text("samples = abc\neps = 0\nformat = xml\n")
+        code, out, _ = run(capsys, "--config", str(conf), "poles", "--q", "5")
+        assert code == 0
+        assert "NP(5) coeffs = (1, 1, -1, -1)" in out
+
     def test_bad_config(self, capsys, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("not a pair\n")
@@ -188,6 +271,41 @@ class TestConfigAndEnv:
 
 
 class TestSerialization:
+    def test_verify_json_roundtrip(self, capsys, tmp_path):
+        out_file = tmp_path / "v.json"
+        code, _, _ = run(capsys, "verify", "--oracle", "--p", "5", "--out", str(out_file))
+        assert code == 0
+        text = out_file.read_text()
+        entries = json.loads(text)
+        assert json.dumps(entries, sort_keys=True, indent=2) + "\n" == text
+        assert {e["type"] for e in entries} == {"moment", "cancellation"}
+        assert all(e["verdict"] == "exact-equal" for e in entries)
+        sums = ("linear", "quadratic", "trace_quadratic", "cubic", "quartic")
+        for e in entries:
+            if e["type"] == "cancellation":
+                assert all(e[s]["enumerated"] == e[s]["closed_form"] for s in sums)
+
+    def test_verify_csv(self, capsys, tmp_path):
+        out_file = tmp_path / "v.csv"
+        code, _, _ = run(capsys, "verify", "--oracle", "--p", "5", "--format", "csv",
+                         "--out", str(out_file))
+        assert code == 0
+        header = out_file.read_text().splitlines()[0].split(",")
+        assert "quartic.enumerated" in header and "oracle_value" in header
+
+    @pytest.mark.parametrize("flags, kinds", [
+        ((), ["avg_point_vertices", "second_moment_point_vertices"]),
+        (("--pairwise",), ["avg_vertex_pairs", "fourth_vertex_pairs", "variance_vertex_pairs"]),
+    ])
+    def test_moments_json_roundtrip(self, capsys, tmp_path, flags, kinds):
+        out_file = tmp_path / "m.json"
+        code, _, _ = run(capsys, "moments", "--p", "5", *flags, "--out", str(out_file))
+        assert code == 0
+        entries = json.loads(out_file.read_text())
+        assert [e["kind"] for e in entries] == kinds
+        assert all(e["verdict"] == "formula-only" and e["oracle_value"] is None
+                   for e in entries)
+
     def test_csv_multiple_reports(self):
         r1 = vertex_pair_report(BoxSpec(5, 1), "1/3", SamplerConfig(1, 100))
         r2 = vertex_pair_report(BoxSpec(7, 1), "1/3", SamplerConfig(1, 100))

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclobox.core import BoxSpec, CyclotomicInt, DegenerateAngleError, GuardError, north_pole_point
+from cyclobox.kernels import IntervalTester
 from cyclobox.concentration import (
     ConcentrationReport,
     CounterStream,
     IntervalSpec,
     SamplerConfig,
-    _IntervalTester,
     isosceles_report,
     polytope_report,
     pyramid_report,
@@ -74,7 +74,7 @@ class TestIntervalMembership:
     def test_integer_tester_agrees(self, n, center, eps):
         d2 = 4 * 9 * 10 * 9  # any fixed positive denominator
         spec = IntervalSpec(center, eps)
-        tester = _IntervalTester(spec, d2)
+        tester = IntervalTester(spec, d2)
         assert tester.member(n) == within_sqrt_interval(F(n, d2), spec)
 
 

@@ -14,21 +14,15 @@ from cyclobox.core import (
     FieldMismatchError,
     alternating_point,
     cos_central_angle,
-    diameter_sq,
     dist_sq,
     east_pole,
     embed_complex,
-    euclid_norm_sq,
     euclidean_diameter,
-    galois_apply,
     inner_product,
     is_odd_prime,
-    norm_sq,
     normalized_dist_sq,
     north_pole,
     north_pole_point,
-    psi,
-    trace,
 )
 
 SMALL_PRIMES = (3, 5, 7, 11)
@@ -82,77 +76,77 @@ class TestValidation:
 
 class TestTrace:
     def test_examples(self):
-        assert trace(C(3, 1, 0)) == -1
-        assert trace(C(5, 1, 1, 1, 1)) == -4
-        assert trace(C(3, 2, -2)) == 0
+        assert C(3, 1, 0).trace() == -1
+        assert C(5, 1, 1, 1, 1).trace() == -4
+        assert C(3, 2, -2).trace() == 0
 
     @settings(max_examples=60, deadline=None)
     @given(coeff_lists)
     def test_matches_conjugate_sum(self, pc):
         p, coeffs = pc
-        assert trace(CyclotomicInt(p, tuple(coeffs))) == oracles.trace_by_conjugate_sum(
+        assert CyclotomicInt(p, tuple(coeffs)).trace() == oracles.trace_by_conjugate_sum(
             p, coeffs
         )
 
 
 class TestPsi:
     def test_examples(self):
-        assert psi(C(3, 1, 0)).entries == (-1, 2)
-        assert psi(CyclotomicInt.zero(5)).entries == (0, 0, 0, 0)
-        assert psi(C(3, 1, 1)).entries == (1, 1)
+        assert C(3, 1, 0).psi().entries == (-1, 2)
+        assert CyclotomicInt.zero(5).psi().entries == (0, 0, 0, 0)
+        assert C(3, 1, 1).psi().entries == (1, 1)
 
     @settings(max_examples=40, deadline=None)
     @given(coeff_lists)
     def test_matches_conjugate_sum(self, pc):
         p, coeffs = pc
         a = CyclotomicInt(p, tuple(coeffs))
-        assert psi(a).entries == oracles.psi_by_conjugates(p, coeffs)
+        assert a.psi().entries == oracles.psi_by_conjugates(p, coeffs)
 
     @settings(max_examples=40, deadline=None)
     @given(coeff_lists)
     def test_entry_shift_pattern(self, pc):
         p, coeffs = pc
         a = CyclotomicInt(p, tuple(coeffs))
-        t = trace(a)
-        entries = psi(a).entries
+        t = a.trace()
+        entries = a.psi().entries
         for j in range(1, p):
             assert entries[j - 1] - t == p * a.coeffs[p - j - 1]
 
 
 class TestNorms:
     def test_examples(self):
-        assert norm_sq(C(3, 1, 0)) == 5
-        assert norm_sq(C(3, 1, 1)) == 2
-        assert norm_sq(CyclotomicInt.zero(3)) == 0
-        assert euclid_norm_sq(C(3, 1, -1)) == 2
-        assert euclid_norm_sq(C(5, 2, 2, 2, 2)) == 16
+        assert C(3, 1, 0).norm_sq() == 5
+        assert C(3, 1, 1).norm_sq() == 2
+        assert CyclotomicInt.zero(3).norm_sq() == 0
+        assert C(3, 1, -1).euclid_norm_sq() == 2
+        assert C(5, 2, 2, 2, 2).euclid_norm_sq() == 16
 
     @settings(max_examples=80, deadline=None)
     @given(coeff_lists)
     def test_norm_equals_psi_square_sum(self, pc):
         p, coeffs = pc
         a = CyclotomicInt(p, tuple(coeffs))
-        assert norm_sq(a) == psi(a).norm_sq()
+        assert a.norm_sq() == a.psi().norm_sq()
 
     @settings(max_examples=60, deadline=None)
     @given(coeff_lists)
     def test_euclid_le_norm(self, pc):
         p, coeffs = pc
         a = CyclotomicInt(p, tuple(coeffs))
-        assert euclid_norm_sq(a) <= norm_sq(a)
+        assert a.euclid_norm_sq() <= a.norm_sq()
 
     @settings(max_examples=40, deadline=None)
     @given(coeff_lists, st.integers(min_value=-9, max_value=9))
     def test_homogeneity(self, pc, c):
         p, coeffs = pc
         a = CyclotomicInt(p, tuple(coeffs))
-        assert norm_sq(c * a) == c * c * norm_sq(a)
+        assert (c * a).norm_sq() == c * c * a.norm_sq()
 
     def test_positive_definite(self):
         for p in (3, 5):
             for v in oracles.iter_box_coeffs(p, 1):
                 a = CyclotomicInt(p, v)
-                assert (norm_sq(a) == 0) == a.is_zero()
+                assert (a.norm_sq() == 0) == a.is_zero()
 
 
 class TestDistance:
@@ -181,14 +175,14 @@ class TestDistance:
             pts = random_elements(p, 8, seed=1)
             for a, b in zip(pts, pts[1:]):
                 for k in range(1, p):
-                    assert dist_sq(a, b) == dist_sq(galois_apply(a, k), galois_apply(b, k))
+                    assert dist_sq(a, b) == dist_sq(a.galois(k), b.galois(k))
 
 
 class TestInnerProduct:
     def test_examples(self):
         assert inner_product(C(3, 1, 1), C(3, 1, -1)) == 0
         a = C(5, 2, -1, 0, 3)
-        assert inner_product(a, a) == norm_sq(a)
+        assert inner_product(a, a) == a.norm_sq()
         assert inner_product(a, CyclotomicInt.zero(5)) == 0
 
     @settings(max_examples=40, deadline=None)
@@ -198,7 +192,7 @@ class TestInnerProduct:
         a = CyclotomicInt(p, tuple(coeffs))
         b = CyclotomicInt(p, tuple(reversed(coeffs)))
         dot = sum(x * y for x, y in zip(a.coeffs, b.coeffs))
-        assert inner_product(a, b) == p * p * dot - (p + 1) * trace(a) * trace(b)
+        assert inner_product(a, b) == p * p * dot - (p + 1) * a.trace() * b.trace()
 
 
 class TestDiameter:
@@ -206,7 +200,7 @@ class TestDiameter:
         "p,N,expect", [(3, 1, 72), (5, 2, 1600), (7, 1, 1176)]
     )
     def test_closed_form(self, p, N, expect):
-        assert diameter_sq(BoxSpec(p, N)) == expect
+        assert BoxSpec(p, N).diameter_sq() == expect
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("N", [1, 2])
@@ -264,7 +258,7 @@ class TestNormalizedDistance:
             lo = (p - 1) * box.N ** 2
             hi = (p - 1) * p * p * box.N ** 2
             for v in oracles.iter_vertex_coeffs(p, box.N):
-                n = norm_sq(CyclotomicInt(p, v))
+                n = CyclotomicInt(p, v).norm_sq()
                 assert lo <= n <= hi
 
 
@@ -284,19 +278,19 @@ class TestCosCentralAngle:
 
 class TestGalois:
     def test_examples(self):
-        assert galois_apply(C(5, 1, 0, 0, 0), 2).coeffs == (0, 1, 0, 0)
+        assert C(5, 1, 0, 0, 0).galois(2).coeffs == (0, 1, 0, 0)
         a = C(5, 3, 1, -2, 0)
-        assert galois_apply(a, 1).coeffs == a.coeffs
-        assert galois_apply(C(3, 1, -1), 2).coeffs == (-1, 1)
+        assert a.galois(1).coeffs == a.coeffs
+        assert C(3, 1, -1).galois(2).coeffs == (-1, 1)
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
-            galois_apply(C(5, 1, 0, 0, 0), 5)
+            C(5, 1, 0, 0, 0).galois(5)
 
     def test_bijection(self):
         a = C(7, 1, 2, 3, 4, 5, 6)
         for k in range(1, 7):
-            assert sorted(galois_apply(a, k).coeffs) == sorted(a.coeffs)
+            assert sorted(a.galois(k).coeffs) == sorted(a.coeffs)
 
 
 class TestPoles:
@@ -339,7 +333,7 @@ class TestPoles:
     def test_north_pole_point_distance(self):
         box = BoxSpec(11, 3)
         a = north_pole_point(box)
-        assert trace(a) == 0
+        assert a.trace() == 0
         assert normalized_dist_sq(CyclotomicInt.zero(11), a, box) == Fraction(1, 4)
 
 
