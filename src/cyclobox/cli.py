@@ -72,6 +72,18 @@ def _parse_alpha(spec: str, box: BoxSpec) -> CyclotomicInt:
     return CyclotomicInt(box.p, coeffs)
 
 
+def _join_alpha(argv: list) -> list:
+    """argv with `--alpha -1,0,1` written as `--alpha=-1,0,1`: argparse takes a
+    value that starts with "-" for an option unless it is a single number."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--alpha" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"--alpha={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _default_seed() -> int:
     env = os.environ.get("CYCLOBOX_SEED")
     if env is None:
@@ -242,7 +254,7 @@ def _eps_of(args, p: int) -> Fraction:
     if getattr(args, "eps", None) is not None:
         return args.eps
     if getattr(args, "eta", None) is not None:
-        return Fraction(_p_power(p, args.eta, -1)).limit_denominator(10 ** 6)
+        return Fraction(_p_power(p, args.eta, -1))
     return Fraction(1, 2)
 
 
@@ -403,7 +415,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _join_alpha(list(sys.argv[1:] if argv is None else argv))
 
     pre = _Parser(prog="cyclobox", add_help=False)
     pre.add_argument("--config", default=None)

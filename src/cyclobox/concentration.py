@@ -6,8 +6,8 @@ streams (see `rng`): the randomness of sample i depends only on
 workers merge by plain summation.
 
 Interval membership |sqrt(d^2) - sqrt(A)| <= eps is decided in exact
-rational arithmetic (no square roots are ever taken); floats appear only in
-the reported proportions, bounds and cosines.
+rational and integer arithmetic (no float square roots are taken); floats
+appear only in the reported proportions, bounds and cosines.
 
 Bound arithmetic: the concentration laws are stated with eps = p^(-eta), so
 p^(1-2*eta) = p*eps^2 and the explicit bounds evaluate as
@@ -92,6 +92,20 @@ class IntervalSpec:
             raise ValueError("epsilon must be positive")
         if self.center_sq < 0:
             raise ValueError("center_sq must be nonnegative")
+
+    def members(self, d2: int) -> tuple:
+        """The integers n >= 0 that pass with d_sq = n / d2, as a range [lo, hi],
+        empty if lo > hi.  With A = a/b and eps = e/f the ends are d2 (sqrt(A) -+ eps)^2
+        = (u -+ sqrt(v)) / w, v = 4ab (e f d2)^2; for integer k, k w <= u + sqrt(v) iff
+        k w <= u + isqrt(v), and likewise at the low end, so both ends are exact.  When
+        sqrt(A) <= eps the range starts at 0."""
+        a, b = self.center_sq.numerator, self.center_sq.denominator
+        e, f = self.epsilon.numerator, self.epsilon.denominator
+        w = b * f * f
+        u = (a * f * f + e * e * b) * d2
+        root = math.isqrt(4 * a * b * (e * f * d2) ** 2)
+        lo = 0 if self.center_sq <= self.epsilon ** 2 else -((root - u) // w)
+        return lo, (u + root) // w
 
 
 def within_sqrt_interval(d_sq, spec: IntervalSpec) -> bool:

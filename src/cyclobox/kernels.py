@@ -183,39 +183,6 @@ def box_vertices(box: BoxSpec) -> np.ndarray:
     return scaled(rng.unpack_signs(box_vertex_rows(box), box.dim), box.N)
 
 
-class IntervalTester:
-    """Integer-only membership test for d^2 = n / d2 with fixed interval.  Members
-    n >= 0 form one range [lo, hi] (none if lo > hi) that, if nonempty, holds floor or
-    ceil(A * d2) and ends below 2 (A + eps^2) d2; bisection with `member` finds it."""
-
-    def __init__(self, spec, d2: int):
-        a, e2 = spec.center_sq, spec.epsilon * spec.epsilon
-        an, ad = a.numerator, a.denominator
-        fn, fd = e2.numerator, e2.denominator
-        self.c1 = ad * fd
-        self.c0 = (an * fd - fn * ad) * d2
-        self.c2 = 4 * an * ad * fd * fd * d2
-        center = a * d2
-        starts = [n for n in (math.floor(center), math.ceil(center)) if self.member(n)]
-        beyond = math.floor(2 * (a + e2) * d2) + 1
-        self.lo, self.hi = ((self._edge(starts[0], -1), self._edge(starts[0], beyond))
-                            if starts else (1, 0))
-
-    def member(self, n: int) -> bool:
-        lhs = n * self.c1 + self.c0
-        return lhs <= 0 or lhs * lhs <= self.c2 * n
-
-    def _edge(self, inside: int, outside: int) -> int:
-        """The last member from member `inside` toward non-member `outside`."""
-        while abs(outside - inside) > 1:
-            mid = (inside + outside) // 2
-            inside, outside = (mid, outside) if self.member(mid) else (inside, mid)
-        return inside
-
-    def mask(self, nvals: np.ndarray) -> np.ndarray:
-        return (nvals >= self.lo) & (nvals <= self.hi)
-
-
 def _run(fn, tasks: list, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(*t) for t in tasks]
@@ -306,7 +273,7 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
     packed_apex = None if spec.apex is None else PackedApex(box, spec.apex)
     verdicts = len(spec.edges[0][2])
     plan = [(j, k, packed_apex.m if k == APEX else 2 * box.N,
-             [IntervalTester(iv, d2) for iv in ivs]) for j, k, ivs in spec.edges]
+             [iv.members(d2) for iv in ivs]) for j, k, ivs in spec.edges]
 
     def edge_dist_sq(members, pcs, j, k, m):
         if pcs is None:
@@ -319,9 +286,9 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
         pcs = [popcount(x) for x in members] if members[0].dtype == np.uint64 else None
         ok = [True] * verdicts
         sums = []  # per edge: its totals of d^2 and d^4
-        for j, k, m, testers in plan:
+        for j, k, m, ranges in plan:
             vals = edge_dist_sq(members, pcs, j, k, m)
-            ok = [row & tester.mask(vals) for row, tester in zip(ok, testers)]
+            ok = [row & (vals >= lo) & (vals <= hi) for row, (lo, hi) in zip(ok, ranges)]
             sums.append(_power_totals(vals, dist_sq_bound(p, box.dim, m), spec.keep_sums))
         hits = [weight * int(np.count_nonzero(row)) for row in ok]
         return hits, attempts, [weight * sum(s) for s in zip(*sums)]

@@ -35,6 +35,25 @@ class TestCommands:
         assert len(lines) >= 7
         assert all(l.startswith("EXACT-EQUAL") for l in lines)
 
+    def test_negative_alpha_as_a_separate_token(self, capsys):
+        code, out, _ = run(capsys, "verify", "--oracle", "--p", "5", "--alpha", "-1,0,0,1")
+        assert code == 0
+        assert "alpha=(-1,0,0,1)" in out
+        _, joined, _ = run(capsys, "verify", "--oracle", "--p", "5", "--alpha=-1,0,0,1")
+        assert out == joined
+
+    def test_negative_alpha_in_sample(self, capsys):
+        code, out, _ = run(capsys, "sample", "--theorem", "t4", "--p", "5",
+                           "--alpha", "-1,1,1,1", "--samples", "10")
+        assert code in (0, 3)
+        assert json.loads(out[out.index("{"):])["alpha"] == "coeffs:-1,1,1,1"
+
+    def test_eta_keeps_a_small_epsilon(self, capsys):
+        code, out, _ = run(capsys, "sample", "--p", "1009", "--eta", "2.5")
+        assert code in (0, 3)
+        report = json.loads(out[out.index("{"):])
+        assert report["epsilon_float"] == 1009 ** -2.5
+
     def test_poles_output(self, capsys):
         code, out, _ = run(capsys, "poles", "--q", "5")
         assert code == 0

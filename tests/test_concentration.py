@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclobox.core import BoxSpec, CyclotomicInt, DegenerateAngleError, GuardError, north_pole_point
-from cyclobox.kernels import IntervalTester
 from cyclobox.concentration import (
     ConcentrationReport,
     CounterStream,
@@ -74,8 +73,8 @@ class TestIntervalMembership:
     def test_integer_tester_agrees(self, n, center, eps):
         d2 = 4 * 9 * 10 * 9  # any fixed positive denominator
         spec = IntervalSpec(center, eps)
-        tester = IntervalTester(spec, d2)
-        assert tester.member(n) == within_sqrt_interval(F(n, d2), spec)
+        lo, hi = spec.members(d2)
+        assert (lo <= n <= hi) == within_sqrt_interval(F(n, d2), spec)
 
 
 class TestSamplers:

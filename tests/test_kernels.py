@@ -150,7 +150,36 @@ class TestBoxMatrix:
 
 
 # D = 4 N^2 p^2 (p-1) at (p, N) = (3, 1), (7, 3), (1009, 1), (101, 2^40)
-DIAMETERS = st.sampled_from([72, 3240, 4 * 1009 ** 2 * 1008, 4 * 2 ** 80 * 101 ** 2 * 100])
+DIAMETER_VALUES = [72, 3240, 4 * 1009 ** 2 * 1008, 4 * 2 ** 80 * 101 ** 2 * 100]
+DIAMETERS = st.sampled_from(DIAMETER_VALUES)
+
+
+def _assert_exact_range(spec, d2):
+    """spec.members(d2) is the set of n that the reference test passes, and masks
+    int64 and object arrays alike; returns the range."""
+    lo, hi = spec.members(d2)
+
+    def member(n):
+        return within_sqrt_interval(Fraction(n, d2), spec)
+
+    if lo <= hi:
+        assert member(lo) and member(hi)
+        assert lo == 0 or not member(lo - 1)
+        assert not member(hi + 1)
+        ends = (0, lo, hi)
+    else:
+        ends = (0, math.floor(spec.center_sq * d2))
+    window = sorted({n for e in ends for n in range(e - 3, e + 4) if n >= 0})
+    want = [member(n) for n in window]
+
+    def mask(vals):
+        return (vals >= lo) & (vals <= hi)
+
+    assert mask(np.array(window, dtype=object)).tolist() == want
+    assert mask(np.array([window], dtype=object)).tolist() == [want]
+    small = [n for n in window if n <= kernels.INT64_MAX]
+    assert mask(np.array(small, dtype=np.int64)).tolist() == [member(n) for n in small]
+    return lo, hi
 
 
 class TestIntervalRange:
@@ -161,29 +190,44 @@ class TestIntervalRange:
         st.fractions(min_value=Fraction(1, 10 ** 5), max_value=1, max_denominator=10 ** 6),
     )
     def test_range_is_the_member_set(self, d2, center, eps):
-        spec = IntervalSpec(center, eps)
-        tester = kernels.IntervalTester(spec, d2)
-        lo, hi = tester.lo, tester.hi
-        if lo <= hi:
-            assert tester.member(lo) and tester.member(hi)
-            assert lo == 0 or not tester.member(lo - 1)
-            assert not tester.member(hi + 1)
-            ends = (0, lo, hi)
-        else:
-            ends = (0, math.floor(center * d2))
-        window = sorted({n for e in ends for n in range(e - 3, e + 4) if n >= 0})
-        want = [within_sqrt_interval(Fraction(n, d2), spec) for n in window]
-        assert tester.mask(np.array(window, dtype=object)).tolist() == want
-        assert tester.mask(np.array([window], dtype=object)).tolist() == [want]
-        small = [n for n in window if n <= kernels.INT64_MAX]
-        assert (tester.mask(np.array(small, dtype=np.int64)).tolist()
-                == [within_sqrt_interval(Fraction(n, d2), spec) for n in small])
+        _assert_exact_range(IntervalSpec(center, eps), d2)
 
     def test_interval_between_two_integers_masks_nothing(self):
         # A * D = 72/7 = 10.29, and the interval holds only d^2 in [10.23, 10.34]
-        tester = kernels.IntervalTester(IntervalSpec(Fraction(1, 7), Fraction(1, 1000)), 72)
-        assert not tester.member(10) and not tester.member(11)
-        assert not tester.mask(np.arange(200, dtype=np.int64)).any()
+        spec = IntervalSpec(Fraction(1, 7), Fraction(1, 1000))
+        lo, hi = spec.members(72)
+        assert lo > hi
+        assert not within_sqrt_interval(Fraction(10, 72), spec)
+        assert not within_sqrt_interval(Fraction(11, 72), spec)
+        vals = np.arange(200, dtype=np.int64)
+        assert not ((vals >= lo) & (vals <= hi)).any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        DIAMETERS,
+        st.fractions(min_value=0, max_value=2, max_denominator=10 ** 6),
+        st.floats(min_value=1e-9, max_value=1.0),
+    )
+    def test_float_epsilon(self, d2, center, eps):
+        # Fraction(float) has a power-of-two denominator, up to 2^82 here
+        _assert_exact_range(IntervalSpec(center, Fraction(eps)), d2)
+
+    @pytest.mark.parametrize("center,eps", [
+        # float epsilons, as `--eta` makes them: denominators past 2^52
+        (Fraction(1, 2), Fraction(1009 ** -2.5)),
+        (Fraction(1, 2), Fraction(1009 ** -2.0)),
+        (Fraction(1, 2), Fraction(0.01)),
+        (Fraction(0), Fraction(1, 3)),           # A = 0
+        (Fraction(1, 9), Fraction(1, 3)),        # A = eps^2 exactly
+        (Fraction(1, 100), Fraction(1, 2)),      # eps > sqrt(A)
+        (Fraction(1, 2), Fraction(1, 10 ** 6)),  # both ends past int64 at the widest box
+    ])
+    @pytest.mark.parametrize("d2", DIAMETER_VALUES)
+    def test_edge_cases(self, center, eps, d2):
+        lo, hi = _assert_exact_range(IntervalSpec(center, eps), d2)
+        assert (lo == 0) == (center <= eps * eps)
+        if d2 > 2 ** 100 and eps < Fraction(1, 10):
+            assert kernels.INT64_MAX < lo <= hi
 
 
 @lru_cache(maxsize=None)
