@@ -11,11 +11,13 @@ Subcommands:
   poles       north/east pole coefficient vectors and complex values
   render      SVG scenes (box_points | poles_circle | random_polytopes | pyramids)
 
-Exit codes: 0 success/pass, 1 usage error, 2 guard violation,
-3 acceptance-check failure.  A config file (`key = value` lines) supplies
-flags to the chosen subcommand, parsed like flags: on/off keys take
-true/false, a repeatable key appends, keys the subcommand lacks are ignored,
-and flags on the command line win.  CYCLOBOX_SEED provides the default seed.
+Sampling runs print one summary line with the wall time to stderr and the
+payload to stdout.  Exit codes: 0 success/pass, 1 usage error, 2 guard
+violation, 3 a report's verdict is fail or mismatch.  A config file
+(`key = value` lines) supplies flags to the chosen subcommand, parsed like
+flags: on/off keys take true/false, a repeatable key appends, keys the
+subcommand lacks are ignored, and flags on the command line win.
+CYCLOBOX_SEED provides the default seed.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import concentration as con
 from . import moments as mom
@@ -84,10 +87,11 @@ def _join_alpha(argv: list) -> list:
     return out
 
 
-def _default_seed() -> int:
+def _seed_of(args) -> int:
+    """--seed, else the CYCLOBOX_SEED environment variable, else 0."""
     env = os.environ.get("CYCLOBOX_SEED")
-    if env is None:
-        return 0
+    if args.seed is not None or env is None:
+        return 0 if args.seed is None else args.seed
     try:
         return int(env, 0)
     except ValueError:
@@ -149,7 +153,6 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", default=None, help="key = value defaults file")
     subs = parser.add_subparsers(dest="command", required=True)
-    parser.subcommands = {}
 
     s = subs.add_parser("moments", help="exact moment values")
     _add_common(s, sampling=False)
@@ -193,7 +196,8 @@ def build_parser() -> _Parser:
     _add_common(s)
     s.add_argument("--K", type=int, default=3)
     s.add_argument("--eps", type=_parse_eps, default=Fraction(1, 20))
-    s.add_argument("--max-attempts", type=int, default=64)
+    s.add_argument("--max-attempts", type=int, default=64,
+                   help="retries per tuple; part of the stream layout, so it changes the draws")
 
     s = subs.add_parser("poles", help="pole vectors and complex values")
     s.add_argument("--q", type=int, required=True, help="any modulus >= 3")
@@ -216,27 +220,37 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(args, reports, failed: bool) -> int:
-    text = rep.to_json(reports) if args.format == "json" else rep.to_csv(reports)
-    if args.out:
-        rep.write_atomic(args.out, text)
-    else:
+def _write(path, text: str) -> None:
+    """The payload to `path` atomically, or to stdout when no path is given."""
+    if path is None:
         sys.stdout.write(text)
+        return
+    try:
+        rep.write_atomic(path, text)
+    except OSError as exc:
+        # the temp file's name is no use to the user: name their path instead
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _verdict(report) -> str:
+    return rep.report_to_dict(report)["verdict"]
+
+
+def _emit(args, reports, stdout: bool = True) -> int:
+    """Write the payload to --out (or to stdout, if `stdout`); exit 3 exactly
+    when a report's verdict is fail or mismatch."""
+    if args.out or stdout:
+        _write(args.out, rep.to_json(reports) if args.format == "json" else rep.to_csv(reports))
+    listed = reports if isinstance(reports, (list, tuple)) else [reports]
+    failed = any(_verdict(r) in ("fail", "mismatch") for r in listed)
     return EXIT_FAIL if failed else EXIT_OK
-
-
-def _seed_of(args) -> int:
-    return _default_seed() if args.seed is None else args.seed
 
 
 def _cfg(args) -> con.SamplerConfig:
     cfg = con.SamplerConfig(_seed_of(args), args.samples, args.workers)
     if cfg.sample_count >= 20_000:
-        print(
-            f"cyclobox: sampling {cfg.sample_count} draws "
-            f"(seed={cfg.seed}, workers={cfg.worker_count})...",
-            file=sys.stderr,
-        )
+        print(f"cyclobox: sampling {cfg.sample_count} draws "
+              f"(seed={cfg.seed}, workers={cfg.worker_count})...", file=sys.stderr)
     return cfg
 
 
@@ -248,14 +262,6 @@ def _p_power(p: int, eta: float, sign: int = 1) -> float:
         return p ** (sign * eta)
     except OverflowError:
         raise ValueError(f"p ** {sign * eta} overflows a float (p={p})") from None
-
-
-def _eps_of(args, p: int) -> Fraction:
-    if getattr(args, "eps", None) is not None:
-        return args.eps
-    if getattr(args, "eta", None) is not None:
-        return Fraction(_p_power(p, args.eta, -1))
-    return Fraction(1, 2)
 
 
 _MOMENT_LABELS = {
@@ -273,9 +279,7 @@ def _cmd_moments(args) -> int:
     out = mom.closed_forms(box, alpha)
     for r in out:
         print(f"{_MOMENT_LABELS[r.kind]} = {r.formula_value}")
-    if args.out:
-        return _emit(args, out, failed=False)
-    return EXIT_OK
+    return _emit(args, out, stdout=False)
 
 
 def _cmd_verify(args) -> int:
@@ -286,96 +290,78 @@ def _cmd_verify(args) -> int:
     for alpha in alphas:
         reports += mom.oracle_moments(box, alpha)
     checks = [mom.oracle_cancellation_sums(alpha, box) for alpha in alphas]
-    ok = True
     for r in reports:
-        status = "EXACT-EQUAL" if r.exact_equal else "MISMATCH"
-        ok &= r.exact_equal
-        print(f"{status} {r.kind} p={r.p} N={r.N} value={r.formula_value}")
+        print(f"{_verdict(r).upper()} {r.kind} p={r.p} N={r.N} value={r.formula_value}")
     for c in checks:
-        status = "EXACT-EQUAL" if c.all_match else "MISMATCH"
-        ok &= c.all_match
-        print(f"{status} cancellation_sums p={c.p} N={c.N} alpha=({','.join(map(str, c.alpha))})")
-    if args.out:
-        return _emit(args, reports + checks, failed=not ok)
-    return EXIT_OK if ok else EXIT_FAIL
+        print(f"{_verdict(c).upper()} cancellation_sums p={c.p} N={c.N} "
+              f"alpha=({','.join(map(str, c.alpha))})")
+    return _emit(args, reports + checks, stdout=False)
 
 
 def _summary(r) -> str:
-    verdict = "vacuous" if r.vacuous else ("pass" if r.passed else "FAIL")
+    if isinstance(r, vis.VisibilityReport):
+        warn = " (N/p below 10: asymptotic regime not reached)" if r.np_ratio_warning else ""
+        return (f"visibility p={r.p} N={r.N} K={r.K} proportion={r.proportion_near_center:.6f} "
+                f"target={r.target:.6f} visible_fraction={r.visible_fraction:.6f} "
+                f"verdict={_verdict(r)}{warn}")
     bound = "n/a" if r.bound is None else f"{r.bound:.6f}"
+    cos = r.extra.get("median_abs_cos")
     return (f"{r.theorem} p={r.p} N={r.N} trials={r.trials} "
-            f"proportion={r.empirical_proportion:.6f} bound={bound} verdict={verdict}")
+            f"proportion={r.empirical_proportion:.6f} bound={bound} verdict={_verdict(r)}"
+            + ("" if cos is None else f" median|cos|={cos:.6f}"))
 
 
-def _cmd_sample(args) -> int:
+def _run_report(build, args) -> int:
+    """Build one sampling report, print its summary and wall time to stderr,
+    and emit its payload."""
     box = BoxSpec(args.p, args.N)
-    eps = _eps_of(args, box.p)
-    if args.exhaustive and args.theorem == "isosceles":
-        raise ValueError("--exhaustive applies to --theorem t4 and t5 only")
     cfg = _cfg(args)
     t0 = time.perf_counter()
+    r = build(args, box, cfg)
+    print(f"{_summary(r)} ({time.perf_counter() - t0:.2f}s)", file=sys.stderr)
+    return _emit(args, r)
+
+
+def _sample(args, box, cfg):
+    eps = args.eps
+    if eps is None:
+        eps = Fraction(_p_power(box.p, args.eta, -1)) if args.eta is not None else Fraction(1, 2)
     if args.theorem == "t5":
-        r = con.vertex_pair_report(box, eps, cfg, exhaustive=args.exhaustive)
-    else:
-        alpha = _parse_alpha(args.alpha, box)
-        if args.theorem == "t4":
-            r = con.theorem4_report(alpha, box, eps, cfg, exhaustive=args.exhaustive)
-        else:
-            r = con.isosceles_report(alpha, box, eps, cfg)
-    print(f"{_summary(r)} ({time.perf_counter() - t0:.2f}s)")
-    return _emit(args, r, failed=not r.passed)
-
-
-def _cmd_angles(args) -> int:
-    box = BoxSpec(args.p, args.N)
+        return con.vertex_pair_report(box, eps, cfg, exhaustive=args.exhaustive)
     alpha = _parse_alpha(args.alpha, box)
-    r = con.right_angle_report(alpha, box, args.eps, _cfg(args), target=args.target)
-    print(_summary(r) + f" median|cos|={r.extra['median_abs_cos']:.6f}")
-    return _emit(args, r, failed=not r.passed)
+    if args.theorem == "t4":
+        return con.theorem4_report(alpha, box, eps, cfg, exhaustive=args.exhaustive)
+    if args.exhaustive:
+        raise ValueError("--exhaustive applies to --theorem t4 and t5 only")
+    return con.isosceles_report(alpha, box, eps, cfg)
 
 
-def _cmd_polytopes(args) -> int:
-    box = BoxSpec(args.p, args.N)
+def _polytopes(args, box, cfg):
     t_val = args.T
     if t_val is None:
         t_val = _p_power(box.p, args.eta) if args.eta is not None else 2.0
-    r = con.polytope_report(box, args.K, t_val, _cfg(args))
-    print(_summary(r))
-    return _emit(args, r, failed=not r.passed)
+    return con.polytope_report(box, args.K, t_val, cfg)
 
 
-def _cmd_pyramids(args) -> int:
-    box = BoxSpec(args.p, args.N)
-    apex = _parse_alpha(args.alpha, box)
-    r = con.pyramid_report(apex, box, args.K, args.eps, _cfg(args))
-    print(_summary(r))
-    return _emit(args, r, failed=not r.passed)
-
-
-def _cmd_visibility(args) -> int:
-    box = BoxSpec(args.p, args.N)
-    r = vis.visibility_concentration_report(
-        box, args.K, args.eps, _cfg(args), max_attempts=args.max_attempts
-    )
-    warn = " (N/p below 10: asymptotic regime not reached)" if r.np_ratio_warning else ""
-    print(
-        f"visibility p={r.p} N={r.N} K={r.K} proportion={r.proportion_near_center:.6f} "
-        f"target={r.target:.6f} visible_fraction={r.visible_fraction:.6f} "
-        f"verdict={'pass' if r.passed else 'FAIL'}{warn}"
-    )
-    return _emit(args, r, failed=not r.passed)
+# each sampling subcommand's report, built as (args, box, cfg) -> report
+_BUILDERS = {
+    "sample": _sample,
+    "angles": lambda a, box, cfg: con.right_angle_report(
+        _parse_alpha(a.alpha, box), box, a.eps, cfg, target=a.target),
+    "polytopes": _polytopes,
+    "pyramids": lambda a, box, cfg: con.pyramid_report(
+        _parse_alpha(a.alpha, box), box, a.K, a.eps, cfg),
+    "visibility": lambda a, box, cfg: vis.visibility_concentration_report(
+        box, a.K, a.eps, cfg, max_attempts=a.max_attempts),
+}
 
 
 def _cmd_poles(args) -> int:
     q, n_box = args.q, args.N
-    np_c = north_pole(q, n_box)
-    ep_c = east_pole(q, n_box)
-    z_np = embed_complex(np_c, q)
-    z_ep = embed_complex(ep_c, q)
-    print(f"NP({q}) coeffs = ({', '.join(map(str, np_c))})")
-    print(f"NP({q}) value  = {z_np.real:.9f}{z_np.imag:+.9f}i")
-    print(f"EP({q}) coeffs = ({', '.join(map(str, ep_c))})")
-    print(f"EP({q}) value  = {z_ep.real:.9f}{z_ep.imag:+.9f}i")
+    for name, coeffs in (("NP", north_pole(q, n_box)), ("EP", east_pole(q, n_box))):
+        z = embed_complex(coeffs, q)
+        print(f"{name}({q}) coeffs = ({', '.join(map(str, coeffs))})")
+        print(f"{name}({q}) value  = {z.real:.9f}{z.imag:+.9f}i")
     if q % 2 == 1:
         print(f"euclidean_diameter = {euclidean_diameter(q, n_box):.7f}")
     return EXIT_OK
@@ -393,22 +379,14 @@ def _cmd_render(args) -> int:
         allow_sampling=not args.no_sampling,
         size=args.size,
     )
-    svg = ren.render_scene(scene)
-    if args.out:
-        rep.write_atomic(args.out, svg)
-    else:
-        sys.stdout.write(svg)
+    _write(args.out, ren.render_scene(scene))
     return EXIT_OK
 
 
 _COMMANDS = {
     "moments": _cmd_moments,
     "verify": _cmd_verify,
-    "sample": _cmd_sample,
-    "angles": _cmd_angles,
-    "polytopes": _cmd_polytopes,
-    "pyramids": _cmd_pyramids,
-    "visibility": _cmd_visibility,
+    **{name: partial(_run_report, build) for name, build in _BUILDERS.items()},
     "poles": _cmd_poles,
     "render": _cmd_render,
 }

@@ -337,6 +337,10 @@ def right_angle_report(alpha: CyclotomicInt, box: BoxSpec, eps_cos: float,
     origin = kernels.PackedApex(box, (0,) * dim)
     twice_bound = na + nb_bound + apex.bound
     compare_bound = max((na + nb_bound) ** 2 * ed2, 4 * en2 * na * nb_bound)
+    # |cos| = |twice| / (2 sqrt(na nb)) is unchanged by na / 4^a, nb / 4^b, twice / 2^(a+b);
+    # a and b bring each norm under 2^500, so their float product cannot overflow, and
+    # twice stays below 2^501 by Cauchy-Schwarz.  Below that size a = b = 0 and nothing moves.
+    a, b = (max(0, (n.bit_length() - 499) // 2) for n in (na, nb_bound))
 
     def work(start, stop):
         x = kernels.draw_vertices(box, 1, cfg.seed, start, stop)[0][:, 0]
@@ -345,7 +349,9 @@ def right_angle_report(alpha: CyclotomicInt, box: BoxSpec, eps_cos: float,
         twice = kernels.lift(nb, twice_bound) + na - apex.dist_sq(x, pcx)
         tw = kernels.lift(twice, compare_bound)
         ok = tw * tw * ed2 <= 4 * en2 * na * kernels.lift(nb, compare_bound)
-        cos_abs = np.abs(twice.astype(np.float64) / 2) / np.sqrt(float(na) * nb.astype(np.float64))
+        tw_f = (twice / (1 << (a + b))).astype(np.float64, copy=False)
+        nb_f = (nb / (1 << 2 * b)).astype(np.float64, copy=False)
+        cos_abs = np.abs(tw_f / 2) / np.sqrt(na / (1 << 2 * a) * nb_f)
         return int(np.sum(ok)), cos_abs
 
     parts = kernels.run_chunks(work, cfg.sample_count, cfg.worker_count, dim)

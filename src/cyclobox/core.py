@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -344,6 +345,9 @@ def embed_complex(coeffs: Union[CyclotomicInt, Sequence[int]], q: int | None = N
         q = len(coeffs) + 1
     if len(coeffs) != q - 1:
         raise ValueError(f"need q-1={q - 1} coefficients, got {len(coeffs)}")
+    if max(map(abs, coeffs), default=0) * (q - 1) > sys.float_info.max:
+        raise GuardError(f"coefficients times q-1={q - 1} pass the float limit "
+                         f"{sys.float_info.max:.6g}; the complex value has no float")
     roots = _roots_of_unity(q)
     return sum(a * roots[j] for j, a in enumerate(coeffs, start=1))
 

@@ -9,6 +9,7 @@ are byte-identical.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,11 @@ class SceneSpec:
             raise ValueError(f"unknown scene kind {self.kind!r}; choose from {_KINDS}")
         if self.q < 3:
             raise ValueError("q must be >= 3")
-        if self.N < 1 or self.K < 2 or self.count < 0 or self.budget < 1:
+        if self.N < 1 or self.K < 2 or self.count < 0 or self.budget < 1 or self.size < 1:
             raise ValueError("bad scene parameters")
+        if self.N * (self.q - 1) > sys.float_info.max:
+            raise GuardError(f"N times q-1={self.q - 1} passes the float limit "
+                             f"{sys.float_info.max:.6g} of the drawing coordinates")
 
 
 def _roots(q: int) -> np.ndarray:

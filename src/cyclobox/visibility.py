@@ -156,6 +156,7 @@ def visibility_concentration_report(box: BoxSpec, K: int, eps: float,
     The acceptance target is the property-style 1 - eps; the constant in the
     underlying limit law is not effective, so small p or small N/p can fall
     short of it, and the report records N/p (with a warning below 10).
+    `max_attempts` is part of the stream layout, so it changes the draws.
     """
     if K < 2:
         raise ValueError("need K >= 2")

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -75,12 +77,12 @@ class TestCommands:
         assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == text
 
     def test_sample_exhaustive(self, capsys):
-        code, out, _ = run(
+        code, _, err = run(
             capsys, "sample", "--theorem", "t4", "--p", "3", "--eps", "1/2",
             "--alpha", "origin", "--exhaustive", "--samples", "10",
         )
         assert code == 0
-        assert "proportion=1.000000" in out
+        assert "proportion=1.000000" in err
 
     def test_vacuous_verdict_serialized(self):
         r = vertex_pair_report(BoxSpec(3, 1), "1/100", SamplerConfig(1, 50))
@@ -148,6 +150,63 @@ class TestCommands:
         assert f1.read_bytes() == f2.read_bytes()
 
 
+SMALL_RUNS = {
+    "sample": ("sample", "--p", "11", "--eps", "1/3", "--samples", "50", "--seed", "1"),
+    "angles": ("angles", "--p", "11", "--samples", "50", "--seed", "1"),
+    "polytopes": ("polytopes", "--p", "11", "--K", "3", "--samples", "50", "--seed", "1"),
+    "pyramids": ("pyramids", "--p", "11", "--K", "3", "--eps", "1/2", "--samples", "50",
+                 "--seed", "1"),
+    "visibility": ("visibility", "--p", "11", "--N", "50", "--K", "2", "--eps", "1/4",
+                   "--samples", "50", "--seed", "1"),
+}
+
+
+class TestOneRunner:
+    @pytest.mark.parametrize("name, fmt", [(name, "json") for name in SMALL_RUNS]
+                             + [("sample", "csv")])
+    def test_stdout_is_the_payload_and_the_summary_goes_to_stderr(self, capsys, tmp_path,
+                                                                  name, fmt):
+        argv = SMALL_RUNS[name] + ("--format", fmt)
+        _, out, err = run(capsys, *argv)
+        out_file = tmp_path / f"r.{fmt}"
+        run(capsys, *argv, "--out", str(out_file))
+        assert out == out_file.read_text()
+        assert re.search(r"verdict=\S+.* \(\d+\.\d\ds\)$", err.strip())
+
+    @pytest.mark.parametrize("argv, verdict", [(argv, None) for argv in SMALL_RUNS.values()] + [
+        (("angles", "--p", "101", "--samples", "400", "--target", "1.01"), "fail"),
+        (("sample", "--p", "3", "--eps", "1/100", "--samples", "50"), "vacuous"),
+    ])
+    def test_exit_code_is_3_exactly_when_the_verdict_is_fail(self, capsys, argv, verdict):
+        code, out, _ = run(capsys, *argv)
+        emitted = json.loads(out)["verdict"]
+        if verdict is not None:
+            assert emitted == verdict
+        assert code == (3 if emitted == "fail" else 0)
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--p", "5", "--samples", "10"),
+        ("moments", "--p", "5"),
+        ("verify", "--oracle", "--p", "5"),
+        ("render", "--q", "5"),
+    ])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x.out"
+        code, _, err = run(capsys, *argv, "--out", str(target))
+        assert code == 1
+        assert f"cyclobox: error: cannot write {target}: No such file" in err
+        assert "Traceback" not in err and ".cyclobox-" not in err
+
+    def test_readme_cli_lines_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```")[1]
+        lines = [l.split() for l in block.splitlines() if l.startswith("cyclobox ")]
+        assert len(lines) >= 13
+        parser = cli.build_parser()
+        for words in lines:
+            parser.parse_args(cli._join_alpha(words[1:]))
+
+
 class TestErrorPaths:
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -186,6 +245,12 @@ class TestErrorPaths:
         assert code == 1
         assert "cyclobox: error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_render_rejects_a_size_below_one(self, capsys, size):
+        code, out, err = run(capsys, "render", "--q", "5", f"--size={size}")
+        assert code == 1
+        assert "bad scene parameters" in err and out == ""
 
     def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("CYCLOBOX_SEED", "abc")
@@ -359,6 +424,27 @@ class TestLargeBoxes:
         )
         assert code == 2
         assert "64-bit" in err
+
+    def test_angles_beyond_the_float_range(self, capsys):
+        reports = []
+        for n in (1, 2 ** 260, 10 ** 400):
+            code, out, err = run(capsys, "angles", "--p", "101", "--N", str(n),
+                                 "--seed", "3", "--samples", "300")
+            assert code == 3 and "Traceback" not in err
+            reports.append(json.loads(out))
+        small = reports[0]
+        for wide in reports[1:]:
+            assert wide["hits"] == small["hits"]
+            assert wide["extra"]["median_abs_cos"] == small["extra"]["median_abs_cos"]
+
+    @pytest.mark.parametrize("argv", [
+        ("poles", "--q", "5"),
+        ("render", "--kind", "poles_circle", "--q", "5"),
+    ])
+    def test_complex_values_beyond_the_float_range_are_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--N", str(10 ** 400))
+        assert code in (1, 2)
+        assert "float limit" in err and "Traceback" not in err
 
 
 class TestModuleEntryPoint:
