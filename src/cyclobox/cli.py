@@ -246,14 +246,6 @@ def _emit(args, reports, stdout: bool = True) -> int:
     return EXIT_FAIL if failed else EXIT_OK
 
 
-def _cfg(args) -> con.SamplerConfig:
-    cfg = con.SamplerConfig(_seed_of(args), args.samples, args.workers)
-    if cfg.sample_count >= 20_000:
-        print(f"cyclobox: sampling {cfg.sample_count} draws "
-              f"(seed={cfg.seed}, workers={cfg.worker_count})...", file=sys.stderr)
-    return cfg
-
-
 def _p_power(p: int, eta: float, sign: int = 1) -> float:
     """p ** (sign * eta) for a finite eta; an overflowing power is a usage error."""
     if not math.isfinite(eta):
@@ -315,7 +307,7 @@ def _run_report(build, args) -> int:
     """Build one sampling report, print its summary and wall time to stderr,
     and emit its payload."""
     box = BoxSpec(args.p, args.N)
-    cfg = _cfg(args)
+    cfg = con.SamplerConfig(_seed_of(args), args.samples, args.workers)
     t0 = time.perf_counter()
     r = build(args, box, cfg)
     print(f"{_summary(r)} ({time.perf_counter() - t0:.2f}s)", file=sys.stderr)

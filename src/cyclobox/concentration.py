@@ -36,8 +36,8 @@ from .core import (
     CyclotomicInt,
     DegenerateAngleError,
     FieldMismatchError,
-    GuardError,
     north_pole_point,
+    require_float_range,
 )
 from .moments import avg_point_to_vertices, avg_vertex_pairs
 
@@ -56,9 +56,6 @@ __all__ = [
     "right_angle_report",
     "pyramid_report",
 ]
-
-EXHAUSTIVE_MAX_P_PAIRS = 13  # full ordered-pair sweep
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -179,8 +176,11 @@ def _eta_of(p: int, eps: Fraction) -> float:
     return math.log(1.0 / float(eps)) / math.log(p)
 
 
-def _bound(p: int, eps: Fraction, constant: float):
-    """1 - constant / p^(1-2*eta) with eps = p^(-eta); p^(1-2*eta) = p*eps^2."""
+def _bound(p: int, eps: Fraction, constant: int) -> float:
+    """1 - constant / p^(1-2*eta) with eps = p^(-eta); p^(1-2*eta) = p*eps^2.  The ratio
+    is checked exactly: the float p*eps^2 underflows to 0 below eps ~ 1e-162."""
+    require_float_range(eps, "eps")
+    require_float_range(Fraction(constant, p) / eps ** 2, f"{constant}/(p*eps^2)")
     return 1.0 - constant / (p * float(eps) ** 2)
 
 
@@ -226,39 +226,38 @@ def _finish(theorem, box, cfg, hits, trials, bound, formula, *, eps=None, center
 
 def _vertex_draw(box: BoxSpec, K: int, cfg: SamplerConfig, exhaustive: bool) -> tuple:
     """(draw, trials): sampled vertex K-tuples, or the packed vertex rows to sweep."""
-    if exhaustive:
-        return kernels.box_vertex_rows(box), box.num_vertices() ** K
-    return kernels.draw_vertices, cfg.sample_count
+    if not exhaustive:
+        return kernels.draw_vertices, cfg.sample_count
+    rows = kernels.box_vertex_rows(box)
+    return rows, len(rows) if K == 1 else kernels.ordered_pairs(len(rows))
+
+
+def _leg_report(theorem: str, alpha: CyclotomicInt, box: BoxSpec, eps, cfg: SamplerConfig,
+                K: int, constant: int, exhaustive: bool = False) -> ConcentrationReport:
+    """K legs from a fixed point to random vertices, all within eps of sqrt(A(alpha))."""
+    eps = Fraction(eps)
+    bound = _bound(box.p, eps, constant)
+    a_val = avg_point_to_vertices(alpha, box)
+    draw, trials = _vertex_draw(box, K, cfg, exhaustive)
+    legs = tuple((j, kernels.APEX, (IntervalSpec(a_val, eps),)) for j in range(K))
+    spec = kernels.EdgeSpec(box, K, draw, legs, apex=alpha.coeffs)
+    (hits,) = kernels.tally(spec, cfg.seed, trials, cfg.worker_count).hits
+    return _finish(
+        theorem, box, cfg, hits, trials, bound, f"1 - {constant}/p^(1-2*eta)",
+        exhaustive=exhaustive, alpha=_alpha_label(alpha),
+        eps=eps, eta=_eta_of(box.p, eps), center_sq=a_val,
+    )
 
 
 def theorem4_report(alpha: CyclotomicInt, box: BoxSpec, eps, cfg: SamplerConfig,
                     exhaustive: bool = False) -> ConcentrationReport:
     """Distances from a fixed point to vertices concentrate at sqrt(A(alpha))."""
-    eps = Fraction(eps)
-    a_val = avg_point_to_vertices(alpha, box)
-    draw, trials = _vertex_draw(box, 1, cfg, exhaustive)
-    leg = (0, kernels.APEX, (IntervalSpec(a_val, eps),))
-    spec = kernels.EdgeSpec(box, 1, draw, (leg,), apex=alpha.coeffs)
-    (hits,) = kernels.tally(spec, cfg.seed, trials, cfg.worker_count).hits
-    return _finish(
-        "T4", box, cfg, hits, trials, _bound(box.p, eps, 22.0),
-        "1 - 22/p^(1-2*eta)", exhaustive=exhaustive, alpha=_alpha_label(alpha),
-        eps=eps, eta=_eta_of(box.p, eps), center_sq=a_val,
-    )
+    return _leg_report("T4", alpha, box, eps, cfg, 1, 22, exhaustive)
 
 
 def isosceles_report(alpha: CyclotomicInt, box: BoxSpec, eps, cfg: SamplerConfig) -> ConcentrationReport:
     """Both legs from a fixed point to two random vertices share the interval."""
-    eps = Fraction(eps)
-    a_val = avg_point_to_vertices(alpha, box)
-    legs = tuple((j, kernels.APEX, (IntervalSpec(a_val, eps),)) for j in range(2))
-    spec = kernels.EdgeSpec(box, 2, kernels.draw_vertices, legs, apex=alpha.coeffs)
-    (hits,) = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count).hits
-    return _finish(
-        "isosceles", box, cfg, hits, cfg.sample_count, _bound(box.p, eps, 44.0),
-        "1 - 44/p^(1-2*eta)", alpha=_alpha_label(alpha),
-        eps=eps, eta=_eta_of(box.p, eps), center_sq=a_val,
-    )
+    return _leg_report("isosceles", alpha, box, eps, cfg, 2, 44)
 
 
 def vertex_pair_report(box: BoxSpec, eps, cfg: SamplerConfig,
@@ -270,9 +269,8 @@ def vertex_pair_report(box: BoxSpec, eps, cfg: SamplerConfig,
     normalized squared distance.
     """
     eps = Fraction(eps)
+    bound = _bound(box.p, eps, 2)
     a_vv = avg_vertex_pairs(box)
-    if exhaustive and box.p > EXHAUSTIVE_MAX_P_PAIRS:
-        raise GuardError(f"pairwise sweep refuses p={box.p} > {EXHAUSTIVE_MAX_P_PAIRS}")
     draw, trials = _vertex_draw(box, 2, cfg, exhaustive)
     intervals = (IntervalSpec(a_vv, eps), IntervalSpec(Fraction(1, 2), eps))
     spec = kernels.EdgeSpec(box, 2, draw, ((0, 1, intervals),), keep_sums=1)
@@ -280,7 +278,7 @@ def vertex_pair_report(box: BoxSpec, eps, cfg: SamplerConfig,
     hits, hits_half = result.hits
     mean_d2 = Fraction(result.d2_sum, trials * box.diameter_sq())
     return _finish(
-        "T5", box, cfg, hits, trials, _bound(box.p, eps, 2.0),
+        "T5", box, cfg, hits, trials, bound,
         "1 - 2/p^(1-2*eta)", exhaustive=exhaustive,
         eps=eps, eta=_eta_of(box.p, eps), center_sq=a_vv,
         extra={
@@ -299,6 +297,8 @@ def polytope_report(box: BoxSpec, K: int, T: float, cfg: SamplerConfig) -> Conce
     if not 1 < T < math.inf:
         raise ValueError(f"need a finite T > 1, got {T}")
     eps = 1 / Fraction(T)  # exact reciprocal of the given (possibly float) T
+    # the float bound below forms K(K-1)T^2 before it divides by p
+    require_float_range(K * (K - 1) / eps ** 2, "K(K-1)T^2")
     edges = kernels.all_edges(K, (IntervalSpec(Fraction(1, 2), eps),))
     spec = kernels.EdgeSpec(box, K, kernels.draw_vertices, edges)
     (hits,) = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count).hits
@@ -328,6 +328,7 @@ def right_angle_report(alpha: CyclotomicInt, box: BoxSpec, eps_cos: float,
     eps_frac = Fraction(eps_cos)
     if eps_frac <= 0:
         raise ValueError("eps_cos must be positive")
+    require_float_range(eps_frac, "eps_cos")
     en2 = eps_frac.numerator ** 2
     ed2 = eps_frac.denominator ** 2
     p, dim = box.p, box.dim
@@ -387,6 +388,7 @@ def pyramid_report(apex: CyclotomicInt, box: BoxSpec, K: int, eps,
     if not box.contains(apex):
         raise ValueError("apex must lie inside the box")
     eps = Fraction(eps)
+    bound = _bound(box.p, eps, K * (K - 1) + 22 * K)
     d_apex_sq = Fraction(apex.norm_sq(), box.diameter_sq())
     apex_near_origin = d_apex_sq <= eps * eps
     lateral_center = Fraction(1, 4) if apex_near_origin else avg_point_to_vertices(apex, box)
@@ -395,7 +397,6 @@ def pyramid_report(apex: CyclotomicInt, box: BoxSpec, K: int, eps,
              + tuple((j, kernels.APEX, lateral) for j in range(K)))
     spec = kernels.EdgeSpec(box, K, kernels.draw_vertices, edges, apex=apex.coeffs)
     (hits,) = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count).hits
-    bound = _bound(box.p, eps, float(K * (K - 1) + 22 * K))
     return _finish(
         "pyramid", box, cfg, hits, cfg.sample_count, bound,
         "1 - (K(K-1) + 22K)/p^(1-2*eta) (base union bound + lateral bound)",

@@ -220,9 +220,7 @@ class BoxSpec:
 
     def vertices(self) -> Iterator[CyclotomicInt]:
         """Enumerate all 2^(p-1) vertices; guarded for feasibility."""
-        if self.p > VERTEX_ENUM_MAX_P:
-            raise GuardError(f"refusing to enumerate 2^{self.dim} vertices "
-                             f"(p={self.p} > {VERTEX_ENUM_MAX_P})")
+        require_vertex_enumeration(self)
         dim, N = self.dim, self.N
         for mask in range(1 << dim):
             coeffs = tuple(N if (mask >> j) & 1 else -N for j in range(dim))
@@ -239,6 +237,19 @@ class BoxSpec:
         rng = range(-self.N, self.N + 1)
         for coeffs in itertools.product(rng, repeat=self.dim):
             yield CyclotomicInt(self.p, coeffs)
+
+
+def require_vertex_enumeration(box: BoxSpec) -> None:
+    """Refuse to enumerate the vertices of `box` past p = VERTEX_ENUM_MAX_P."""
+    if box.p > VERTEX_ENUM_MAX_P:
+        raise GuardError(f"refusing to enumerate 2^{box.dim} vertices "
+                         f"(p={box.p} > {VERTEX_ENUM_MAX_P})")
+
+
+def require_float_range(value, what: str) -> None:
+    """Refuse `value` (an int, Fraction or float) when it passes the float limit."""
+    if abs(value) > sys.float_info.max:
+        raise GuardError(f"{what} passes the float limit {sys.float_info.max:.6g}")
 
 
 # --- operations -------------------------------------------------------------
@@ -345,9 +356,8 @@ def embed_complex(coeffs: Union[CyclotomicInt, Sequence[int]], q: int | None = N
         q = len(coeffs) + 1
     if len(coeffs) != q - 1:
         raise ValueError(f"need q-1={q - 1} coefficients, got {len(coeffs)}")
-    if max(map(abs, coeffs), default=0) * (q - 1) > sys.float_info.max:
-        raise GuardError(f"coefficients times q-1={q - 1} pass the float limit "
-                         f"{sys.float_info.max:.6g}; the complex value has no float")
+    require_float_range(max(map(abs, coeffs), default=0) * (q - 1),
+                        f"the largest coefficient times q-1={q - 1}")
     roots = _roots_of_unity(q)
     return sum(a * roots[j] for j, a in enumerate(coeffs, start=1))
 
@@ -356,4 +366,6 @@ def euclidean_diameter(q: int, N: int = 1) -> float:
     """Euclidean (complex-plane) diameter 2*N*Im(NP(q)) of the box; odd q only."""
     if q % 2 == 0:
         raise ValueError(f"Euclidean diameter formula requires odd q, got {q}")
+    # |Im NP(q)| <= q-1, so the diameter is at most 2N(q-1)
+    require_float_range(2 * N * (q - 1), f"2N times q-1={q - 1}")
     return 2.0 * N * embed_complex(north_pole(q, 1), q).imag

@@ -24,10 +24,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .core import VERTEX_ENUM_MAX_P, BoxSpec, GuardError
+from .core import BoxSpec, GuardError, require_vertex_enumeration
 
 INT64_MAX = 2 ** 63 - 1
 APEX = -1  # edge endpoint that stands for the spec's fixed apex
+PAIR_SWEEP_MAX = 1 << 24  # ordered pairs an exhaustive pair sweep may visit
 
 _BATCH_ELEMENTS = 1 << 21  # per-batch int64 budget, ~16 MB per temporary
 
@@ -172,9 +173,7 @@ def box_matrix(dim: int, N: int) -> np.ndarray:
 
 def box_vertex_rows(box: BoxSpec) -> np.ndarray:
     """The packed vertex rows of `box`, refused above the enumeration guard."""
-    if box.p > VERTEX_ENUM_MAX_P:
-        raise GuardError(f"refusing to enumerate 2^{box.dim} vertices "
-                         f"(p={box.p} > {VERTEX_ENUM_MAX_P})")
+    require_vertex_enumeration(box)
     return vertex_rows(box.dim)
 
 
@@ -199,6 +198,13 @@ def run_chunks(fn, total: int, workers: int, unit_dim: int = 1) -> list:
     """
     batch = max(1, _BATCH_ELEMENTS // max(unit_dim, 1))
     return _run(fn, [(lo, min(lo + batch, total)) for lo in range(0, total, batch)], workers)
+
+
+def ordered_pairs(n: int) -> int:
+    """The n^2 ordered pairs of an n-row sweep, refused past PAIR_SWEEP_MAX."""
+    if n * n > PAIR_SWEEP_MAX:
+        raise GuardError(f"refusing to sweep {n}^2 ordered pairs (limit {PAIR_SWEEP_MAX})")
+    return n * n
 
 
 def _block_pairs(rows: np.ndarray) -> list:

@@ -9,13 +9,12 @@ are byte-identical.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, rng
-from .core import BoxSpec, GuardError, east_pole, north_pole
+from .core import BoxSpec, GuardError, east_pole, north_pole, require_float_range
 
 __all__ = ["SceneSpec", "render_scene"]
 
@@ -41,9 +40,7 @@ class SceneSpec:
             raise ValueError("q must be >= 3")
         if self.N < 1 or self.K < 2 or self.count < 0 or self.budget < 1 or self.size < 1:
             raise ValueError("bad scene parameters")
-        if self.N * (self.q - 1) > sys.float_info.max:
-            raise GuardError(f"N times q-1={self.q - 1} passes the float limit "
-                             f"{sys.float_info.max:.6g} of the drawing coordinates")
+        require_float_range(self.N * (self.q - 1), f"drawing coordinates: N times q-1={self.q - 1}")
 
 
 def _roots(q: int) -> np.ndarray:
@@ -55,30 +52,14 @@ def _embed_rows(coeffs: np.ndarray, q: int) -> np.ndarray:
     return coeffs.astype(np.float64) @ _roots(q)
 
 
-def _box_cloud(scene: SceneSpec):
-    """Box point coefficient matrix, full if it fits the budget, else sampled."""
-    q, N = scene.q, scene.N
-    total = (2 * N + 1) ** (q - 1)
+def _cloud(scene: SceneSpec, desc: list, total: int, full, sample) -> np.ndarray:
+    """All `total` points as full() if they fit the budget, else sample(budget), noted in desc."""
     if total <= scene.budget:
-        return kernels.box_matrix(q - 1, N), False
+        return full()
     if not scene.allow_sampling:
-        raise GuardError(
-            f"scene has {total} points, budget {scene.budget}; sampling not allowed"
-        )
-    pts = rng.box_offsets(scene.seed, 1 << 32, scene.budget, q - 1, N)
-    return pts, True
-
-
-def _vertex_cloud(scene: SceneSpec):
-    q, N = scene.q, scene.N
-    total = 2 ** (q - 1)
-    if total <= scene.budget:
-        return kernels.vertex_matrix(q - 1, N), False
-    if not scene.allow_sampling:
-        raise GuardError(
-            f"scene has {total} vertices, budget {scene.budget}; sampling not allowed"
-        )
-    return kernels.scaled(rng.vertex_signs(scene.seed, 1 << 33, scene.budget, q - 1), N), True
+        raise GuardError(f"scene has {total} points, budget {scene.budget}; sampling not allowed")
+    desc.append(f"sampled={scene.budget}_of_{total}")
+    return sample(scene.budget)
 
 
 def _fmt(v: float) -> str:
@@ -149,10 +130,11 @@ def render_scene(scene: SceneSpec) -> str:
     ring_radius = None
 
     if scene.kind == "poles_circle":
-        vxs, sampled = _vertex_cloud(scene)
+        vxs = _cloud(scene, desc, 2 ** (q - 1),
+                     lambda: kernels.vertex_matrix(q - 1, scene.N),
+                     lambda n: kernels.scaled(rng.vertex_signs(scene.seed, 1 << 33, n, q - 1),
+                                              scene.N))
         clouds.append((vxs, "vx", 1.0))
-        if sampled:
-            desc.append(f"sampled={len(vxs)}_of_{2 ** (q - 1)}")
         np_c = kernels.coeff_array(north_pole(q, scene.N))
         ep_c = kernels.coeff_array(east_pole(q, scene.N))
         poles = np.stack([np_c, ep_c, -np_c, -ep_c])
@@ -166,12 +148,12 @@ def render_scene(scene: SceneSpec) -> str:
 
     else:
         BoxSpec(q, scene.N)  # box scenes require an odd prime
-        pts, sampled = _box_cloud(scene)
+        pts = _cloud(scene, desc, (2 * scene.N + 1) ** (q - 1),
+                     lambda: kernels.box_matrix(q - 1, scene.N),
+                     lambda n: rng.box_offsets(scene.seed, 1 << 32, n, q - 1, scene.N))
         vx_mask = np.all(np.abs(pts) == scene.N, axis=1)
         clouds.append((pts[~vx_mask], "pt", 1.0))
         clouds.append((pts[vx_mask], "vx", 1.6))
-        if sampled:
-            desc.append(f"sampled={len(pts)}_of_{(2 * scene.N + 1) ** (q - 1)}")
 
     if scene.kind in ("random_polytopes", "pyramids"):
         desc.append(f"K={scene.K}")

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels, rng
 from .concentration import CounterStream, IntervalSpec, SamplerConfig
-from .core import BoxSpec, CyclotomicInt, FieldMismatchError, GuardError
+from .core import BoxSpec, CyclotomicInt, FieldMismatchError, GuardError, require_float_range
 
 __all__ = [
     "VisibilityReport",
@@ -56,13 +56,11 @@ def mean_box_pair_dist_sq(box: BoxSpec) -> Fraction:
 
 def oracle_mean_box_pair_dist_sq(box: BoxSpec) -> Fraction:
     """The same mean by full enumeration of ordered box-point pairs."""
-    npts = box.num_points()
-    if npts > 1 << 12:
-        raise GuardError(f"pair enumeration refuses {npts}^2 ordered pairs")
+    pairs = kernels.ordered_pairs(box.num_points())
     rows = kernels.box_matrix(box.dim, box.N)
     spec = kernels.EdgeSpec(box, 2, rows, ((0, 1, ()),), keep_sums=1)
-    total = kernels.tally(spec, 0, npts * npts, 1).d2_sum
-    return Fraction(total, npts * npts * box.diameter_sq())
+    total = kernels.tally(spec, 0, pairs, 1).d2_sum
+    return Fraction(total, pairs * box.diameter_sq())
 
 
 def box_pair_mean_report(box: BoxSpec, cfg: SamplerConfig) -> Fraction:
@@ -93,26 +91,22 @@ def _sample_visible_tuples(box: BoxSpec, K: int, seed: int, start: int, stop: in
     count = stop - start
     dim, n_box = box.dim, box.N
     pts = np.empty((count, K, dim), dtype=np.int64)
-    attempts = np.zeros(count, dtype=np.int64)
     active = np.arange(count)
     members = np.arange(K, dtype=np.uint64)
-    while active.size:
-        if attempts[active[0]] >= max_attempts:
-            raise GuardError(
-                f"no self-visible {K}-tuple within {max_attempts} attempts "
-                f"(p={box.p}, N={box.N})"
-            )
+    drawn = 0
+    for a in range(max_attempts):
         with np.errstate(over="ignore"):
             tuple_ids = (np.uint64(start) + active.astype(np.uint64))
-            bases = (tuple_ids * np.uint64(max_attempts)
-                     + attempts[active].astype(np.uint64)) * np.uint64(K)
+            bases = (tuple_ids * np.uint64(max_attempts) + np.uint64(a)) * np.uint64(K)
             streams = (bases[:, None] + members[None, :]).ravel()
         fresh = rng.box_offsets_at(seed, streams, dim, n_box).reshape(len(active), K, dim)
         pts[active] = fresh
-        attempts[active] += 1
-        ok = _pairwise_visible(fresh, n_box)
-        active = active[~ok]
-    return pts, int(np.sum(attempts))
+        drawn += len(active)
+        active = active[~_pairwise_visible(fresh, n_box)]
+        if not active.size:
+            return pts, drawn
+    raise GuardError(f"no self-visible {K}-tuple within {max_attempts} attempts "
+                     f"(p={box.p}, N={box.N})")
 
 
 def sample_self_visible_polytope(box: BoxSpec, K: int, stream: CounterStream,
@@ -161,6 +155,7 @@ def visibility_concentration_report(box: BoxSpec, K: int, eps: float,
     if K < 2:
         raise ValueError("need K >= 2")
     eps_frac = Fraction(eps)
+    require_float_range(eps_frac, "eps")
     draw = partial(_sample_visible_tuples, max_attempts=max_attempts)
     edges = kernels.all_edges(K, (IntervalSpec(Fraction(1, 6), eps_frac),))
     spec = kernels.EdgeSpec(box, K, draw, edges, keep_sums=1)

@@ -447,6 +447,40 @@ class TestLargeBoxes:
         assert "float limit" in err and "Traceback" not in err
 
 
+BIG = "1" + "0" * 400          # 10^400: past the float range
+TINY = "1/1" + "0" * 200       # 10^-200: p*eps^2 underflows to 0
+NEAR_TINY = "1/1" + "0" * 158  # 10^-158: p*eps^2 is a float, 2/(p*eps^2) is not
+
+
+class TestFloatLimit:
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--p", "5", "--eps", TINY),
+        ("sample", "--p", "5", "--eps", NEAR_TINY),
+        ("sample", "--p", "5", "--eps", BIG),
+        ("sample", "--theorem", "t4", "--p", "5", "--eps", TINY),
+        ("sample", "--theorem", "isosceles", "--p", "5", "--eps", BIG),
+        ("sample", "--p", "5", "--eta", "300"),
+        ("pyramids", "--p", "5", "--eps", TINY),
+        ("pyramids", "--p", "5", "--eps", BIG),
+        ("visibility", "--p", "5", "--eps", BIG),
+        ("angles", "--p", "5", "--eps", BIG),
+        ("polytopes", "--p", "5", "--T", "1e200"),
+        ("polytopes", "--p", "5", "--eta", "300"),
+        ("polytopes", "--p", "1009", "--K", "2", "--eta", "51.7"),
+    ])
+    def test_past_the_float_limit_is_a_guard_violation(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--samples", "10")
+        assert code == 2
+        assert "float limit" in err and "Traceback" not in err
+        assert out == ""
+
+    def test_one_summary_line_on_stderr(self, capsys):
+        code, out, err = run(capsys, "sample", "--p", "5", "--samples", "20000")
+        assert code in (0, 3)
+        assert len(err.splitlines()) == 1
+        assert json.loads(out)["trials"] == 20000
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_command_line(self):
         import os

@@ -12,6 +12,7 @@ from cyclobox.core import (
     CyclotomicInt,
     DegenerateAngleError,
     FieldMismatchError,
+    GuardError,
     alternating_point,
     cos_central_angle,
     dist_sq,
@@ -350,3 +351,8 @@ class TestEmbedding:
             assert euclidean_diameter(q, 6) == pytest.approx(6 * euclidean_diameter(q, 1))
         with pytest.raises(ValueError):
             euclidean_diameter(4, 1)
+
+    def test_euclidean_diameter_past_the_float_limit(self):
+        assert euclidean_diameter(5, 10 ** 300) == pytest.approx(10 ** 300 * euclidean_diameter(5, 1))
+        with pytest.raises(GuardError, match="float limit"):
+            euclidean_diameter(5, 10 ** 400)

@@ -358,3 +358,22 @@ class TestPackedKernel:
         with pytest.raises(GuardError):
             theorem4_report(CyclotomicInt.zero(19), box, Fraction(1, 10), SamplerConfig(1, 1),
                             exhaustive=True)
+
+
+class TestPairSweepLimit:
+    def test_ordered_pairs_edge(self):
+        assert kernels.ordered_pairs(1 << 12) == kernels.PAIR_SWEEP_MAX == 1 << 24
+        with pytest.raises(GuardError):
+            kernels.ordered_pairs((1 << 12) + 1)
+
+    def test_box_pair_oracle_at_the_edge(self):
+        box = BoxSpec(3, 31)  # 63^2 = 3969 points, about 1.6e7 ordered pairs
+        assert oracle_mean_box_pair_dist_sq(box) == mean_box_pair_dist_sq(box)
+        with pytest.raises(GuardError):
+            oracle_mean_box_pair_dist_sq(BoxSpec(3, 32))  # 65^2 = 4225 points
+
+    def test_exhaustive_t5_runs_up_to_p13(self):
+        box = BoxSpec(13, 1)
+        r = vertex_pair_report(box, Fraction(1, 4), SamplerConfig(1, 1), exhaustive=True)
+        assert r.trials == 1 << 24
+        assert r.extra["mean_dist_sq"] == str(avg_vertex_pairs(box))

@@ -65,6 +65,10 @@ class TestScenes:
                 SceneSpec("box_points", q=7, N=2, budget=500, allow_sampling=False)
             )
 
+    def test_vertex_budget_guard(self):
+        with pytest.raises(GuardError, match="sampling not allowed"):
+            render_scene(SceneSpec("poles_circle", q=23, budget=1000, allow_sampling=False))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SceneSpec("nope", q=5)
