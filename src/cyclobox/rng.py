@@ -13,6 +13,8 @@ point's own stream.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .core import GuardError
@@ -23,6 +25,8 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 _U = np.uint64
 
+_BLOCK_WORDS = 1 << 16  # words per block of box draws: temporaries stay in cache
+
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     z = z ^ (z >> _U(30))
@@ -32,13 +36,19 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U(31))
 
 
+@lru_cache(maxsize=64)
+def _seed_word(seed: int) -> np.uint64:
+    """The seed round of `words`, mixed once per seed."""
+    with np.errstate(over="ignore"):
+        return _mix64(_U(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
+
+
 def words(seed: int, stream, counter) -> np.ndarray:
     """64-bit words indexed by (stream, counter); broadcasting applies."""
     stream = np.asarray(stream, dtype=np.uint64)
     counter = np.asarray(counter, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        s = _mix64(np.asarray(_U(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN))
-        z = _mix64(s + (stream + _U(1)) * _GOLDEN)
+        z = _mix64(_seed_word(seed) + (stream + _U(1)) * _GOLDEN)
         return _mix64(z + (counter + _U(1)) * _GOLDEN)
 
 
@@ -74,29 +84,33 @@ def box_offsets_at(seed: int, streams, dim: int, N: int) -> np.ndarray:
     """(len(streams), dim) array of integers uniform on [-N, N], unbiased.
 
     Draws the smallest power-of-two superset of {0, ..., 2N} per coefficient
-    and rejects overshoots, retrying with fresh counters within the stream.
-    Each draw is one 64-bit word, so 2N + 1 may not exceed 2^64.
+    and rejects overshoots: coefficient j of a stream takes the first retry t
+    whose word words(seed, stream, j + dim*t) falls in range.  Each draw is
+    one 64-bit word, so 2N + 1 may not exceed 2^64.  The rows are evaluated
+    in blocks of about _BLOCK_WORDS words, which changes no value.
     """
     m = 2 * N + 1
     if m > 1 << 64:
         raise GuardError(f"box draws take one 64-bit word per coefficient; 2N+1 = {m} > 2^64")
     streams = np.asarray(streams, dtype=np.uint64)
-    count = len(streams)
-    nbits = m.bit_length()
-    mask = _U((1 << nbits) - 1)
-    streams_f = np.repeat(streams, dim)
-    coeff = np.tile(np.arange(dim, dtype=np.uint64), count)
-    vals = words(seed, streams_f, coeff) & mask
-    bad = vals >= _U(m)
-    attempt = 1
-    while bad.any():
-        idx = np.nonzero(bad)[0]
-        with np.errstate(over="ignore"):
-            ctrs = coeff[idx] + _U(attempt * dim)
-        vals[idx] = words(seed, streams_f[idx], ctrs) & mask
-        bad[idx] = vals[idx] >= _U(m)
-        attempt += 1
-    return vals.astype(np.int64).reshape(count, dim) - N
+    mask = _U((1 << m.bit_length()) - 1)
+    out = np.empty((len(streams), dim), dtype=np.int64)
+    coeff = np.arange(dim, dtype=np.uint64)
+    rows = max(1, _BLOCK_WORDS // max(dim, 1))
+    for lo in range(0, len(streams), rows):
+        block = streams[lo : lo + rows]
+        vals = words(seed, block[:, None], coeff[None, :]) & mask
+        flat = vals.reshape(-1)
+        idx = np.flatnonzero(flat >= _U(m))  # the still-rejected coefficients
+        t = 1
+        while idx.size:
+            row, j = np.divmod(idx, dim)
+            redrawn = words(seed, block[row], j + t * dim) & mask
+            flat[idx] = redrawn
+            idx = idx[redrawn >= _U(m)]
+            t += 1
+        out[lo : lo + rows] = vals.view(np.int64) - N
+    return out
 
 
 def box_offsets(seed: int, first_stream: int, count: int, dim: int, N: int) -> np.ndarray:

@@ -80,6 +80,15 @@ def _pairwise_visible(pts: np.ndarray, n_box: int) -> np.ndarray:
     return ok
 
 
+def _require_tuple_streams(K: int, stop: int, max_attempts: int) -> None:
+    """Refuse a layout whose streams (t*max_attempts + a)*K + m, t < stop, pass 2^64."""
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
+    if stop * max_attempts * K > 1 << 64:
+        raise GuardError(f"tuple streams pass 2^64: {stop} tuples x {max_attempts} attempts "
+                         f"x K={K} members")
+
+
 def _sample_visible_tuples(box: BoxSpec, K: int, seed: int, start: int, stop: int,
                            max_attempts: int):
     """Self-visible K-tuples for tuple indices [start, stop).
@@ -88,6 +97,7 @@ def _sample_visible_tuples(box: BoxSpec, K: int, seed: int, start: int, stop: in
     the result is a pure function of (seed, t).  Returns the points and the
     number of draw attempts made, in the form of an `EdgeSpec` draw.
     """
+    _require_tuple_streams(K, stop, max_attempts)
     count = stop - start
     dim, n_box = box.dim, box.N
     pts = np.empty((count, K, dim), dtype=np.int64)
@@ -95,10 +105,9 @@ def _sample_visible_tuples(box: BoxSpec, K: int, seed: int, start: int, stop: in
     members = np.arange(K, dtype=np.uint64)
     drawn = 0
     for a in range(max_attempts):
-        with np.errstate(over="ignore"):
-            tuple_ids = (np.uint64(start) + active.astype(np.uint64))
-            bases = (tuple_ids * np.uint64(max_attempts) + np.uint64(a)) * np.uint64(K)
-            streams = (bases[:, None] + members[None, :]).ravel()
+        tuple_ids = (np.uint64(start) + active.astype(np.uint64))
+        bases = (tuple_ids * np.uint64(max_attempts) + np.uint64(a)) * np.uint64(K)
+        streams = (bases[:, None] + members[None, :]).ravel()
         fresh = rng.box_offsets_at(seed, streams, dim, n_box).reshape(len(active), K, dim)
         pts[active] = fresh
         drawn += len(active)
@@ -156,6 +165,7 @@ def visibility_concentration_report(box: BoxSpec, K: int, eps: float,
         raise ValueError("need K >= 2")
     eps_frac = Fraction(eps)
     require_float_range(eps_frac, "eps")
+    _require_tuple_streams(K, cfg.sample_count, max_attempts)
     draw = partial(_sample_visible_tuples, max_attempts=max_attempts)
     edges = kernels.all_edges(K, (IntervalSpec(Fraction(1, 6), eps_frac),))
     spec = kernels.EdgeSpec(box, K, draw, edges, keep_sums=1)

@@ -425,6 +425,31 @@ class TestLargeBoxes:
         assert code == 2
         assert "64-bit" in err
 
+    @pytest.mark.parametrize("attempts", [2 ** 62, 2 ** 70])
+    def test_tuple_streams_past_2_64_are_a_guard_violation(self, capsys, attempts):
+        # 200 tuples x 2^62 attempts x K=4 members wrapped every stream onto one tuple
+        code, out, err = run(capsys, "visibility", "--p", "7", "--N", "3", "--K", "4",
+                             "--samples", "200", "--max-attempts", str(attempts))
+        assert code == 2
+        assert "2^64" in err and "Traceback" not in err
+        assert out == ""
+
+    def test_tuple_streams_may_reach_2_64(self, capsys):
+        # one tuple x 2^63 attempts x K=2 members: the last stream is 2^64 - 1
+        argv = ("visibility", "--p", "7", "--N", "3", "--K", "2", "--samples", "1")
+        code, out, _ = run(capsys, *argv, "--max-attempts", str(2 ** 63))
+        assert code in (0, 3) and json.loads(out)["sample_count"] == 1
+        code, _, err = run(capsys, *argv, "--max-attempts", str(2 ** 63 + 1))
+        assert code == 2 and "2^64" in err
+
+    @pytest.mark.parametrize("attempts", ["0", "-3"])
+    def test_max_attempts_below_one_is_a_usage_error(self, capsys, attempts):
+        code, out, err = run(capsys, "visibility", "--p", "7", "--N", "3",
+                             "--samples", "10", "--max-attempts", attempts)
+        assert code == 1
+        assert "max_attempts" in err and "Traceback" not in err
+        assert out == ""
+
     def test_angles_beyond_the_float_range(self, capsys):
         reports = []
         for n in (1, 2 ** 260, 10 ** 400):

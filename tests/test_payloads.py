@@ -63,6 +63,11 @@ REPORTS = {
     "t5_exhaustive_p7": lambda w: con.vertex_pair_report(
         BOX7, F(1, 10), SamplerConfig(SEED, 1, w), exhaustive=True),
     "oracle_moments_p5": lambda w: _oracles(BoxSpec(5, 1)),
+    # box draws that cross blocks of rng.box_offsets_at, with partial last blocks
+    "box_pair_mean_p1009_n1e4": lambda w: _box_pair_mean(
+        BoxSpec(1009, 10 ** 4), SamplerConfig(SEED, 300, w)),
+    "visibility_k3_p101_n1e4": lambda w: vis.visibility_concentration_report(
+        BoxSpec(101, 10 ** 4), 3, F(1, 20), SamplerConfig(SEED, 500, w)),
 }
 
 DIGESTS = {
@@ -79,6 +84,8 @@ DIGESTS = {
     "t4_exhaustive_p7": "3419d2d9096e9f00b303c35645a8a56651458f376b8ea8241484336d9f133ca1",
     "t5_exhaustive_p7": "b7a4452f4c7f172db7e9311ddc0ee42fcb5031f0183e1a9be019ed26724ad62b",
     "oracle_moments_p5": "25cdeb49afd6f281d9fa140a0cef3e1269ae04a5d2939c04c6cc603758b412c7",
+    "box_pair_mean_p1009_n1e4": "bfed9f379f098053f6791c59140310061feee5f1cb56e64c771828924347ab36",
+    "visibility_k3_p101_n1e4": "23042070433847578245da6b5974167f121418ad4408890c904773f568b161d9",
 }
 
 

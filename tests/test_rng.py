@@ -84,3 +84,76 @@ def test_vertex_words_are_the_stream_words_cut_to_dim(p):
     signs = [[1 if row >> j & 1 else -1 for j in range(dim)] for row in want]
     assert rng.unpack_signs(w, dim).tolist() == signs
     assert rng.vertex_signs(5, 40, 300, dim).tolist() == signs
+
+
+def _reference_box_offsets(seed, streams, dim, N):
+    """Box offsets from `rng.words` alone, as exact ints, and the words they need:
+    coefficient j of stream s takes the first t whose words(seed, s, j + dim*t)
+    & mask is below 2N + 1, so it needs t + 1 words."""
+    m = 2 * N + 1
+    mask = np.uint64((1 << m.bit_length()) - 1)
+    s = np.asarray(streams, dtype=np.uint64)[:, None]
+    j = np.arange(dim, dtype=np.uint64)[None, :]
+    out = np.zeros((len(s), dim), dtype=object)
+    todo = np.ones((len(s), dim), dtype=bool)
+    needed, t = 0, 0
+    while todo.any():
+        needed += int(np.count_nonzero(todo))
+        w = rng.words(seed, s, j + np.uint64(t * dim)) & mask
+        take = todo & (w < np.uint64(m))
+        out[take] = [int(v) - N for v in w[take].tolist()]
+        todo &= ~take
+        t += 1
+    return out.tolist(), needed
+
+
+def _spanning_streams(dim):
+    """Two and a third blocks of rows, so the last block is partial."""
+    rows = max(1, rng._BLOCK_WORDS // dim)
+    return np.arange(2 * rows + rows // 3, dtype=np.uint64) + np.uint64(900)
+
+
+@pytest.mark.parametrize("N", [1, 3, 10 ** 4, 2 ** 40, 2 ** 63 - 1])
+@pytest.mark.parametrize("dim", [2, 100, 1008])
+def test_box_offsets_equal_the_per_coefficient_reference(N, dim):
+    streams = _spanning_streams(dim)
+    want, _ = _reference_box_offsets(13, streams, dim, N)
+    got = rng.box_offsets_at(13, streams, dim, N)
+    assert got.dtype == np.int64 and got.shape == (len(streams), dim)
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("N", [3, 2 ** 40])
+def test_box_offsets_at_unsorted_streams_equal_the_reference(N):
+    # as visibility passes them: unsorted, with gaps, up to the last stream 2^64 - 1
+    streams = [2 ** 64 - 1, 5, 2 ** 40 + 3, 17, 6, 2 ** 33, 1000, 0]
+    want, _ = _reference_box_offsets(4, streams, 100, N)
+    assert rng.box_offsets_at(4, streams, 100, N).tolist() == want
+    assert rng.box_offsets_at(4, np.array(streams, dtype=np.uint64), 100, N).tolist() == want
+
+
+@pytest.mark.parametrize("dim", [2, 1008])
+def test_box_offsets_at_no_streams(dim):
+    got = rng.box_offsets_at(4, [], dim, 10)
+    assert got.shape == (0, dim) and got.dtype == np.int64
+
+
+@pytest.mark.parametrize("N", [1, 10 ** 4, 2 ** 40])
+@pytest.mark.parametrize("dim", [2, 1008])
+def test_box_offsets_draw_exactly_the_words_they_need(monkeypatch, N, dim):
+    """Every word goes through `rng.words`: coefficients plus rejections, no more,
+    and no call draws more than one block."""
+    streams = _spanning_streams(dim)
+    _, needed = _reference_box_offsets(21, streams, dim, N)
+    sizes = []
+    words = rng.words
+
+    def counting(*args):
+        w = words(*args)
+        sizes.append(w.size)
+        return w
+
+    monkeypatch.setattr(rng, "words", counting)
+    rng.box_offsets_at(21, streams, dim, N)
+    assert sum(sizes) == needed > len(streams) * dim
+    assert max(sizes) <= max(rng._BLOCK_WORDS, dim)

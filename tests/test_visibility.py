@@ -138,6 +138,27 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_self_visible_polytope(BoxSpec(3, 1), 1, CounterStream(0))
 
+    def test_tuple_streams_stay_below_2_64(self):
+        from cyclobox import rng
+        from cyclobox.core import GuardError
+
+        box = BoxSpec(5, 3)
+        # tuple 2^61 - 1 with 2 attempts of K = 4 members reads streams up to 2^64 - 1
+        t = 2 ** 61 - 1
+        pts = sample_self_visible_polytope(box, 4, CounterStream(9, t), max_attempts=2)
+        first, second = (rng.box_offsets_at(9, [(t * 2 + a) * 4 + m for m in range(4)],
+                                            box.dim, box.N).tolist() for a in (0, 1))
+        first_visible = all(is_visible(C(5, *first[j]), C(5, *first[k]))
+                            for j in range(4) for k in range(j + 1, 4))
+        assert [list(x.coeffs) for x in pts] == (first if first_visible else second)
+        with pytest.raises(GuardError):
+            sample_self_visible_polytope(box, 4, CounterStream(9, t + 1), max_attempts=2)
+        with pytest.raises(GuardError):
+            visibility_concentration_report(box, 3, 0.1, SamplerConfig(9, 3), max_attempts=2 ** 63)
+        for attempts in (0, -1):
+            with pytest.raises(ValueError):
+                sample_self_visible_polytope(box, 2, CounterStream(9), max_attempts=attempts)
+
     def test_high_dimension_rejection_rate_is_negligible(self):
         # with 100 i.i.d. coefficient differences the gcd is 1 essentially always
         r = visibility_concentration_report(
