@@ -247,13 +247,17 @@ def _emit(args, reports, stdout: bool = True) -> int:
 
 
 def _p_power(p: int, eta: float, sign: int = 1) -> float:
-    """p ** (sign * eta) for a finite eta; an overflowing power is a usage error."""
+    """p ** (sign * eta) for a finite eta; a power that overflows a float or
+    underflows to 0 is a usage error."""
     if not math.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta}")
     try:
-        return p ** (sign * eta)
+        power = p ** (sign * eta)
     except OverflowError:
         raise ValueError(f"p ** {sign * eta} overflows a float (p={p})") from None
+    if power == 0.0:
+        raise ValueError(f"p ** {sign * eta} underflows a float to 0 (p={p})")
+    return power
 
 
 _MOMENT_LABELS = {
@@ -269,9 +273,10 @@ def _cmd_moments(args) -> int:
     box = BoxSpec(args.p, args.N)
     alpha = None if args.pairwise else _parse_alpha(args.alpha, box)
     out = mom.closed_forms(box, alpha)
+    code = _emit(args, out, stdout=False)  # before printing: a refused payload prints nothing
     for r in out:
         print(f"{_MOMENT_LABELS[r.kind]} = {r.formula_value}")
-    return _emit(args, out, stdout=False)
+    return code
 
 
 def _cmd_verify(args) -> int:
@@ -282,12 +287,13 @@ def _cmd_verify(args) -> int:
     for alpha in alphas:
         reports += mom.oracle_moments(box, alpha)
     checks = [mom.oracle_cancellation_sums(alpha, box) for alpha in alphas]
+    code = _emit(args, reports + checks, stdout=False)  # before printing, as in moments
     for r in reports:
         print(f"{_verdict(r).upper()} {r.kind} p={r.p} N={r.N} value={r.formula_value}")
     for c in checks:
         print(f"{_verdict(c).upper()} cancellation_sums p={c.p} N={c.N} "
               f"alpha=({','.join(map(str, c.alpha))})")
-    return _emit(args, reports + checks, stdout=False)
+    return code
 
 
 def _summary(r) -> str:

@@ -179,6 +179,8 @@ def _eta_of(p: int, eps: Fraction) -> float:
 def _bound(p: int, eps: Fraction, constant: int) -> float:
     """1 - constant / p^(1-2*eta) with eps = p^(-eta); p^(1-2*eta) = p*eps^2.  The ratio
     is checked exactly: the float p*eps^2 underflows to 0 below eps ~ 1e-162."""
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     require_float_range(eps, "eps")
     require_float_range(Fraction(constant, p) / eps ** 2, f"{constant}/(p*eps^2)")
     return 1.0 - constant / (p * float(eps) ** 2)
@@ -273,7 +275,7 @@ def vertex_pair_report(box: BoxSpec, eps, cfg: SamplerConfig,
     a_vv = avg_vertex_pairs(box)
     draw, trials = _vertex_draw(box, 2, cfg, exhaustive)
     intervals = (IntervalSpec(a_vv, eps), IntervalSpec(Fraction(1, 2), eps))
-    spec = kernels.EdgeSpec(box, 2, draw, ((0, 1, intervals),), keep_sums=1)
+    spec = kernels.EdgeSpec(box, 2, draw, ((0, 1, intervals),))
     result = kernels.tally(spec, cfg.seed, trials, cfg.worker_count)
     hits, hits_half = result.hits
     mean_d2 = Fraction(result.d2_sum, trials * box.diameter_sq())
@@ -329,6 +331,8 @@ def right_angle_report(alpha: CyclotomicInt, box: BoxSpec, eps_cos: float,
     if eps_frac <= 0:
         raise ValueError("eps_cos must be positive")
     require_float_range(eps_frac, "eps_cos")
+    d_origin = Fraction(na, box.diameter_sq())
+    require_float_range(d_origin, "the normalized d^2(0, alpha)")
     en2 = eps_frac.numerator ** 2
     ed2 = eps_frac.denominator ** 2
     p, dim = box.p, box.dim
@@ -358,7 +362,6 @@ def right_angle_report(alpha: CyclotomicInt, box: BoxSpec, eps_cos: float,
     parts = kernels.run_chunks(work, cfg.sample_count, cfg.worker_count, dim)
     hits = sum(x[0] for x in parts)
     cos_all = np.concatenate([x[1] for x in parts])
-    d_origin = Fraction(na, box.diameter_sq())
     return _finish(
         "right_angle", box, cfg, hits, cfg.sample_count, float(target),
         "pilot-calibrated target (decay proxy 2*sqrt(3/p))",

@@ -49,6 +49,7 @@ __all__ = [
 
 
 VERTEX_ENUM_MAX_P = 17  # 2^16 vertices, 2^32 ordered pairs: the feasibility edge
+POINT_ENUM_MAX = 1 << 20  # box points an enumeration may list
 
 
 class CycloboxError(Exception):
@@ -228,10 +229,7 @@ class BoxSpec:
 
     def points(self) -> Iterator[CyclotomicInt]:
         """Enumerate all (2N+1)^(p-1) box points; guarded for feasibility."""
-        if self.num_points() > 1 << 20:
-            raise GuardError(
-                f"refusing to enumerate {(2 * self.N + 1)}^{self.p - 1} box points"
-            )
+        require_point_enumeration(self)
         import itertools
 
         rng = range(-self.N, self.N + 1)
@@ -244,6 +242,13 @@ def require_vertex_enumeration(box: BoxSpec) -> None:
     if box.p > VERTEX_ENUM_MAX_P:
         raise GuardError(f"refusing to enumerate 2^{box.dim} vertices "
                          f"(p={box.p} > {VERTEX_ENUM_MAX_P})")
+
+
+def require_point_enumeration(box: BoxSpec) -> None:
+    """Refuse to enumerate the box points of `box` past POINT_ENUM_MAX of them."""
+    if box.num_points() > POINT_ENUM_MAX:
+        raise GuardError(f"refusing to enumerate {2 * box.N + 1}^{box.dim} box points "
+                         f"(limit {POINT_ENUM_MAX})")
 
 
 def require_float_range(value, what: str) -> None:

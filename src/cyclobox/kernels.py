@@ -10,7 +10,8 @@ s = sum(d_j) of a difference d.  Coefficient rows reduce d directly; vertices
 stay packed sign words (bit j set: coordinate j is +N), and q and s come from
 popcounts of whole rows.  `tally` runs an `EdgeSpec` chunk by chunk, and
 chunks depend only on the sample count (or the swept rows) and the row
-width, so tallies are the same for any worker count.
+width, so tallies are the same for any worker count.  The oracles visit no
+pairs: `pair_totals` reads the exact totals of d^2 and d^4 from per-point sums.
 """
 
 from __future__ import annotations
@@ -144,13 +145,26 @@ def exact_sum(vals: np.ndarray, bound: int) -> int:
     return sum(int(np.sum(flat[i : i + step])) for i in range(0, flat.size, step))
 
 
-def _power_totals(d2: np.ndarray, bound: int, count: int) -> tuple:
-    """Exact totals of d^2 and d^4 over `d2` (each at most `bound`), the first `count`."""
-    totals = [exact_sum(d2, bound)] if count else []
-    if count > 1:
-        sq = lift(d2, bound * bound)
-        totals.append(exact_sum(sq * sq, bound * bound))
-    return tuple(totals)
+def pair_totals(p: int, rows: np.ndarray, limit: int) -> tuple:
+    """Exact totals of d^2 and d^4 over the n^2 ordered pairs of `rows`, given every
+    |x_j| <= limit, from per-point sums in one pass over the rows: S1, S2, m, M and w
+    of the identity stated in `moments`."""
+    n, dim = rows.shape
+    bound = dist_sq_bound(p, dim, limit)  # on Q(x) = d^2(x, 0)
+    q = dist_sq(p, rows, 0, limit)
+    sq = lift(q, bound * bound)
+    s1, s2 = exact_sum(q, bound), exact_sum(sq * sq, bound * bound)
+    x = lift(rows, n * bound * limit)  # bounds every entry of m, M and w
+    # M by einsum, not x.T @ x: integer matmul has no BLAS path
+    sums = (x.sum(axis=0), np.einsum("ij,ik->jk", x, x), lift(q, n * bound * limit) @ x)
+    m, M, w = (a.astype(object) for a in sums)
+
+    def form(u, v):  # u^T A v
+        return p * p * int(u @ v) - (p + 1) * int(u.sum()) * int(v.sum())
+
+    am = p * p * M - (p + 1) * M.sum(axis=0)  # (AM)_ij = p^2 M_ij - (p+1) sum_k M_kj
+    return (2 * n * s1 - 2 * form(m, m),
+            2 * n * s2 + 2 * s1 * s1 + 4 * int(np.sum(am * am.T)) - 8 * form(w, m))
 
 
 def vertex_rows(dim: int) -> np.ndarray:
@@ -252,22 +266,20 @@ class EdgeSpec:
     of its rows once (K <= 2; a K = 2 sweep joins only points 0 and 1).
     Edge (j, k, intervals) joins points j and k (k == APEX: the fixed `apex`)
     and must hit intervals[v] for verdict v; every edge lists one interval
-    per verdict.  keep_sums of the exact totals of d^2, d^4 are kept."""
+    per verdict."""
 
     box: BoxSpec
     K: int
     draw: Callable
     edges: tuple
     apex: Optional[tuple] = None
-    keep_sums: int = 0
 
 
 @dataclass(frozen=True)
 class Tally:
     hits: tuple    # per verdict: samples whose every edge hits its interval
     attempts: int  # K-tuples drawn, rejected ones included
-    d2_sum: int = 0  # exact total of d^2 over all edges of all samples (keep_sums >= 1)
-    d4_sum: int = 0  # and of d^4 (keep_sums == 2)
+    d2_sum: int    # exact total of d^2 over all edges of all samples
 
 
 def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
@@ -291,13 +303,13 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
     def work(members, attempts, weight):
         pcs = [popcount(x) for x in members] if members[0].dtype == np.uint64 else None
         ok = [True] * verdicts
-        sums = []  # per edge: its totals of d^2 and d^4
+        d2_sum = 0
         for j, k, m, ranges in plan:
             vals = edge_dist_sq(members, pcs, j, k, m)
             ok = [row & (vals >= lo) & (vals <= hi) for row, (lo, hi) in zip(ok, ranges)]
-            sums.append(_power_totals(vals, dist_sq_bound(p, box.dim, m), spec.keep_sums))
+            d2_sum += exact_sum(vals, dist_sq_bound(p, box.dim, m))
         hits = [weight * int(np.count_nonzero(row)) for row in ok]
-        return hits, attempts, [weight * sum(s) for s in zip(*sums)]
+        return hits, attempts, weight * d2_sum
 
     rows = spec.draw if isinstance(spec.draw, np.ndarray) else None
 
@@ -311,5 +323,5 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
         parts = _run(work, _block_pairs(rows), workers)
     else:
         parts = run_chunks(chunk, total, workers, spec.K * box.dim)
-    hits, attempts, sums = zip(*parts)
-    return Tally(tuple(map(sum, zip(*hits))), sum(attempts), *map(sum, zip(*sums)))
+    hits, attempts, d2_sums = zip(*parts)
+    return Tally(tuple(map(sum, zip(*hits))), sum(attempts), sum(d2_sums))

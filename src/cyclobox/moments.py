@@ -14,8 +14,18 @@ evaluated twice, through two independently derived expressions, and the
 results are asserted identical; the polynomial is easy to mistranscribe.
 
 The oracle recomputes each moment by full enumeration of the 2^(p-1)
-vertices (or all ordered vertex pairs) in exact integer arithmetic, so a
-formula/oracle match is a zero-tolerance certificate at that (p, N).
+vertices in exact integer arithmetic, so a formula/oracle match is a
+zero-tolerance certificate at that (p, N).  A point moment is one pass of
+d^2(x, alpha) over the vertex rows.  The pair moments read per-point sums of
+the same rows: with d^2(x, y) = Q(x - y), Q(v) = v^T A v and
+A = p^2 I - (p+1) J, the n^2 ordered pairs of n rows give
+
+  sum d^2 = 2n S1 - 2 m^T A m
+  sum d^4 = 2n S2 + 2 S1^2 + 4 tr(A M A M) - 8 w^T A m
+
+where S1 = sum Q(x), S2 = sum Q(x)^2, m = sum x, M = sum x x^T and
+w = sum Q(x) x.  They are taken on the +-1 sign rows and scaled by N^2 and
+N^4, so the pair oracle costs O(2^(p-1) (p-1)^2), not O(4^(p-1)).
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
+from . import kernels, rng
 from .core import BoxSpec, CyclotomicInt, FieldMismatchError
 
 __all__ = [
@@ -144,6 +154,11 @@ def closed_forms(box: BoxSpec, alpha: Optional[CyclotomicInt] = None) -> list:
 
 # --- exhaustive oracle -------------------------------------------------------
 
+def _sign_rows(box: BoxSpec):
+    """The +-1 sign rows of the vertices of `box`, refused above the enumeration guard."""
+    return rng.unpack_signs(kernels.box_vertex_rows(box), box.dim)
+
+
 def oracle_moments(box: BoxSpec, alpha: Optional[CyclotomicInt] = None) -> list:
     """Recompute the `closed_forms` moments by full enumeration and pair them up.
 
@@ -151,13 +166,20 @@ def oracle_moments(box: BoxSpec, alpha: Optional[CyclotomicInt] = None) -> list:
     with the closed forms is literal rational equality.
     """
     forms = closed_forms(box, alpha)
-    K, edge = (2, (0, 1, ())) if alpha is None else (1, (0, kernels.APEX, ()))
-    apex = None if alpha is None else alpha.coeffs
-    spec = kernels.EdgeSpec(box, K, kernels.box_vertices(box), (edge,), apex=apex, keep_sums=2)
-    result = kernels.tally(spec, 0, box.num_vertices() ** K, 1)
-    d2 = box.diameter_sq()
-    mean = Fraction(result.d2_sum, result.attempts * d2)
-    fourth = Fraction(result.d4_sum, result.attempts * d2 * d2)
+    p, N, d2 = box.p, box.N, box.diameter_sq()
+    if alpha is None:
+        count = box.num_vertices() ** 2
+        d2_sum, d4_sum = kernels.pair_totals(p, _sign_rows(box), 1)
+        d2_sum, d4_sum = d2_sum * N ** 2, d4_sum * N ** 4
+    else:
+        count = box.num_vertices()
+        m = N + max(abs(c) for c in alpha.coeffs)
+        bound = kernels.dist_sq_bound(p, box.dim, m)
+        vals = kernels.dist_sq(p, kernels.box_vertices(box), kernels.coeff_array(alpha.coeffs), m)
+        sq = kernels.lift(vals, bound * bound)
+        d2_sum, d4_sum = kernels.exact_sum(vals, bound), kernels.exact_sum(sq * sq, bound * bound)
+    mean = Fraction(d2_sum, count * d2)
+    fourth = Fraction(d4_sum, count * d2 * d2)
     central = fourth - mean * mean
     values = [mean, central] if alpha is not None else [mean, fourth, central]
     return [replace(r, oracle_value=value) for r, value in zip(forms, values)]
@@ -188,18 +210,14 @@ class CancellationCheck:
 def oracle_cancellation_sums(alpha: CyclotomicInt, box: BoxSpec) -> CancellationCheck:
     """Verify by enumeration the sums over vertices that cancel or collapse."""
     _check_pair(alpha, box)
-    # object dtype keeps every sum exact regardless of the size of alpha and N
-    v = kernels.box_vertices(box).astype(object)
     p, N = box.p, box.N
-    nv = len(v)
+    signs = _sign_rows(box)  # n <= 2^16 rows, so m and M stay far inside int64
+    nv = len(signs)
     a = np.array(alpha.coeffs, dtype=object)
-    dots = v @ a
-    srow = v.sum(axis=1)
-    lin = int(np.sum(dots))
-    quad = int(np.sum(dots * dots))
-    s2 = int(np.sum(srow * srow))
-    s3 = int(np.sum(srow ** 3))
-    s4 = int(np.sum(srow ** 4))
+    lin = N * int(a @ signs.sum(axis=0))
+    quad = N * N * int(a @ np.einsum("ij,ik->jk", signs, signs) @ a)
+    srow = signs.sum(axis=1)
+    s2, s3, s4 = (N ** k * kernels.exact_sum(srow ** k, box.dim ** k) for k in (2, 3, 4))
     tr = alpha.trace()
     e = alpha.euclid_norm_sq()
     return CancellationCheck(

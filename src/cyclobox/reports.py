@@ -17,6 +17,7 @@ from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 from .concentration import ConcentrationReport
+from .core import require_float_range
 from .moments import CancellationCheck, MomentReport
 from .visibility import VisibilityReport
 
@@ -27,6 +28,7 @@ def _frac_fields(d: dict, *names: str) -> None:
     for name in names:
         v = d.get(name)
         if isinstance(v, Fraction):
+            require_float_range(v, name)
             d[name] = f"{v.numerator}/{v.denominator}"
             d[name + "_float"] = float(v)
 

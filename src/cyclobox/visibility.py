@@ -25,7 +25,8 @@ import numpy as np
 
 from . import kernels, rng
 from .concentration import CounterStream, IntervalSpec, SamplerConfig
-from .core import BoxSpec, CyclotomicInt, FieldMismatchError, GuardError, require_float_range
+from .core import (BoxSpec, CyclotomicInt, FieldMismatchError, GuardError, require_float_range,
+                   require_point_enumeration)
 
 __all__ = [
     "VisibilityReport",
@@ -55,17 +56,16 @@ def mean_box_pair_dist_sq(box: BoxSpec) -> Fraction:
 
 
 def oracle_mean_box_pair_dist_sq(box: BoxSpec) -> Fraction:
-    """The same mean by full enumeration of ordered box-point pairs."""
-    pairs = kernels.ordered_pairs(box.num_points())
-    rows = kernels.box_matrix(box.dim, box.N)
-    spec = kernels.EdgeSpec(box, 2, rows, ((0, 1, ()),), keep_sums=1)
-    total = kernels.tally(spec, 0, pairs, 1).d2_sum
-    return Fraction(total, pairs * box.diameter_sq())
+    """The same mean over all ordered box-point pairs, from per-point sums of the
+    enumerated points (`kernels.pair_totals`)."""
+    require_point_enumeration(box)
+    total, _ = kernels.pair_totals(box.p, kernels.box_matrix(box.dim, box.N), box.N)
+    return Fraction(total, box.num_points() ** 2 * box.diameter_sq())
 
 
 def box_pair_mean_report(box: BoxSpec, cfg: SamplerConfig) -> Fraction:
     """Exact sample mean of d^2 over cfg.sample_count uniform box-point pairs."""
-    spec = kernels.EdgeSpec(box, 2, kernels.draw_box_points, ((0, 1, ()),), keep_sums=1)
+    spec = kernels.EdgeSpec(box, 2, kernels.draw_box_points, ((0, 1, ()),))
     total = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count).d2_sum
     return Fraction(total, cfg.sample_count * box.diameter_sq())
 
@@ -168,7 +168,7 @@ def visibility_concentration_report(box: BoxSpec, K: int, eps: float,
     _require_tuple_streams(K, cfg.sample_count, max_attempts)
     draw = partial(_sample_visible_tuples, max_attempts=max_attempts)
     edges = kernels.all_edges(K, (IntervalSpec(Fraction(1, 6), eps_frac),))
-    spec = kernels.EdgeSpec(box, K, draw, edges, keep_sums=1)
+    spec = kernels.EdgeSpec(box, K, draw, edges)
     result = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count)
     (hits,) = result.hits
     mean_d2 = Fraction(result.d2_sum, cfg.sample_count * len(edges) * box.diameter_sq())

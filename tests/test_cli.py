@@ -417,6 +417,12 @@ class TestLargeBoxes:
         assert json.loads(out[out.index("{"):])["trials"] == 10
         assert "Traceback" not in err
 
+    def test_oracle_at_p17(self, capsys):
+        code, out, _ = run(capsys, "verify", "--oracle", "--p", "17", "--N", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 9 and all(l.startswith("EXACT-EQUAL ") for l in lines)
+
     def test_box_draw_beyond_one_word_is_a_guard_violation(self, capsys):
         code, _, err = run(
             capsys, "visibility", "--p", "3", "--N", str(2 ** 63), "--K", "2",
@@ -497,6 +503,25 @@ class TestFloatLimit:
         code, out, err = run(capsys, *argv, "--samples", "10")
         assert code == 2
         assert "float limit" in err and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("angles", "--p", "3", "--alpha", f"{10 ** 300},0", "--samples", "10"),
+        ("moments", "--p", "3", "--alpha", f"{BIG},0"),
+        ("verify", "--oracle", "--p", "3", "--alpha", f"{BIG},0"),
+    ])
+    def test_a_float_companion_past_the_limit_is_a_guard_violation(self, capsys, argv):
+        # a legal alpha whose normalized d^2 to the origin has no float
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "float limit" in err and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("eta", ["1e308", "700"])
+    def test_an_eta_whose_power_underflows_is_a_usage_error(self, capsys, eta):
+        code, out, err = run(capsys, "sample", "--p", "3", "--eta", eta, "--samples", "10")
+        assert code == 1
+        assert "underflows" in err and "Traceback" not in err
         assert out == ""
 
     def test_one_summary_line_on_stderr(self, capsys):

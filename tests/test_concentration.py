@@ -182,6 +182,11 @@ class TestTheorem5:
         with pytest.raises(GuardError):
             vertex_pair_report(BoxSpec(17, 1), F(1, 2), SamplerConfig(1, 2), exhaustive=True)
 
+    @pytest.mark.parametrize("eps", [0, F(-1, 10)])
+    def test_eps_at_or_below_zero_is_refused(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            vertex_pair_report(BoxSpec(5, 1), eps, SamplerConfig(1, 2))
+
     def test_worker_count_invariance(self):
         box = BoxSpec(101, 2)
         eps = F(1, 4)

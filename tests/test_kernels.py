@@ -41,7 +41,8 @@ def _check(p, x, y, m, rows_x, rows_y):
     bound = kernels.dist_sq_bound(p, p - 1, m)
     assert max(want) <= bound
     assert kernels.exact_sum(got, bound) == sum(want)
-    assert kernels._power_totals(got, bound, 2) == (sum(want), sum(d * d for d in want))
+    sq = kernels.lift(got, bound * bound)
+    assert kernels.exact_sum(sq * sq, bound * bound) == sum(d * d for d in want)
 
 
 @st.composite
@@ -121,8 +122,7 @@ class TestEngine:
         base = IntervalSpec(Fraction(1, 2), Fraction(1, 10))
         lateral = IntervalSpec(Fraction(1, 2), Fraction(1, 5))
         edges = kernels.all_edges(3, (base,)) + ((0, kernels.APEX, (lateral,)),)
-        spec = kernels.EdgeSpec(box, 3, kernels.draw_vertices, edges, apex=apex.coeffs,
-                                keep_sums=True)
+        spec = kernels.EdgeSpec(box, 3, kernels.draw_vertices, edges, apex=apex.coeffs)
         cfg = SamplerConfig(5, 200)
         got = kernels.tally(spec, cfg.seed, cfg.sample_count, 2)
 
@@ -282,6 +282,33 @@ class TestExhaustiveSweeps:
         assert oracle_mean_box_pair_dist_sq(box) == mean_box_pair_dist_sq(box)
 
 
+# row entries: small ones, and ones past 2^31, where Q(x)^2 and the pair totals pass int64
+ROW_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 40), 2 ** 40))
+
+
+class TestPairTotals:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), PRIMES, st.integers(1, 6))
+    def test_identity_against_a_double_loop(self, data, p, n):
+        rows = [tuple(data.draw(st.lists(ROW_ENTRIES, min_size=p - 1, max_size=p - 1)))
+                for _ in range(n)]
+        m = max(1, max(abs(c) for row in rows for c in row))
+        points = [CyclotomicInt(p, row) for row in rows]
+        d2 = [core.dist_sq(x, y) for x in points for y in points]
+        got = kernels.pair_totals(p, kernels.coeff_array([c for row in rows for c in row])
+                                  .reshape(n, p - 1), m)
+        assert got == (sum(d2), sum(d * d for d in d2))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_d2_total_equals_the_block_sweep(self, p):
+        box = BoxSpec(p, 3)
+        rows = kernels.box_vertex_rows(box)
+        spec = kernels.EdgeSpec(box, 2, rows, ((0, 1, ()),))
+        swept = kernels.tally(spec, 0, len(rows) ** 2, 1).d2_sum
+        d2, _ = kernels.pair_totals(p, rng.unpack_signs(rows, box.dim), 1)
+        assert d2 * box.N ** 2 == swept
+
+
 PACKED_PRIMES = st.sampled_from([3, 67, 193, 1009])
 
 
@@ -367,10 +394,25 @@ class TestPairSweepLimit:
             kernels.ordered_pairs((1 << 12) + 1)
 
     def test_box_pair_oracle_at_the_edge(self):
-        box = BoxSpec(3, 31)  # 63^2 = 3969 points, about 1.6e7 ordered pairs
+        box = BoxSpec(3, 511)  # 1023^2 = 1,046,529 points, the most an enumeration lists
+        assert box.num_points() <= core.POINT_ENUM_MAX < BoxSpec(3, 512).num_points()
         assert oracle_mean_box_pair_dist_sq(box) == mean_box_pair_dist_sq(box)
+        # the a-priori bound on S2 = sum Q(x)^2, about 2.3e19, passes int64 here; check
+        # the d^4 total against a sum over difference vectors v, each met by
+        # prod_j (2N + 1 - |v_j|) ordered pairs
+        rows = kernels.box_matrix(box.dim, box.N)
+        assert len(rows) * kernels.dist_sq_bound(3, 2, box.N) ** 2 > kernels.INT64_MAX
+        v = np.arange(-2 * box.N, 2 * box.N + 1)
+        met = (2 * box.N + 1 - np.abs(v)).astype(object)
+        d4 = 0
+        for v1, met1 in zip(v.tolist(), met.tolist()):
+            q = (9 * (v1 * v1 + v * v) - 4 * (v1 + v) ** 2).astype(object)
+            d4 += met1 * int(np.sum(q * q * met))
+        assert kernels.pair_totals(3, rows, box.N)[1] == d4
         with pytest.raises(GuardError):
-            oracle_mean_box_pair_dist_sq(BoxSpec(3, 32))  # 65^2 = 4225 points
+            oracle_mean_box_pair_dist_sq(BoxSpec(3, 512))  # 1025^2 = 1,050,625 points
+        with pytest.raises(GuardError):
+            next(BoxSpec(3, 512).points())
 
     def test_exhaustive_t5_runs_up_to_p13(self):
         box = BoxSpec(13, 1)

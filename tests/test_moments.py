@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -167,11 +168,28 @@ class TestCancellationSums:
             assert c.quartic[0] == dumb["quartic"]
 
 
+class TestOracleReach:
+    def test_pair_moments_at_p17(self):
+        # the 2^32-pair sweep this replaces took about 100 s
+        start = time.perf_counter()
+        reports = oracle_moments(BoxSpec(17, 2))
+        elapsed = time.perf_counter() - start
+        assert [r.kind for r in reports if not r.exact_equal] == []
+        assert len(reports) == 3 and elapsed < 1.0
+
+
 class TestOracleExactAtLargeN:
     @pytest.mark.parametrize("p,N", [(5, 1600), (13, 40)])
     def test_pair_power_sums_do_not_wrap(self, p, N):
         # each d^4 fits in int64 here, but their sum over a block does not
         reports = oracle_moments(BoxSpec(p, N))
+        assert [r.kind for r in reports if not r.exact_equal] == []
+
+    @pytest.mark.parametrize("p,N", [(5, 10 ** 4), (13, 1000)])
+    def test_point_power_sums_do_not_wrap(self, p, N):
+        # each d^2 to the pole fits in int64 here, but its square does not
+        box = BoxSpec(p, N)
+        reports = oracle_moments(box, north_pole_point(box))
         assert [r.kind for r in reports if not r.exact_equal] == []
 
     def test_cancellation_sums_beyond_int64_row_sums(self):
