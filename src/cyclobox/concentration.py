@@ -67,8 +67,7 @@ class SamplerConfig:
     worker_count: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        rng.require_seed(self.seed)
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
         if self.worker_count < 1:
@@ -327,6 +326,8 @@ def right_angle_report(alpha: CyclotomicInt, box: BoxSpec, eps_cos: float,
     na = alpha.norm_sq()
     if na == 0:
         raise DegenerateAngleError("alpha must be nonzero")
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
     eps_frac = Fraction(eps_cos)
     if eps_frac <= 0:
         raise ValueError("eps_cos must be positive")

@@ -12,6 +12,9 @@ popcounts of whole rows.  `tally` runs an `EdgeSpec` chunk by chunk, and
 chunks depend only on the sample count (or the swept rows) and the row
 width, so tallies are the same for any worker count.  The oracles visit no
 pairs: `pair_totals` reads the exact totals of d^2 and d^4 from per-point sums.
+Vertex to point is one path: exhaustive T4 and the oracle's point moments
+both run `PackedApex.dist_sq` over the packed rows of `box_vertex_rows`, and
+only the renderer unpacks vertices to coefficients (`vertex_matrix`).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .core import BoxSpec, GuardError, require_vertex_enumeration
 INT64_MAX = 2 ** 63 - 1
 APEX = -1  # edge endpoint that stands for the spec's fixed apex
 PAIR_SWEEP_MAX = 1 << 24  # ordered pairs an exhaustive pair sweep may visit
+EDGE_MAX = 1 << 16  # edges of one K-polytope, one kernel pass per chunk each: K <= 362
 
 _BATCH_ELEMENTS = 1 << 21  # per-batch int64 budget, ~16 MB per temporary
 
@@ -191,11 +195,6 @@ def box_vertex_rows(box: BoxSpec) -> np.ndarray:
     return vertex_rows(box.dim)
 
 
-def box_vertices(box: BoxSpec) -> np.ndarray:
-    """The vertex matrix of `box`, refused above the enumeration guard."""
-    return scaled(rng.unpack_signs(box_vertex_rows(box), box.dim), box.N)
-
-
 def _run(fn, tasks: list, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(*t) for t in tasks]
@@ -253,7 +252,9 @@ def draw_box_points(box: BoxSpec, K: int, seed: int, start: int, stop: int) -> t
 # --- engine -------------------------------------------------------------------------
 
 def all_edges(K: int, intervals: tuple) -> tuple:
-    """The C(K,2) edges of a K-polytope, each with the same intervals."""
+    """The C(K,2) edges of a K-polytope, each with the same intervals, refused past EDGE_MAX."""
+    if K * (K - 1) // 2 > EDGE_MAX:
+        raise GuardError(f"refusing a {K}-polytope: its C(K,2) edges pass the limit {EDGE_MAX}")
     return tuple((j, k, intervals) for j, k in combinations(range(K), 2))
 
 

@@ -15,9 +15,10 @@ results are asserted identical; the polynomial is easy to mistranscribe.
 
 The oracle recomputes each moment by full enumeration of the 2^(p-1)
 vertices in exact integer arithmetic, so a formula/oracle match is a
-zero-tolerance certificate at that (p, N).  A point moment is one pass of
-d^2(x, alpha) over the vertex rows.  The pair moments read per-point sums of
-the same rows: with d^2(x, y) = Q(x - y), Q(v) = v^T A v and
+zero-tolerance certificate at that (p, N).  A point moment is one
+`kernels.PackedApex` pass of d^2(x, alpha) over the packed vertex rows, the
+pass exhaustive T4 makes.  The pair moments read per-point sums instead:
+with d^2(x, y) = Q(x - y), Q(v) = v^T A v and
 A = p^2 I - (p+1) J, the n^2 ordered pairs of n rows give
 
   sum d^2 = 2n S1 - 2 m^T A m
@@ -173,9 +174,10 @@ def oracle_moments(box: BoxSpec, alpha: Optional[CyclotomicInt] = None) -> list:
         d2_sum, d4_sum = d2_sum * N ** 2, d4_sum * N ** 4
     else:
         count = box.num_vertices()
-        m = N + max(abs(c) for c in alpha.coeffs)
-        bound = kernels.dist_sq_bound(p, box.dim, m)
-        vals = kernels.dist_sq(p, kernels.box_vertices(box), kernels.coeff_array(alpha.coeffs), m)
+        rows = kernels.box_vertex_rows(box)
+        apex = kernels.PackedApex(box, alpha.coeffs)
+        bound = apex.bound
+        vals = apex.dist_sq(rows, kernels.popcount(rows))
         sq = kernels.lift(vals, bound * bound)
         d2_sum, d4_sum = kernels.exact_sum(vals, bound), kernels.exact_sum(sq * sq, bound * bound)
     mean = Fraction(d2_sum, count * d2)

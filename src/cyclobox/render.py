@@ -19,6 +19,7 @@ from .core import BoxSpec, GuardError, east_pole, north_pole, require_float_rang
 __all__ = ["SceneSpec", "render_scene"]
 
 _KINDS = ("box_points", "poles_circle", "random_polytopes", "pyramids")
+SCENE_COEFF_MAX = 1 << 24  # coefficients a scene may draw: 128 MB as int64
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,9 @@ class SceneSpec:
             raise ValueError("q must be >= 3")
         if self.N < 1 or self.K < 2 or self.count < 0 or self.budget < 1 or self.size < 1:
             raise ValueError("bad scene parameters")
+        rng.require_seed(self.seed)
         require_float_range(self.N * (self.q - 1), f"drawing coordinates: N times q-1={self.q - 1}")
+        require_float_range(self.size, "size")
 
 
 def _roots(q: int) -> np.ndarray:
@@ -52,14 +55,26 @@ def _embed_rows(coeffs: np.ndarray, q: int) -> np.ndarray:
     return coeffs.astype(np.float64) @ _roots(q)
 
 
-def _cloud(scene: SceneSpec, desc: list, total: int, full, sample) -> np.ndarray:
-    """All `total` points as full() if they fit the budget, else sample(budget), noted in desc."""
-    if total <= scene.budget:
+def _cloud(scene: SceneSpec, desc: list, side: int, fixed: int, full, sample) -> np.ndarray:
+    """All side^(q-1) points as full() if they fit the budget, else sample(budget), noted
+    in desc.  `fixed` marks (the vertices, apexes and edges of the polytopes) are drawn
+    beside them and must fit the budget on their own, and the points and marks, at q-1
+    coefficients each, must fit SCENE_COEFF_MAX.  Both are decided before side^(q-1) is
+    formed: it is at least 2^((q-1)(bitlen(side)-1)), so a wide q is over budget at once."""
+    dim, budget = scene.q - 1, scene.budget
+    fits = dim * (side.bit_length() - 1) < budget.bit_length() and side ** dim <= budget
+    points = side ** dim if fits else budget
+    if fixed > budget:
+        raise GuardError(f"scene draws {fixed} polytope marks, budget {budget}")
+    if (points + fixed) * dim > SCENE_COEFF_MAX:
+        raise GuardError(f"scene draws {points + fixed} points and marks at {dim} coefficients "
+                         f"each, past the limit of {SCENE_COEFF_MAX} coefficients")
+    if fits:
         return full()
     if not scene.allow_sampling:
-        raise GuardError(f"scene has {total} points, budget {scene.budget}; sampling not allowed")
-    desc.append(f"sampled={scene.budget}_of_{total}")
-    return sample(scene.budget)
+        raise GuardError(f"scene has {side}^{dim} points, budget {budget}; sampling not allowed")
+    desc.append(f"sampled={budget}_of_{side ** dim}")
+    return sample(budget)
 
 
 def _fmt(v: float) -> str:
@@ -128,9 +143,14 @@ def render_scene(scene: SceneSpec) -> str:
     edges = []    # (z1, z2, css class)
     labels = []   # (z, text)
     ring_radius = None
+    polytopes = scene.kind in ("random_polytopes", "pyramids")
+    pairs = kernels.all_edges(scene.K, ()) if polytopes else ()
+    # a polytope draws K vertices and its edges; a pyramid adds an apex and K lateral edges
+    per_polytope = scene.K + len(pairs) + (scene.kind == "pyramids") * (1 + scene.K)
+    fixed = scene.count * per_polytope if polytopes else 0
 
     if scene.kind == "poles_circle":
-        vxs = _cloud(scene, desc, 2 ** (q - 1),
+        vxs = _cloud(scene, desc, 2, 0,
                      lambda: kernels.vertex_matrix(q - 1, scene.N),
                      lambda n: kernels.scaled(rng.vertex_signs(scene.seed, 1 << 33, n, q - 1),
                                               scene.N))
@@ -148,14 +168,14 @@ def render_scene(scene: SceneSpec) -> str:
 
     else:
         BoxSpec(q, scene.N)  # box scenes require an odd prime
-        pts = _cloud(scene, desc, (2 * scene.N + 1) ** (q - 1),
+        pts = _cloud(scene, desc, 2 * scene.N + 1, fixed,
                      lambda: kernels.box_matrix(q - 1, scene.N),
                      lambda n: rng.box_offsets(scene.seed, 1 << 32, n, q - 1, scene.N))
         vx_mask = np.all(np.abs(pts) == scene.N, axis=1)
         clouds.append((pts[~vx_mask], "pt", 1.0))
         clouds.append((pts[vx_mask], "vx", 1.6))
 
-    if scene.kind in ("random_polytopes", "pyramids"):
+    if polytopes:
         desc.append(f"K={scene.K}")
         desc.append(f"count={scene.count}")
         signs = rng.vertex_signs(scene.seed, 1 << 34, scene.count * scene.K, q - 1)
@@ -166,9 +186,8 @@ def render_scene(scene: SceneSpec) -> str:
             clouds.append((apexes, "apex", 2.0))
         for t in range(scene.count):
             zs = _embed_rows(base[t], q)
-            for j in range(scene.K):
-                for k in range(j + 1, scene.K):
-                    edges.append((zs[j], zs[k], "edge"))
+            for j, k, _ in pairs:
+                edges.append((zs[j], zs[k], "edge"))
             if apexes is not None:
                 za = complex(_embed_rows(apexes[t : t + 1], q)[0])
                 for j in range(scene.K):

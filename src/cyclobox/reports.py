@@ -3,7 +3,7 @@
 Exact rationals are emitted as "num/den" strings next to a float companion;
 no rational ever passes through floating point on its way to the string.
 JSON uses sorted keys and fixed indentation, so parse + re-emit is
-byte-identical.
+byte-identical, and refuses NaN and infinities, which JSON has no words for.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def to_json(reports) -> str:
         payload = [report_to_dict(r) for r in reports]
     else:
         payload = report_to_dict(reports)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _flatten(d: dict, prefix: str = "") -> dict:

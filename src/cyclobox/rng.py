@@ -36,11 +36,18 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U(31))
 
 
+def require_seed(seed: int) -> None:
+    """Refuse a seed outside the 64 unsigned bits that key every stream."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
+
+
 @lru_cache(maxsize=64)
 def _seed_word(seed: int) -> np.uint64:
     """The seed round of `words`, mixed once per seed."""
+    require_seed(seed)
     with np.errstate(over="ignore"):
-        return _mix64(_U(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
+        return _mix64(_U(seed) + _GOLDEN)
 
 
 def words(seed: int, stream, counter) -> np.ndarray:

@@ -239,18 +239,40 @@ class TestErrorPaths:
         ("polytopes", "--p", "11", "--eta", "1e300"),
         ("sample", "--p", "11", "--eta=-inf"),
         ("sample", "--theorem", "isosceles", "--p", "5", "--exhaustive"),
+        ("angles", "--p", "5", "--target", "nan"),
+        ("angles", "--p", "5", "--target", "inf"),
     ])
     def test_bad_input_is_a_usage_error(self, capsys, argv):
-        code, _, err = run(capsys, *argv, "--samples", "10")
+        code, out, err = run(capsys, *argv, "--samples", "10")
         assert code == 1
         assert "cyclobox: error" in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and out == ""
 
     @pytest.mark.parametrize("size", ["0", "-5"])
     def test_render_rejects_a_size_below_one(self, capsys, size):
         code, out, err = run(capsys, "render", "--q", "5", f"--size={size}")
         assert code == 1
         assert "bad scene parameters" in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("polytopes", "--p", "5", "--K", str(10 ** 30)),
+        ("pyramids", "--p", "5", "--K", str(10 ** 30)),
+        ("render", "--kind", "random_polytopes", "--q", "5", "--count", "3", "--K", str(10 ** 6)),
+        ("render", "--q", "5", "--size", str(10 ** 400)),
+        ("render", "--kind", "random_polytopes", "--q", "5", "--count", str(10 ** 15)),
+        ("render", "--kind", "box_points", "--q", "100000007"),
+    ])
+    def test_a_size_past_its_limit_is_a_guard_violation(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("cyclobox: guard violation") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["sample", "render"])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_one_seed_range(self, capsys, command, seed):
+        code, out, err = run(capsys, command, "--p", "5", f"--seed={seed}")
+        assert code == 1 and out == ""
+        assert "seed must fit in 64 unsigned bits" in err
 
     def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("CYCLOBOX_SEED", "abc")
@@ -400,6 +422,11 @@ class TestSerialization:
         r = vertex_pair_report(BoxSpec(5, 1), "1/3", SamplerConfig(1, 100))
         arr = json.loads(to_json([r, r]))
         assert isinstance(arr, list) and len(arr) == 2
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_json_has_no_word_for_nan_or_infinity(self, value):
+        with pytest.raises(ValueError):
+            to_json({"bound": value})
 
 
 class TestLargeBoxes:

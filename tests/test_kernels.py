@@ -103,16 +103,19 @@ class TestVertexEnumeration:
     @pytest.mark.parametrize("p,N", [(3, 1), (5, 3), (7, 2 ** 62), (11, 2 ** 70)])
     def test_order_of_box_vertices(self, p, N):
         box = BoxSpec(p, N)
-        got = [tuple(int(c) for c in row) for row in kernels.box_vertices(box)]
+        got = [tuple(int(c) for c in row) for row in kernels.vertex_matrix(box.dim, N)]
         assert got == [v.coeffs for v in box.vertices()]
 
     def test_one_guard(self):
         box = BoxSpec(19, 1)
         with pytest.raises(GuardError):
-            kernels.box_vertices(box)
+            kernels.box_vertex_rows(box)
         with pytest.raises(GuardError):
             next(box.vertices())
-        assert len(kernels.box_vertices(BoxSpec(core.VERTEX_ENUM_MAX_P, 1))) == 2 ** 16
+        with pytest.raises(GuardError):
+            theorem4_report(CyclotomicInt.zero(19), box, Fraction(1, 10), SamplerConfig(1, 1),
+                            exhaustive=True)
+        assert len(kernels.box_vertex_rows(BoxSpec(core.VERTEX_ENUM_MAX_P, 1))) == 2 ** 16
 
 
 class TestEngine:
@@ -245,14 +248,14 @@ def _pair_histogram(p):
 
 class TestExhaustiveSweeps:
     @pytest.mark.parametrize("p,eps,row_blocks", [
-        (11, Fraction(1, 100), 3),
-        (11, Fraction(1, 10), 3),
-        (11, Fraction(3, 4), 3),
-        (13, Fraction(3, 4), 10),
+        (11, Fraction(1, 100), 1),
+        (11, Fraction(1, 10), 1),
+        (11, Fraction(3, 4), 1),
+        (13, Fraction(3, 4), 3),
     ])
     def test_t5_hits_match_the_pair_histogram(self, p, eps, row_blocks):
         box = BoxSpec(p, 1)
-        v = kernels.box_vertices(box)
+        v = kernels.box_vertex_rows(box)
         assert len(kernels._block_pairs(v)) == row_blocks * (row_blocks + 1) // 2
         r = vertex_pair_report(box, eps, SamplerConfig(1, 1), exhaustive=True)
         d2 = box.diameter_sq()
@@ -271,10 +274,11 @@ class TestExhaustiveSweeps:
             assert r.hits == r.extra["hits_half"] == r.trials
 
     def test_exhaustive_worker_count_invariance(self):
-        box = BoxSpec(11, 1)
-        one, two = (vertex_pair_report(box, Fraction(1, 10), SamplerConfig(1, 1, w),
-                                       exhaustive=True) for w in (1, 2))
-        assert replace(two, worker_count=1) == one
+        for p in (11, 13):  # one block pair at p = 11; six at p = 13, run on two threads
+            box = BoxSpec(p, 1)
+            one, two = (vertex_pair_report(box, Fraction(1, 10), SamplerConfig(1, 1, w),
+                                           exhaustive=True) for w in (1, 2))
+            assert replace(two, worker_count=1) == one
 
     def test_box_pair_oracle_over_several_blocks(self):
         box = BoxSpec(5, 3)  # 2401 points: 4 row blocks
@@ -376,15 +380,7 @@ class TestPackedKernel:
         assert coords == want
         got = kernels.scaled(rng.unpack_signs(rows, box.dim), N)
         assert [tuple(row) for row in got.tolist()] == want == [
-            tuple(row) for row in kernels.box_vertices(box).tolist()]
-
-    def test_exhaustive_guard_on_packed_rows(self):
-        box = BoxSpec(19, 1)
-        with pytest.raises(GuardError):
-            kernels.box_vertex_rows(box)
-        with pytest.raises(GuardError):
-            theorem4_report(CyclotomicInt.zero(19), box, Fraction(1, 10), SamplerConfig(1, 1),
-                            exhaustive=True)
+            tuple(row) for row in kernels.vertex_matrix(box.dim, N).tolist()]
 
 
 class TestPairSweepLimit:

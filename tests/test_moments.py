@@ -185,11 +185,19 @@ class TestOracleExactAtLargeN:
         reports = oracle_moments(BoxSpec(p, N))
         assert [r.kind for r in reports if not r.exact_equal] == []
 
-    @pytest.mark.parametrize("p,N", [(5, 10 ** 4), (13, 1000)])
-    def test_point_power_sums_do_not_wrap(self, p, N):
-        # each d^2 to the pole fits in int64 here, but its square does not
+    @pytest.mark.parametrize("p,N,coeffs", [
+        # each d^2 to the pole fits in int64 at the first two, but its square does not
+        pytest.param(5, 10 ** 4, None, id="5-10000"),
+        pytest.param(13, 1000, None, id="13-1000"),
+        pytest.param(17, 2 ** 62, None, id="17-4611686018427387904"),
+        # an alpha past int64, as `verify --alpha` takes it
+        pytest.param(17, 2, (2 ** 64 + 1, -(2 ** 63) - 1) + (0,) * 13 + (7,),
+                     id="17-2-alpha_past_int64"),
+    ])
+    def test_point_power_sums_do_not_wrap(self, p, N, coeffs):
         box = BoxSpec(p, N)
-        reports = oracle_moments(box, north_pole_point(box))
+        alpha = north_pole_point(box) if coeffs is None else CyclotomicInt(p, coeffs)
+        reports = oracle_moments(box, alpha)
         assert [r.kind for r in reports if not r.exact_equal] == []
 
     def test_cancellation_sums_beyond_int64_row_sums(self):

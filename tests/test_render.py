@@ -1,8 +1,10 @@
 import hashlib
 import re
+import sys
 
 import pytest
 
+from cyclobox import kernels, render
 from cyclobox.core import GuardError
 from cyclobox.render import SceneSpec, render_scene
 
@@ -76,6 +78,49 @@ class TestScenes:
             SceneSpec("box_points", q=2)
         with pytest.raises(ValueError):
             render_scene(SceneSpec("box_points", q=9))  # box scenes need a prime
+
+
+class TestSceneLimits:
+    def test_size_up_to_the_float_limit(self):
+        edge = int(sys.float_info.max)
+        svg = render_scene(SceneSpec("box_points", q=3, size=edge))
+        assert f'width="{edge}"' in svg and "inf" not in svg
+        with pytest.raises(GuardError, match="float limit"):
+            SceneSpec("box_points", q=3, size=edge + 1)
+
+    @pytest.mark.parametrize("kind,marks", [
+        ("random_polytopes", 10 * (3 + 3)),         # 10 triangles: 3 vertices, 3 edges
+        ("pyramids", 10 * (3 + 3 + 1 + 3)),         # and an apex with 3 lateral edges
+    ])
+    def test_polytope_marks_fit_the_budget(self, kind, marks):
+        svg = render_scene(SceneSpec(kind, q=5, K=3, count=10, budget=marks))
+        assert svg.count('class="edge"') == 30
+        with pytest.raises(GuardError, match="polytope marks"):
+            render_scene(SceneSpec(kind, q=5, K=3, count=10, budget=marks - 1))
+
+    def test_polytope_edges(self):
+        K = 362  # C(362, 2) = 65341 edges; C(363, 2) = 65703
+        assert len(kernels.all_edges(K, ())) <= kernels.EDGE_MAX < K * (K + 1) // 2
+        with pytest.raises(GuardError, match="C\\(K,2\\) edges"):
+            render_scene(SceneSpec("random_polytopes", q=5, K=K + 1, count=1))
+
+    def test_coefficients_per_point(self):
+        # 81 box points and the fixed marks, 4 coefficients each, at SCENE_COEFF_MAX
+        fixed = render.SCENE_COEFF_MAX // 4 - 81
+        scene = SceneSpec("box_points", q=5, budget=fixed + 1)
+        assert render._cloud(scene, [], 3, fixed, lambda: "full", None) == "full"
+        with pytest.raises(GuardError, match="coefficients"):
+            render._cloud(scene, [], 3, fixed + 1, lambda: "full", None)
+        # a wide q is refused from bit lengths, before 3^(q-1) is formed
+        with pytest.raises(GuardError, match="coefficients"):
+            render_scene(SceneSpec("box_points", q=100000007))
+
+    def test_seed_range_is_the_sampler_range(self):
+        assert "seed=18446744073709551615" in render_scene(
+            SceneSpec("box_points", q=3, seed=2 ** 64 - 1))
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match="64 unsigned bits"):
+                SceneSpec("box_points", q=3, seed=seed)
 
 
 class TestWideBoxes:

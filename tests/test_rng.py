@@ -12,6 +12,13 @@ def test_words_deterministic_and_seed_sensitive():
     assert not np.array_equal(a, c)
 
 
+def test_every_stream_takes_seeds_in_64_unsigned_bits_only():
+    assert rng.words(2 ** 64 - 1, np.arange(3), 0).shape == (3,)
+    for seed in (-1, 2 ** 64):  # -1 used to key the same words as 2^64 - 1
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            rng.words(seed, np.arange(3), 0)
+
+
 def test_vertex_signs_support_and_stream_indexing():
     s = rng.vertex_signs(7, 0, 50, 13)
     assert s.shape == (50, 13)
