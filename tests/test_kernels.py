@@ -112,9 +112,6 @@ class TestVertexEnumeration:
             kernels.box_vertex_rows(box)
         with pytest.raises(GuardError):
             next(box.vertices())
-        with pytest.raises(GuardError):
-            theorem4_report(CyclotomicInt.zero(19), box, Fraction(1, 10), SamplerConfig(1, 1),
-                            exhaustive=True)
         assert len(kernels.box_vertex_rows(BoxSpec(core.VERTEX_ENUM_MAX_P, 1))) == 2 ** 16
 
 
@@ -381,6 +378,14 @@ class TestPackedKernel:
         got = kernels.scaled(rng.unpack_signs(rows, box.dim), N)
         assert [tuple(row) for row in got.tolist()] == want == [
             tuple(row) for row in kernels.vertex_matrix(box.dim, N).tolist()]
+
+    def test_exhaustive_guard_on_packed_rows(self):
+        box = BoxSpec(19, 1)
+        with pytest.raises(GuardError):
+            kernels.box_vertex_rows(box)
+        with pytest.raises(GuardError):
+            theorem4_report(CyclotomicInt.zero(19), box, Fraction(1, 10), SamplerConfig(1, 1),
+                            exhaustive=True)
 
 
 class TestPairSweepLimit:
