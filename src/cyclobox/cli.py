@@ -75,13 +75,28 @@ def _parse_alpha(spec: str, box: BoxSpec) -> CyclotomicInt:
     return CyclotomicInt(box.p, coeffs)
 
 
-def _join_alpha(argv: list) -> list:
-    """argv with `--alpha -1,0,1` written as `--alpha=-1,0,1`: argparse takes a
-    value that starts with "-" for an option unless it is a single number."""
+_VALUE_FLAGS = ("--alpha", "--target", "--T", "--eta", "--eps")
+
+
+def _reads_as_number(tok: str) -> bool:
+    """A token that starts with "-" and reads as a number or an alpha, not an option."""
+    if tok[:1] != "-":
+        return False
+    try:
+        float(tok)  # -1e-3, -.5, -inf, -nan
+    except ValueError:
+        return tok[1:2].isdigit()  # -1,0,1 and -1/10
+    return True
+
+
+def _join_values(argv: list) -> list:
+    """argv with `--alpha -1,0,1` written as `--alpha=-1,0,1`, and likewise any
+    value of a numeric flag (`--target -inf`, `--eta -1e-3`): argparse takes a
+    value that starts with "-" for an option unless it is a plain number."""
     out = []
     for tok in argv:
-        if out and out[-1] == "--alpha" and tok[:1] == "-" and tok[1:2].isdigit():
-            out[-1] = f"--alpha={tok}"
+        if out and out[-1] in _VALUE_FLAGS and _reads_as_number(tok):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
@@ -391,7 +406,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = _join_alpha(list(sys.argv[1:] if argv is None else argv))
+    argv = _join_values(list(sys.argv[1:] if argv is None else argv))
 
     pre = _Parser(prog="cyclobox", add_help=False)
     pre.add_argument("--config", default=None)

@@ -20,6 +20,7 @@ __all__ = ["SceneSpec", "render_scene"]
 
 _KINDS = ("box_points", "poles_circle", "random_polytopes", "pyramids")
 SCENE_COEFF_MAX = 1 << 24  # coefficients a scene may draw: 128 MB as int64
+TOTAL_BITS_MAX = 64  # a sampled scene's total of 2^64 points or more is noted as side^dim
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,17 @@ def _cloud(scene: SceneSpec, desc: list, side: int, fixed: int, full, sample) ->
         return full()
     if not scene.allow_sampling:
         raise GuardError(f"scene has {side}^{dim} points, budget {budget}; sampling not allowed")
-    desc.append(f"sampled={budget}_of_{side ** dim}")
+    desc.append(f"sampled={budget}_of_{_total(side, dim)}")
     return sample(budget)
+
+
+def _total(side: int, dim: int) -> str:
+    """side^dim in decimal below 2^TOTAL_BITS_MAX, else as "side^dim"; decided from
+    bit lengths first, so a huge total is never formed."""
+    small = dim * (side.bit_length() - 1) < TOTAL_BITS_MAX
+    if small and side ** dim < 1 << TOTAL_BITS_MAX:
+        return str(side ** dim)
+    return f"{side}^{dim}"
 
 
 def _fmt(v: float) -> str:

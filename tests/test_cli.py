@@ -204,7 +204,7 @@ class TestOneRunner:
         assert len(lines) >= 13
         parser = cli.build_parser()
         for words in lines:
-            parser.parse_args(cli._join_alpha(words[1:]))
+            parser.parse_args(cli._join_values(words[1:]))
 
 
 class TestErrorPaths:
@@ -247,6 +247,33 @@ class TestErrorPaths:
         assert code == 1
         assert "cyclobox: error" in err
         assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("angles", "--p", "5", "--target", "-inf"), "target must be finite, got -inf"),
+        (("polytopes", "--p", "11", "--T", "-2"), "need a finite T > 1, got -2.0"),
+        (("polytopes", "--p", "11", "--eta", "-1e-3"), "need a finite T > 1"),
+        (("sample", "--p", "11", "--eta", "-inf"), "eta must be finite, got -inf"),
+        (("sample", "--p", "11", "--eps", "-1/10"), "eps must be positive"),
+    ])
+    def test_a_negative_value_as_a_separate_token_reaches_its_check(self, capsys, argv, message):
+        def error(*words):
+            try:
+                code = cli.main([*words, "--samples", "10"])
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        code, out, err = error(*argv)
+        assert code == 1 and out == ""
+        assert message in err and "expected one argument" not in err
+        flag, value = argv[-2:]
+        assert error(*argv[:-2], f"{flag}={value}") == (code, out, err)
+
+    def test_a_negative_eta_as_a_separate_token_runs(self, capsys):
+        code, out, _ = run(capsys, "sample", "--p", "11", "--eta", "-1e-3", "--samples", "10")
+        assert code in (0, 3) and json.loads(out[out.index("{"):])["eta"] < 0
+        assert run(capsys, "sample", "--p", "11", "--eta=-1e-3", "--samples", "10")[:2] == (code, out)
 
     @pytest.mark.parametrize("size", ["0", "-5"])
     def test_render_rejects_a_size_below_one(self, capsys, size):

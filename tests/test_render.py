@@ -115,6 +115,14 @@ class TestSceneLimits:
         with pytest.raises(GuardError, match="coefficients"):
             render_scene(SceneSpec("box_points", q=100000007))
 
+    def test_a_huge_sampled_total_is_written_as_a_power(self):
+        svg = render_scene(SceneSpec("poles_circle", q=20011, budget=10))
+        assert "sampled=10_of_2^20010" in svg
+        assert sum(1 for _, _, cls in circles(svg) if cls == "vx") == 10
+        assert render._total(3, 40) == str(3 ** 40)  # just below 2^64
+        assert render._total(3, 41) == "3^41"
+        assert render._total(2, 63) == str(2 ** 63) and render._total(2, 64) == "2^64"
+
     def test_seed_range_is_the_sampler_range(self):
         assert "seed=18446744073709551615" in render_scene(
             SceneSpec("box_points", q=3, seed=2 ** 64 - 1))

@@ -148,19 +148,33 @@ def test_box_offsets_at_no_streams(dim):
 @pytest.mark.parametrize("N", [1, 10 ** 4, 2 ** 40])
 @pytest.mark.parametrize("dim", [2, 1008])
 def test_box_offsets_draw_exactly_the_words_they_need(monkeypatch, N, dim):
-    """Every word goes through `rng.words`: coefficients plus rejections, no more,
-    and no call draws more than one block."""
+    """Every word goes through the counter round that `rng.words` ends in:
+    coefficients plus rejections, no more, and no call draws more than one block."""
     streams = _spanning_streams(dim)
     _, needed = _reference_box_offsets(21, streams, dim, N)
     sizes = []
-    words = rng.words
+    counter_round = rng._counter_round
 
-    def counting(*args):
-        w = words(*args)
+    def counting(z):
+        w = counter_round(z)
         sizes.append(w.size)
         return w
 
-    monkeypatch.setattr(rng, "words", counting)
+    monkeypatch.setattr(rng, "_counter_round", counting)
     rng.box_offsets_at(21, streams, dim, N)
     assert sum(sizes) == needed > len(streams) * dim
     assert max(sizes) <= max(rng._BLOCK_WORDS, dim)
+
+
+def test_words_are_the_counter_round_of_the_stream_keys():
+    top = 2 ** 64 - 1
+    streams = np.array([0, 1, 2 ** 32, 2 ** 63, top - 1, top], dtype=np.uint64)
+    counters = np.array([0, 5, 2 ** 40, 2 ** 63 + 7, top - 1, top], dtype=np.uint64)
+    for seed in (0, 9, top):
+        keys = rng._stream_keys(seed, streams)[:, None]
+        with np.errstate(over="ignore"):
+            z = keys + (counters[None, :] + np.uint64(1)) * rng._GOLDEN
+            want = rng._counter_round(z)
+        assert np.array_equal(rng.words(seed, streams[:, None], counters[None, :]), want)
+        scalars = [int(rng.words(seed, int(s), int(c))) for s, c in zip(streams, counters)]
+        assert scalars == want.diagonal().tolist()
