@@ -373,8 +373,10 @@ def _cmd_poles(args) -> int:
     q, n_box = args.q, args.N
     for name, coeffs in (("NP", north_pole(q, n_box)), ("EP", east_pole(q, n_box))):
         z = embed_complex(coeffs, q)
+        # + 0.0 clears the sign of a part that rounds to zero
+        re, im = (round(v, 9) + 0.0 for v in (z.real, z.imag))
         print(f"{name}({q}) coeffs = ({', '.join(map(str, coeffs))})")
-        print(f"{name}({q}) value  = {z.real:.9f}{z.imag:+.9f}i")
+        print(f"{name}({q}) value  = {re:.9f}{im:+.9f}i")
     if q % 2 == 1:
         print(f"euclidean_diameter = {euclidean_diameter(q, n_box):.7f}")
     return EXIT_OK

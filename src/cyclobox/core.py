@@ -13,18 +13,21 @@ used throughout, and it collapses to the closed form
 
 Everything here is integer arithmetic; rationals (`fractions.Fraction`)
 enter only with distances normalized by the box diameter, and floats only
-at reporting boundaries (complex-plane embedding, cosines).
+at reporting boundaries (complex-plane embedding, cosines).  The
+complex-plane embedding sum a_j w^j is one function, `embed_rows`; the poles,
+`embed_complex`, `euclidean_diameter` and every rendered scene go through it.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "CycloboxError",
@@ -43,6 +46,7 @@ __all__ = [
     "east_pole",
     "north_pole_point",
     "alternating_point",
+    "embed_rows",
     "embed_complex",
     "euclidean_diameter",
 ]
@@ -307,10 +311,8 @@ def north_pole(q: int, N: int = 1) -> tuple:
         raise ValueError(f"q must be >= 3, got {q}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if q % 2 == 1:
-        half = (q - 1) // 2
-        return tuple(N if j <= half else -N for j in range(1, q))
-    return tuple(N if 2 * j < q else -N for j in range(1, q))
+    half = (q - 1) // 2
+    return (N,) * half + (-N,) * (q - 1 - half)
 
 
 def east_pole(q: int, N: int = 1) -> tuple:
@@ -325,11 +327,8 @@ def east_pole(q: int, N: int = 1) -> tuple:
         raise ValueError(f"q must be >= 3, got {q}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    lo, hi = q // 4, (3 * q) // 4
-    signs = [N if j <= lo or j > hi else -N for j in range(1, q)]
-    if q % 4 == 0:
-        signs[3 * q // 4 - 1] = N
-    return tuple(signs)
+    lo, hi = q // 4, (3 * q) // 4 - (q % 4 == 0)
+    return (N,) * lo + (-N,) * (hi - lo) + (N,) * (q - 1 - hi)
 
 
 def north_pole_point(box: BoxSpec) -> CyclotomicInt:
@@ -347,13 +346,24 @@ def alternating_point(box: BoxSpec, parity: int = 0) -> CyclotomicInt:
     return CyclotomicInt(box.p, tuple(s * (-1) ** j * box.N for j in range(1, box.p)))
 
 
-@lru_cache(maxsize=64)
-def _roots_of_unity(q: int) -> tuple:
-    return tuple(cmath.exp(2j * cmath.pi * j / q) for j in range(q))
+@lru_cache(maxsize=1)
+def _roots(q: int) -> np.ndarray:
+    """(q-1, 2) read-only array of cos, sin of 2*pi*j/q for j = 1, ..., q-1."""
+    roots = np.exp(2j * np.pi * np.arange(1, q) / q).view(np.float64).reshape(q - 1, 2)
+    roots.flags.writeable = False
+    return roots
+
+
+def embed_rows(rows, q: int) -> np.ndarray:
+    """Complex values sum a_j * exp(2*pi*i*j/q) of the coefficient rows along the
+    last axis, q-1 wide.  The float rows meet real cos/sin columns, so the rows
+    are never cast to complex."""
+    xy = np.asarray(rows, dtype=np.float64) @ _roots(q)
+    return xy.view(np.complex128)[..., 0]
 
 
 def embed_complex(coeffs: Union[CyclotomicInt, Sequence[int]], q: int | None = None) -> complex:
-    """Complex value sum a_j * exp(2*pi*i*j/q) of a coefficient vector."""
+    """Complex value sum a_j * exp(2*pi*i*j/q) of one coefficient vector."""
     if isinstance(coeffs, CyclotomicInt):
         q = coeffs.p
         coeffs = coeffs.coeffs
@@ -363,8 +373,7 @@ def embed_complex(coeffs: Union[CyclotomicInt, Sequence[int]], q: int | None = N
         raise ValueError(f"need q-1={q - 1} coefficients, got {len(coeffs)}")
     require_float_range(max(map(abs, coeffs), default=0) * (q - 1),
                         f"the largest coefficient times q-1={q - 1}")
-    roots = _roots_of_unity(q)
-    return sum(a * roots[j] for j, a in enumerate(coeffs, start=1))
+    return complex(embed_rows(coeffs, q))
 
 
 def euclidean_diameter(q: int, N: int = 1) -> float:

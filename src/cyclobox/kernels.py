@@ -54,7 +54,7 @@ def lift(a: np.ndarray, bound: int) -> np.ndarray:
 
 def coeff_array(coeffs) -> np.ndarray:
     """A fixed point's coefficients, int64 when every one of them fits."""
-    return np.array(coeffs, dtype=exact_dtype(max(abs(c) for c in coeffs)))
+    return np.array(coeffs, dtype=exact_dtype(max(max(coeffs), -min(coeffs))))
 
 
 def scaled(signs: np.ndarray, N: int) -> np.ndarray:

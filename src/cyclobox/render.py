@@ -1,9 +1,10 @@
 """Static SVG renderings: point clouds, vertex sets, poles, random polytopes.
 
 Points are drawn at their complex-plane embedding sum a_j exp(2*pi*i*j/q),
-centered in the viewport with the imaginary axis pointing up.  Output is a
-deterministic function of the scene (including its seed), so repeated runs
-are byte-identical.
+centered in the viewport with the imaginary axis pointing up.  The embedding
+is `core.embed_rows`, the one `cyclobox poles` uses; each cloud of a scene is
+embedded once, in one call.  Output is a deterministic function of the scene
+(including its seed), so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, rng
-from .core import BoxSpec, GuardError, east_pole, north_pole, require_float_range
+from .core import BoxSpec, GuardError, east_pole, embed_rows, north_pole, require_float_range
 
 __all__ = ["SceneSpec", "render_scene"]
 
 _KINDS = ("box_points", "poles_circle", "random_polytopes", "pyramids")
-SCENE_COEFF_MAX = 1 << 24  # coefficients a scene may draw: 128 MB as int64
+# coefficients a scene may draw; a poles_circle render at the limit peaks near 0.93 GB RSS
+SCENE_COEFF_MAX = 1 << 24
 TOTAL_BITS_MAX = 64  # a sampled scene's total of 2^64 points or more is noted as side^dim
 
 
@@ -45,15 +47,6 @@ class SceneSpec:
         rng.require_seed(self.seed)
         require_float_range(self.N * (self.q - 1), f"drawing coordinates: N times q-1={self.q - 1}")
         require_float_range(self.size, "size")
-
-
-def _roots(q: int) -> np.ndarray:
-    j = np.arange(1, q)
-    return np.exp(2j * np.pi * j / q)
-
-
-def _embed_rows(coeffs: np.ndarray, q: int) -> np.ndarray:
-    return coeffs.astype(np.float64) @ _roots(q)
 
 
 def _cloud(scene: SceneSpec, desc: list, side: int, fixed: int, full, sample) -> np.ndarray:
@@ -149,7 +142,7 @@ def render_scene(scene: SceneSpec) -> str:
     """Render a scene to an SVG 1.1 document (returned as text)."""
     q = scene.q
     desc = [f"kind={scene.kind}", f"q={q}", f"N={scene.N}", f"seed={scene.seed}"]
-    clouds = []   # (coeff matrix, css class, marker scale)
+    clouds = []   # (complex values, css class, marker scale)
     edges = []    # (z1, z2, css class)
     labels = []   # (z, text)
     ring_radius = None
@@ -160,21 +153,16 @@ def render_scene(scene: SceneSpec) -> str:
     fixed = scene.count * per_polytope if polytopes else 0
 
     if scene.kind == "poles_circle":
-        vxs = _cloud(scene, desc, 2, 0,
-                     lambda: kernels.vertex_matrix(q - 1, scene.N),
-                     lambda n: kernels.scaled(rng.vertex_signs(scene.seed, 1 << 33, n, q - 1),
-                                              scene.N))
+        vxs = embed_rows(_cloud(scene, desc, 2, 0,
+                                lambda: kernels.vertex_matrix(q - 1, scene.N),
+                                lambda n: kernels.scaled(rng.vertex_signs(
+                                    scene.seed, 1 << 33, n, q - 1), scene.N)), q)
         clouds.append((vxs, "vx", 1.0))
-        np_c = kernels.coeff_array(north_pole(q, scene.N))
-        ep_c = kernels.coeff_array(east_pole(q, scene.N))
-        poles = np.stack([np_c, ep_c, -np_c, -ep_c])
+        z_np, z_ep = embed_rows([north_pole(q, scene.N), east_pole(q, scene.N)], q)
+        poles = np.array([z_np, z_ep, -z_np, -z_ep])
         clouds.append((poles, "pole", 2.4))
-        zs = _embed_rows(poles, q)
-        for z, name in zip(zs, ("NP", "EP", "SP", "WP")):
-            labels.append((z, name))
-        ring_radius = max(
-            float(np.max(np.abs(_embed_rows(vxs, q)))), float(abs(zs[0]))
-        )
+        labels.extend(zip(poles, ("NP", "EP", "SP", "WP")))
+        ring_radius = max(float(np.max(np.abs(vxs))), float(abs(poles[0])))
 
     else:
         BoxSpec(q, scene.N)  # box scenes require an odd prime
@@ -182,30 +170,28 @@ def render_scene(scene: SceneSpec) -> str:
                      lambda: kernels.box_matrix(q - 1, scene.N),
                      lambda n: rng.box_offsets(scene.seed, 1 << 32, n, q - 1, scene.N))
         vx_mask = np.all(np.abs(pts) == scene.N, axis=1)
-        clouds.append((pts[~vx_mask], "pt", 1.0))
-        clouds.append((pts[vx_mask], "vx", 1.6))
+        zs = embed_rows(pts, q)
+        clouds.append((zs[~vx_mask], "pt", 1.0))
+        clouds.append((zs[vx_mask], "vx", 1.6))
 
     if polytopes:
         desc.append(f"K={scene.K}")
         desc.append(f"count={scene.count}")
         signs = rng.vertex_signs(scene.seed, 1 << 34, scene.count * scene.K, q - 1)
-        base = kernels.scaled(signs, scene.N).reshape(scene.count, scene.K, q - 1)
+        vertices = embed_rows(kernels.scaled(signs, scene.N), q).reshape(scene.count, scene.K)
         apexes = None
         if scene.kind == "pyramids":
-            apexes = rng.box_offsets(scene.seed, 1 << 35, scene.count, q - 1, scene.N)
+            apexes = embed_rows(rng.box_offsets(scene.seed, 1 << 35, scene.count, q - 1, scene.N), q)
             clouds.append((apexes, "apex", 2.0))
-        for t in range(scene.count):
-            zs = _embed_rows(base[t], q)
+        for t, zs in enumerate(vertices):
             for j, k, _ in pairs:
                 edges.append((zs[j], zs[k], "edge"))
             if apexes is not None:
-                za = complex(_embed_rows(apexes[t : t + 1], q)[0])
                 for j in range(scene.K):
-                    edges.append((za, zs[j], "lateral"))
+                    edges.append((apexes[t], zs[j], "lateral"))
 
-    total_pts = sum(len(c) for c, _, _ in clouds)
-    all_z = np.concatenate([_embed_rows(c, q) for c, _, _ in clouds if len(c)])
-    radius = float(np.max(np.abs(all_z))) if len(all_z) else 1.0
+    total_pts = sum(len(zs) for zs, _, _ in clouds)
+    radius = max((float(np.max(np.abs(zs))) for zs, _, _ in clouds if len(zs)), default=1.0)
     if ring_radius is not None:
         radius = max(radius, ring_radius)
 
@@ -215,9 +201,9 @@ def render_scene(scene: SceneSpec) -> str:
     for z1, z2, cls in edges:
         canvas.line(z1, z2, cls)
     base_r = _marker_radius(total_pts)
-    for coeffs, cls, scale in clouds:
-        for z in _embed_rows(coeffs, q):
-            canvas.circle(complex(z), base_r * scale, cls)
+    for zs, cls, scale in clouds:
+        for z in zs:
+            canvas.circle(z, base_r * scale, cls)
     for z, name in labels:
         canvas.text(z, name)
 

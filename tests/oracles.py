@@ -6,6 +6,7 @@ moments from literal deviation sums over full enumerations, and visibility
 from a geometric segment walk.
 """
 
+import cmath
 import itertools
 from fractions import Fraction
 
@@ -174,3 +175,26 @@ def max_re_vertex(q):
         if best is None or key > best[0]:
             best = (key, signs, z)
     return best[1], best[2]
+
+
+def north_pole_by_coefficient(q, N):
+    """North pole signs one coefficient at a time: +N for j <= (q-1)/2 at odd
+    q, +N for 2j < q at even q, else -N."""
+    if q % 2 == 1:
+        return tuple(N if j <= (q - 1) // 2 else -N for j in range(1, q))
+    return tuple(N if 2 * j < q else -N for j in range(1, q))
+
+
+def east_pole_by_coefficient(q, N):
+    """East pole signs one coefficient at a time: +N for j <= q/4 or j > 3q/4,
+    and +N at j = 3q/4 when 4 divides q, else -N."""
+    lo, hi = q // 4, (3 * q) // 4
+    signs = [N if j <= lo or j > hi else -N for j in range(1, q)]
+    if q % 4 == 0:
+        signs[3 * q // 4 - 1] = N
+    return tuple(signs)
+
+
+def embed_by_direct_sum(coeffs, q):
+    """sum a_j * exp(2*pi*i*j/q), one Python complex term at a time."""
+    return sum(a * cmath.exp(2j * cmath.pi * j / q) for j, a in enumerate(coeffs, start=1))

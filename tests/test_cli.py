@@ -63,6 +63,12 @@ class TestCommands:
         assert "EP(5) coeffs = (1, -1, -1, 1)" in out
         assert "2.2360679" in out
 
+    def test_poles_prints_no_negative_zero(self, capsys):
+        code, out, _ = run(capsys, "poles", "--q", "13")
+        assert code == 0
+        assert "EP(13) value  = 7.296229811+0.000000000i" in out
+        assert "-0.000000000" not in out
+
     def test_sample_json_roundtrip(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         code, out, _ = run(

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from cyclobox.core import (
     dist_sq,
     east_pole,
     embed_complex,
+    embed_rows,
     euclidean_diameter,
     inner_product,
     is_odd_prime,
@@ -49,6 +51,15 @@ coeff_lists = st.integers(min_value=0, max_value=len(SMALL_PRIMES) - 1).flatmap(
             min_size=SMALL_PRIMES[i] - 1,
             max_size=SMALL_PRIMES[i] - 1,
         ),
+    )
+)
+
+# coefficients past int64; the closed form must stay exact there
+wide_coeff_lists = st.sampled_from((3, 5, 7, 13)).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.lists(st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+                 min_size=p - 1, max_size=p - 1),
     )
 )
 
@@ -122,8 +133,8 @@ class TestNorms:
         assert C(3, 1, -1).euclid_norm_sq() == 2
         assert C(5, 2, 2, 2, 2).euclid_norm_sq() == 16
 
-    @settings(max_examples=80, deadline=None)
-    @given(coeff_lists)
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(coeff_lists, wide_coeff_lists))
     def test_norm_equals_psi_square_sum(self, pc):
         p, coeffs = pc
         a = CyclotomicInt(p, tuple(coeffs))
@@ -215,6 +226,13 @@ class TestDiameter:
         assert b0.coeffs == tuple(-c for c in a0.coeffs)
         assert dist_sq(a0, b0) == box.diameter_sq()
 
+    @pytest.mark.parametrize("p,N", [(3, 1), (5, 2), (13, 7), (101, 1), (1009, 2 ** 40)])
+    def test_alternating_points_realize_the_diameter(self, p, N):
+        box = BoxSpec(p, N)
+        a, b = alternating_point(box, 0), alternating_point(box, 1)
+        assert a.trace() == b.trace() == 0
+        assert dist_sq(a, b) == box.diameter_sq()
+
     def test_box_pairs_stay_inside(self):
         box = BoxSpec(3, 2)
         pts = [CyclotomicInt(3, v) for v in oracles.iter_box_coeffs(3, 2)]
@@ -293,6 +311,16 @@ class TestGalois:
         for k in range(1, 7):
             assert sorted(a.galois(k).coeffs) == sorted(a.coeffs)
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_keeps_norm_and_refuses_multiples_of_p(self, p):
+        a = random_elements(p, 1, lo=-(2 ** 40), hi=2 ** 40)[0]
+        for k in range(-2 * p, 2 * p + 1):
+            if k % p:
+                assert a.galois(k).norm_sq() == a.norm_sq()
+            else:
+                with pytest.raises(ValueError):
+                    a.galois(k)
+
 
 class TestPoles:
     def test_north_examples(self):
@@ -326,6 +354,13 @@ class TestPoles:
         if q % 2 == 1:
             assert east_pole(q, 1) == ep_signs
 
+    def test_runs_match_the_per_coefficient_definitions(self):
+        # q in 3..400 covers every residue mod 4, far past the brute force
+        for q in range(3, 401):
+            for N in (1, 3):
+                assert north_pole(q, N) == oracles.north_pole_by_coefficient(q, N)
+                assert east_pole(q, N) == oracles.east_pole_by_coefficient(q, N)
+
     def test_pole_axis_alignment(self):
         for q in range(3, 102, 2):
             assert abs(embed_complex(north_pole(q, 1), q).real) < 1e-9
@@ -343,6 +378,20 @@ class TestEmbedding:
         assert abs(embed_complex(C(3, 1, -1)) - complex(0, math.sqrt(3))) < 1e-12
         assert embed_complex(CyclotomicInt.zero(5)) == 0
         assert abs(embed_complex(C(3, 1, 1)) - (-1)) < 1e-12
+
+    @pytest.mark.parametrize("q", [3, 7, 13, 101])
+    def test_rows_match_one_row_and_the_direct_sum(self, q):
+        rows = np.random.default_rng(q).integers(-50, 51, size=(20, q - 1)).tolist()
+        rows.append([2 ** 70 - j for j in range(1, q)])  # past int64
+        edge = int(sys.float_info.max) // (q - 1)  # the largest sum stays under the float limit
+        rows.append([(-1) ** j * edge for j in range(1, q)])
+        zs = embed_rows(np.array(rows, dtype=object), q)
+        assert zs.shape == (len(rows),)
+        for row, z in zip(rows, zs):
+            # not bit-identical: a matrix product and a one-row product round differently
+            tol = 1e-9 * sum(map(abs, row))
+            assert abs(z - embed_complex(row, q)) <= tol
+            assert abs(z - oracles.embed_by_direct_sum(row, q)) <= tol
 
     def test_euclidean_diameter(self):
         assert abs(euclidean_diameter(3, 1) - 2 * math.sqrt(3)) < 1e-9
