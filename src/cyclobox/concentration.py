@@ -225,12 +225,12 @@ def _finish(theorem, box, cfg, hits, trials, bound, formula, *, eps=None, center
 
 # --- theorem reports ----------------------------------------------------------
 
-def _vertex_draw(box: BoxSpec, K: int, cfg: SamplerConfig, exhaustive: bool) -> tuple:
-    """(draw, trials): sampled vertex K-tuples, or the packed vertex rows to sweep."""
+def _vertex_draw(box: BoxSpec, cfg: SamplerConfig, exhaustive: bool) -> tuple:
+    """(draw, total) to tally: sampled vertex tuples, or the packed vertex rows to sweep."""
     if not exhaustive:
         return kernels.draw_vertices, cfg.sample_count
     rows = kernels.box_vertex_rows(box)
-    return rows, len(rows) if K == 1 else kernels.ordered_pairs(len(rows))
+    return rows, len(rows)
 
 
 def _leg_report(theorem: str, alpha: CyclotomicInt, box: BoxSpec, eps, cfg: SamplerConfig,
@@ -239,12 +239,12 @@ def _leg_report(theorem: str, alpha: CyclotomicInt, box: BoxSpec, eps, cfg: Samp
     eps = Fraction(eps)
     bound = _bound(box.p, eps, constant)
     a_val = avg_point_to_vertices(alpha, box)
-    draw, trials = _vertex_draw(box, K, cfg, exhaustive)
+    draw, total = _vertex_draw(box, cfg, exhaustive)
     legs = tuple((j, kernels.APEX, (IntervalSpec(a_val, eps),)) for j in range(K))
     spec = kernels.EdgeSpec(box, K, draw, legs, apex=alpha.coeffs)
-    (hits,) = kernels.tally(spec, cfg.seed, trials, cfg.worker_count).hits
+    result = kernels.tally(spec, cfg.seed, total, cfg.worker_count)
     return _finish(
-        theorem, box, cfg, hits, trials, bound, f"1 - {constant}/p^(1-2*eta)",
+        theorem, box, cfg, *result.hits, result.attempts, bound, f"1 - {constant}/p^(1-2*eta)",
         exhaustive=exhaustive, alpha=_alpha_label(alpha),
         eps=eps, eta=_eta_of(box.p, eps), center_sq=a_val,
     )
@@ -272,11 +272,12 @@ def vertex_pair_report(box: BoxSpec, eps, cfg: SamplerConfig,
     eps = Fraction(eps)
     bound = _bound(box.p, eps, 2)
     a_vv = avg_vertex_pairs(box)
-    draw, trials = _vertex_draw(box, 2, cfg, exhaustive)
+    draw, total = _vertex_draw(box, cfg, exhaustive)
     intervals = (IntervalSpec(a_vv, eps), IntervalSpec(Fraction(1, 2), eps))
     spec = kernels.EdgeSpec(box, 2, draw, ((0, 1, intervals),))
-    result = kernels.tally(spec, cfg.seed, trials, cfg.worker_count)
+    result = kernels.tally(spec, cfg.seed, total, cfg.worker_count)
     hits, hits_half = result.hits
+    trials = result.attempts
     mean_d2 = Fraction(result.d2_sum, trials * box.diameter_sq())
     return _finish(
         "T5", box, cfg, hits, trials, bound,
@@ -302,11 +303,11 @@ def polytope_report(box: BoxSpec, K: int, T: float, cfg: SamplerConfig) -> Conce
     require_float_range(K * (K - 1) / eps ** 2, "K(K-1)T^2")
     edges = kernels.all_edges(K, (IntervalSpec(Fraction(1, 2), eps),))
     spec = kernels.EdgeSpec(box, K, kernels.draw_vertices, edges)
-    (hits,) = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count).hits
+    result = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count)
     eta = math.log(float(T)) / math.log(box.p)
     bound = 1.0 - K * (K - 1) * float(T) ** 2 / box.p
     return _finish(
-        "k_polytope", box, cfg, hits, cfg.sample_count, bound,
+        "k_polytope", box, cfg, *result.hits, result.attempts, bound,
         "1 - K(K-1)/p^(1-2*eta) (union bound over C(K,2) edges)",
         K=K, T=float(T), eps=eps, eta=eta, center_sq=Fraction(1, 2),
     )
@@ -400,9 +401,9 @@ def pyramid_report(apex: CyclotomicInt, box: BoxSpec, K: int, eps,
     edges = (kernels.all_edges(K, (IntervalSpec(Fraction(1, 2), eps),))
              + tuple((j, kernels.APEX, lateral) for j in range(K)))
     spec = kernels.EdgeSpec(box, K, kernels.draw_vertices, edges, apex=apex.coeffs)
-    (hits,) = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count).hits
+    result = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count)
     return _finish(
-        "pyramid", box, cfg, hits, cfg.sample_count, bound,
+        "pyramid", box, cfg, *result.hits, result.attempts, bound,
         "1 - (K(K-1) + 22K)/p^(1-2*eta) (base union bound + lateral bound)",
         alpha=_alpha_label(apex), K=K, eps=eps, eta=_eta_of(box.p, eps),
         center_sq=lateral_center,

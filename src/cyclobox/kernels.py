@@ -8,18 +8,18 @@ first step that could wrap.  `exact_sum` adds int64 pieces whose totals
 provably fit.  The kernel is d^2 = p^2 q - (p+1) s^2 with q = sum(d_j^2) and
 s = sum(d_j) of a difference d.  Coefficient rows reduce d directly; vertices
 stay packed sign words (bit j set: coordinate j is +N), and q and s come from
-popcounts of whole rows.  `tally` runs an `EdgeSpec` chunk by chunk, and
-chunks depend only on the sample count (or the swept rows) and the row
-width, so tallies are the same for any worker count.  The oracles visit no
-pairs: `pair_totals` reads the exact totals of d^2 and d^4 from per-point sums.
-Vertex to point is one path: exhaustive T4 and the oracle's point moments
-both run `PackedApex.dist_sq` over the packed rows of `box_vertex_rows`, and
-only the renderer unpacks vertices to coefficients (`vertex_matrix`).
+popcounts of whole rows.  `tally` runs an `EdgeSpec` through `run_chunks`, a
+draw in chunks of samples and a sweep in slabs of rows; chunks depend only on
+the sample or row count and the row width, so tallies are the same for any
+worker count.  The oracles visit no pairs: `pair_totals` reads the exact totals
+of d^2 and d^4 from per-point sums.  Vertex to point is one path: exhaustive
+T4 and the oracle's point moments both run `PackedApex.dist_sq` over the packed
+rows of `box_vertex_rows`, and only the renderer unpacks vertices to
+coefficients (`vertex_matrix`).
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -195,14 +195,6 @@ def box_vertex_rows(box: BoxSpec) -> np.ndarray:
     return vertex_rows(box.dim)
 
 
-def _run(fn, tasks: list, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(*t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        futures = [ex.submit(fn, *t) for t in tasks]
-        return [f.result() for f in futures]
-
-
 def run_chunks(fn, total: int, workers: int, unit_dim: int = 1) -> list:
     """[fn(lo, hi)] over batches of [0, total) small enough to keep temporaries bounded.
 
@@ -210,7 +202,12 @@ def run_chunks(fn, total: int, workers: int, unit_dim: int = 1) -> list:
     count, and tallies are summed, so results are worker-count independent.
     """
     batch = max(1, _BATCH_ELEMENTS // max(unit_dim, 1))
-    return _run(fn, [(lo, min(lo + batch, total)) for lo in range(0, total, batch)], workers)
+    tasks = [(lo, min(lo + batch, total)) for lo in range(0, total, batch)]
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(*t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        futures = [ex.submit(fn, *t) for t in tasks]
+        return [f.result() for f in futures]
 
 
 def ordered_pairs(n: int) -> int:
@@ -218,21 +215,6 @@ def ordered_pairs(n: int) -> int:
     if n * n > PAIR_SWEEP_MAX:
         raise GuardError(f"refusing to sweep {n}^2 ordered pairs (limit {PAIR_SWEEP_MAX})")
     return n * n
-
-
-def _block_pairs(rows: np.ndarray) -> list:
-    """(members, pairs, multiplicity) chunks that visit every ordered pair of
-    `rows` once: block pairs i <= j of side isqrt(budget / dim), as broadcast
-    views.  A diagonal block holds both orders of its pairs; an off-diagonal
-    one stands for both with multiplicity 2, exact because d^2 is symmetric."""
-    side = max(1, math.isqrt(_BATCH_ELEMENTS // rows.shape[1]))
-    blocks = [rows[i0 : i0 + side] for i0 in range(0, len(rows), side)]
-    chunks = []
-    for i, bi in enumerate(blocks):
-        for j, bj in enumerate(blocks[i:], i):
-            weight = 1 if i == j else 2
-            chunks.append(((bi[:, None], bj[None, :]), weight * len(bi) * len(bj), weight))
-    return chunks
 
 
 def draw_vertices(box: BoxSpec, K: int, seed: int, start: int, stop: int) -> tuple:
@@ -263,8 +245,8 @@ class EdgeSpec:
     """A distance law.  Each sample draws K points of `box`:
     draw(box, K, seed, start, stop) -> ((count, K, width) points, tuples drawn),
     where a point is `dim` coefficients, or packed sign words if uint64 (a vertex).
-    In place of a draw, an (n, width) row matrix sweeps every ordered K-tuple
-    of its rows once (K <= 2; a K = 2 sweep joins only points 0 and 1).
+    In place of a draw, an (n, width) row matrix sweeps every ordered K-tuple of
+    its rows once, slab by slab (K <= 2; a K = 2 sweep joins only points 0 and 1).
     Edge (j, k, intervals) joins points j and k (k == APEX: the fixed `apex`)
     and must hit intervals[v] for verdict v; every edge lists one interval
     per verdict."""
@@ -279,13 +261,16 @@ class EdgeSpec:
 @dataclass(frozen=True)
 class Tally:
     hits: tuple    # per verdict: samples whose every edge hits its interval
-    attempts: int  # K-tuples drawn, rejected ones included
+    attempts: int  # K-tuples drawn or swept, rejected ones included
     d2_sum: int    # exact total of d^2 over all edges of all samples
 
 
 def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
     """Run samples [0, total) of `spec` in chunks and merge their counts.
-    A sweep draws no stream and visits all total = n^K tuples of its rows."""
+    A sweep draws no stream: `total` is its row count n, and its chunks are slabs
+    of rows [lo, hi).  A K = 2 slab meets its own rows in both orders and, at
+    weight 2 as d^2 is symmetric, the rows [0, lo), so the slabs visit each of the
+    n^K ordered tuples once; `attempts` counts them, and PAIR_SWEEP_MAX bounds them."""
     box = spec.box
     p, d2 = box.p, box.diameter_sq()
     apex = None if spec.apex is None else coeff_array(spec.apex)
@@ -301,7 +286,7 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
             return packed_apex.dist_sq(members[j], pcs[j])
         return vertex_dist_sq(box, members[j], members[k], pcs[j], pcs[k])
 
-    def work(members, attempts, weight):
+    def work(members, attempts, weight=1):  # (attempts, d^2 total, *hits), each times weight
         pcs = [popcount(x) for x in members] if members[0].dtype == np.uint64 else None
         ok = [True] * verdicts
         d2_sum = 0
@@ -309,20 +294,30 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
             vals = edge_dist_sq(members, pcs, j, k, m)
             ok = [row & (vals >= lo) & (vals <= hi) for row, (lo, hi) in zip(ok, ranges)]
             d2_sum += exact_sum(vals, dist_sq_bound(p, box.dim, m))
-        hits = [weight * int(np.count_nonzero(row)) for row in ok]
-        return hits, attempts, weight * d2_sum
+        hits = (int(np.count_nonzero(row)) for row in ok)
+        return tuple(weight * n for n in (attempts, d2_sum, *hits))
 
     rows = spec.draw if isinstance(spec.draw, np.ndarray) else None
+    unit_dim = spec.K * box.dim
+    if rows is not None:
+        if spec.K == 2:
+            ordered_pairs(len(rows))
+            unit_dim = len(rows) * rows.shape[1]
+        if total != len(rows):
+            raise ValueError(f"a sweep runs once over its {len(rows)} rows, not {total}")
 
-    def chunk(start, stop):
-        if rows is not None:  # a K = 1 sweep: a slice of the rows
-            return work((rows[start:stop],), stop - start, 1)
-        pts, attempts = spec.draw(box, spec.K, seed, start, stop)
-        return work([pts[:, m] for m in range(spec.K)], attempts, 1)
+    def chunk(lo, hi):
+        if rows is None:
+            pts, attempts = spec.draw(box, spec.K, seed, lo, hi)
+            return work([pts[:, m] for m in range(spec.K)], attempts)
+        slab = rows[lo:hi]
+        if spec.K == 1:
+            return work((slab,), hi - lo)
+        own = work((slab[:, None], slab[None, :]), (hi - lo) ** 2)
+        if lo == 0:
+            return own
+        earlier = work((slab[:, None], rows[None, :lo]), (hi - lo) * lo, 2)
+        return tuple(map(sum, zip(own, earlier)))
 
-    if rows is not None and spec.K == 2:
-        parts = _run(work, _block_pairs(rows), workers)
-    else:
-        parts = run_chunks(chunk, total, workers, spec.K * box.dim)
-    hits, attempts, d2_sums = zip(*parts)
-    return Tally(tuple(map(sum, zip(*hits))), sum(attempts), sum(d2_sums))
+    attempts, d2_sum, *hits = map(sum, zip(*run_chunks(chunk, total, workers, unit_dim)))
+    return Tally(tuple(hits), attempts, d2_sum)

@@ -229,6 +229,11 @@ class TestErrorPaths:
         assert code == 2
         assert "guard violation" in err
 
+    def test_exhaustive_t5_past_the_pair_limit_exit(self, capsys):
+        code, out, err = run(capsys, "sample", "--theorem", "t5", "--p", "17", "--exhaustive")
+        assert code == 2
+        assert "guard violation" in err and out == ""
+
     def test_bad_eps(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sample", "--p", "101", "--eps", "zero"])

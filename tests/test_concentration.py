@@ -354,3 +354,25 @@ class TestWideBoxes:
             assert big.extra.get(cos, 0.0) == pytest.approx(small.extra.get(cos, 0.0), rel=1e-12)
             assert (dataclasses.replace(big, N=1, extra={**big.extra, cos: None})
                     == dataclasses.replace(small, extra={**small.extra, cos: None}))
+
+    @pytest.mark.parametrize("p,samples,eps,exhaustive", [
+        (101, 2000, F(1, 100), False),
+        (1009, 2000, F(1, 100), False),
+        (7, 1, F(1, 10), True),  # at 1/100 no vertex pair of p = 7 hits
+    ])
+    def test_vertex_hits_identical_at_every_N(self, p, samples, eps, exhaustive):
+        # N = 1 runs the int64 kernels, the larger sizes pass int64 into Python ints
+        def counts(N):
+            box = BoxSpec(p, N)
+            pole = north_pole_point(box)
+            cfg = SamplerConfig(7, samples)
+            t5 = vertex_pair_report(box, eps, cfg, exhaustive=exhaustive)
+            out = [t5.hits, t5.extra["hits_half"], t5.extra["mean_dist_sq"],
+                   theorem4_report(pole, box, eps, cfg, exhaustive=exhaustive).hits]
+            if not exhaustive:
+                out.append(isosceles_report(pole, box, F(1, 50), cfg).hits)
+            return out
+
+        want = counts(1)
+        assert all(want)
+        assert [counts(N) for N in (2 ** 31, 2 ** 40, 10 ** 40)] == [want] * 3

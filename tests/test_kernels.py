@@ -243,39 +243,75 @@ def _pair_histogram(p):
     return hist
 
 
+def _histogram_hits(p, center, eps):
+    """Ordered vertex pairs at N = 1 within eps of sqrt(center), from `_pair_histogram`."""
+    d2, spec = BoxSpec(p, 1).diameter_sq(), IntervalSpec(center, eps)
+    return sum(c for n, c in _pair_histogram(p).items()
+               if within_sqrt_interval(Fraction(n, d2), spec))
+
+
+def _t5_sweep(p, workers=1):
+    return vertex_pair_report(BoxSpec(p, 1), Fraction(1, 10), SamplerConfig(1, 1, workers),
+                              exhaustive=True)
+
+
+def _t4_sweep(p, workers=1):
+    box = BoxSpec(p, 1)
+    return theorem4_report(core.north_pole_point(box), box, Fraction(1, 10),
+                           SamplerConfig(1, 1, workers), exhaustive=True)
+
+
 class TestExhaustiveSweeps:
-    @pytest.mark.parametrize("p,eps,row_blocks", [
+    @pytest.mark.parametrize("p,eps,workers", [
         (11, Fraction(1, 100), 1),
         (11, Fraction(1, 10), 1),
         (11, Fraction(3, 4), 1),
-        (13, Fraction(3, 4), 3),
+        (13, Fraction(3, 4), 3),  # eight slabs on three threads
     ])
-    def test_t5_hits_match_the_pair_histogram(self, p, eps, row_blocks):
+    def test_t5_hits_match_the_pair_histogram(self, p, eps, workers):
         box = BoxSpec(p, 1)
         v = kernels.box_vertex_rows(box)
-        assert len(kernels._block_pairs(v)) == row_blocks * (row_blocks + 1) // 2
-        r = vertex_pair_report(box, eps, SamplerConfig(1, 1), exhaustive=True)
-        d2 = box.diameter_sq()
-
-        def hits(center):
-            spec = IntervalSpec(center, eps)
-            return sum(c for n, c in _pair_histogram(p).items()
-                       if within_sqrt_interval(Fraction(n, d2), spec))
-
+        r = vertex_pair_report(box, eps, SamplerConfig(1, 1, workers), exhaustive=True)
         a_vv = avg_vertex_pairs(box)
         assert r.trials == len(v) ** 2
-        assert r.hits == hits(a_vv)
-        assert r.extra["hits_half"] == hits(Fraction(1, 2))
+        assert r.hits == _histogram_hits(p, a_vv, eps)
+        assert r.extra["hits_half"] == _histogram_hits(p, Fraction(1, 2), eps)
         assert Fraction(r.extra["mean_dist_sq"]) == a_vv
         if eps * eps > a_vv:  # every pair hits, the diagonal ones included
             assert r.hits == r.extra["hits_half"] == r.trials
 
     def test_exhaustive_worker_count_invariance(self):
-        for p in (11, 13):  # one block pair at p = 11; six at p = 13, run on two threads
-            box = BoxSpec(p, 1)
-            one, two = (vertex_pair_report(box, Fraction(1, 10), SamplerConfig(1, 1, w),
-                                           exhaustive=True) for w in (1, 2))
+        for p in (11, 13):  # one slab at p = 11; eight at p = 13, run on two threads
+            one, two = (_t5_sweep(p, w) for w in (1, 2))
             assert replace(two, worker_count=1) == one
+
+    # batch budgets that cut each sweep into slabs of 10 rows (100 at p = 11), the last short
+    @pytest.mark.parametrize("sweep,p,budget", [
+        (_t4_sweep, 7, 10 * 6),       # a K = 1 slab of c rows holds c * dim elements
+        (_t5_sweep, 7, 10 * 64),      # a K = 2 slab of c rows meets n rows: c * n
+        (_t5_sweep, 11, 100 * 1024),
+    ])
+    def test_ragged_slabs_match_one_slab(self, monkeypatch, sweep, p, budget):
+        whole = sweep(p)
+        monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", budget)
+        one, two = (sweep(p, w) for w in (1, 2))
+        assert replace(two, worker_count=1) == one == whole
+        if sweep is _t5_sweep:
+            a_vv = avg_vertex_pairs(BoxSpec(p, 1))
+            assert one.trials == sum(_pair_histogram(p).values())
+            assert one.hits == _histogram_hits(p, a_vv, Fraction(1, 10))
+            assert one.extra["hits_half"] == _histogram_hits(p, Fraction(1, 2), Fraction(1, 10))
+            assert Fraction(one.extra["mean_dist_sq"]) == a_vv
+
+    def test_sweep_total_is_the_row_count(self):
+        box = BoxSpec(7, 1)
+        rows = kernels.box_vertex_rows(box)
+        for K in (1, 2):
+            spec = kernels.EdgeSpec(box, K, rows, ((0, K - 1, ()),))
+            assert kernels.tally(spec, 0, len(rows), 1).attempts == len(rows) ** K
+            for total in (0, len(rows) - 1, len(rows) + 1, len(rows) ** 2):
+                with pytest.raises(ValueError):
+                    kernels.tally(spec, 0, total, 1)
 
     def test_box_pair_oracle_over_several_blocks(self):
         box = BoxSpec(5, 3)  # 2401 points: 4 row blocks
@@ -305,7 +341,7 @@ class TestPairTotals:
         box = BoxSpec(p, 3)
         rows = kernels.box_vertex_rows(box)
         spec = kernels.EdgeSpec(box, 2, rows, ((0, 1, ()),))
-        swept = kernels.tally(spec, 0, len(rows) ** 2, 1).d2_sum
+        swept = kernels.tally(spec, 0, len(rows), 1).d2_sum
         d2, _ = kernels.pair_totals(p, rng.unpack_signs(rows, box.dim), 1)
         assert d2 * box.N ** 2 == swept
 
@@ -393,6 +429,20 @@ class TestPairSweepLimit:
         assert kernels.ordered_pairs(1 << 12) == kernels.PAIR_SWEEP_MAX == 1 << 24
         with pytest.raises(GuardError):
             kernels.ordered_pairs((1 << 12) + 1)
+
+    def test_tally_guards_a_pair_sweep_before_any_pair(self, monkeypatch):
+        box = BoxSpec(17, 1)
+        rows = kernels.vertex_rows(box.dim)[: (1 << 12) + 1]
+        spec = kernels.EdgeSpec(box, 2, rows, ((0, 1, ()),))
+
+        def no_pairs(*args):
+            raise AssertionError("a pair was formed")
+
+        monkeypatch.setattr(kernels, "vertex_dist_sq", no_pairs)
+        with pytest.raises(GuardError):
+            kernels.tally(spec, 0, len(rows), 1)
+        with pytest.raises(AssertionError, match="a pair was formed"):
+            kernels.tally(replace(spec, draw=rows[:-1]), 0, len(rows) - 1, 1)
 
     def test_box_pair_oracle_at_the_edge(self):
         box = BoxSpec(3, 511)  # 1023^2 = 1,046,529 points, the most an enumeration lists
