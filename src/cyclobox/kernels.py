@@ -12,10 +12,10 @@ popcounts of whole rows.  `tally` runs an `EdgeSpec` through `run_chunks`, a
 draw in chunks of samples and a sweep in slabs of rows; chunks depend only on
 the sample or row count and the row width, so tallies are the same for any
 worker count.  The oracles visit no pairs: `pair_totals` reads the exact totals
-of d^2 and d^4 from per-point sums.  Vertex to point is one path: exhaustive
-T4 and the oracle's point moments both run `PackedApex.dist_sq` over the packed
-rows of `box_vertex_rows`, and only the renderer unpacks vertices to
-coefficients (`vertex_matrix`).
+of d^2 and d^4 from per-point sums.  A fixed point meets vertex rows only as a
+`PackedApex` and its mask sums, for `tally`'s apex legs (exhaustive T4 among them),
+the oracle's point moments, the angles and the cancellation sums; only the
+renderer unpacks vertices to coefficients (`vertex_matrix`).
 """
 
 from __future__ import annotations
@@ -50,11 +50,6 @@ def lift(a: np.ndarray, bound: int) -> np.ndarray:
     if a.dtype == object or exact_dtype(bound) is np.int64:
         return a
     return a.astype(object)
-
-
-def coeff_array(coeffs) -> np.ndarray:
-    """A fixed point's coefficients, int64 when every one of them fits."""
-    return np.array(coeffs, dtype=exact_dtype(max(max(coeffs), -min(coeffs))))
 
 
 def scaled(signs: np.ndarray, N: int) -> np.ndarray:
@@ -107,17 +102,17 @@ def _pack(indices: list, dim: int) -> np.ndarray:
 
 
 class PackedApex:
-    """A fixed point alpha of `box`, seen from packed vertices x.  With E = sum alpha_j^2,
-    T = sum alpha_j and alpha = sum_c c * 1[M_c] over masks M_c, d = x - alpha has
-    q = N^2 dim + E + 2NT - 4N sum_c c pc(x & M_c) and s = N (2 pc(x) - dim) - T.
+    """A fixed point alpha of `box`, in the one form that meets packed vertices x.  With
+    E = sum alpha_j^2, T = sum alpha_j and alpha = sum_c c * 1[M_c] over masks M_c, the
+    sum of alpha_j over the set bits of x is L(x) = sum_c c pc(x & M_c), and d = x - alpha
+    has q = N^2 dim + E + 2NT - 4N L(x) and s = N (2 pc(x) - dim) - T.
     The masks are one per distinct nonzero alpha_j, or one per sign and bit of
     |alpha_j| when that takes fewer, so no alpha needs more than 2 bitlen(max |alpha_j|)."""
 
     def __init__(self, box: BoxSpec, coeffs: tuple):
         N, dim = box.N, box.dim
         self.box = box
-        self.m = N + max(abs(c) for c in coeffs)
-        self.bound = dist_sq_bound(box.p, dim, self.m)
+        self.bound = dist_sq_bound(box.p, dim, N + max(abs(c) for c in coeffs))
         trace = sum(coeffs)
         self.q0 = N * N * dim + sum(c * c for c in coeffs) + 2 * N * trace
         self.s0 = N * dim + trace
@@ -129,13 +124,19 @@ class PackedApex:
                 if abs(c) >> k & 1:
                     by_bit.setdefault((1 if c > 0 else -1) << k, []).append(j)
         terms = min(by_value, by_bit, key=len)
-        self.terms = [(-4 * N * c, _pack(idx, dim)) for c, idx in terms.items()]
+        self.terms = [(c, _pack(idx, dim)) for c, idx in terms.items()]
+
+    def mask_sum(self, x: np.ndarray, start: int, weight: int):
+        """start + weight * L(x) over packed rows x, exact while |start| + |weight| sum_j
+        |alpha_j| <= bound; just `start`, a scalar, when alpha = 0 has no masks."""
+        total = start
+        for c, mask in self.terms:
+            total = total + lift(popcount(x & mask), self.bound) * (weight * c)
+        return total
 
     def dist_sq(self, x: np.ndarray, pcx: np.ndarray) -> np.ndarray:
         """Exact d^2(x, alpha) over packed vertex rows x with popcounts pcx."""
-        q = self.q0
-        for weight, mask in self.terms:
-            q = q + lift(popcount(x & mask), self.bound) * weight
+        q = self.mask_sum(x, self.q0, -4 * self.box.N)
         s = lift(pcx, self.bound) * (2 * self.box.N) - self.s0
         return _combine(self.box.p, q, s)
 
@@ -246,10 +247,10 @@ class EdgeSpec:
     draw(box, K, seed, start, stop) -> ((count, K, width) points, tuples drawn),
     where a point is `dim` coefficients, or packed sign words if uint64 (a vertex).
     In place of a draw, an (n, width) row matrix sweeps every ordered K-tuple of
-    its rows once, slab by slab (K <= 2; a K = 2 sweep joins only points 0 and 1).
-    Edge (j, k, intervals) joins points j and k (k == APEX: the fixed `apex`)
-    and must hit intervals[v] for verdict v; every edge lists one interval
-    per verdict."""
+    its rows once, slab by slab (K = 1 or 2; a K = 2 sweep joins only points 0 and 1).
+    Edge (j, k, intervals) joins points j and k (k == APEX: the fixed `apex`, met
+    as a `PackedApex`, so an apex leg needs vertex points) and must hit
+    intervals[v] for verdict v; every edge lists one interval per verdict."""
 
     box: BoxSpec
     K: int
@@ -273,33 +274,36 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
     n^K ordered tuples once; `attempts` counts them, and PAIR_SWEEP_MAX bounds them."""
     box = spec.box
     p, d2 = box.p, box.diameter_sq()
-    apex = None if spec.apex is None else coeff_array(spec.apex)
-    packed_apex = None if spec.apex is None else PackedApex(box, spec.apex)
+    apex = None if spec.apex is None else PackedApex(box, spec.apex)
     verdicts = len(spec.edges[0][2])
-    plan = [(j, k, packed_apex.m if k == APEX else 2 * box.N,
+    plan = [(j, k, apex.bound if k == APEX else dist_sq_bound(p, box.dim, 2 * box.N),
              [iv.members(d2) for iv in ivs]) for j, k, ivs in spec.edges]
 
-    def edge_dist_sq(members, pcs, j, k, m):
-        if pcs is None:
-            return dist_sq(p, members[j], apex if k == APEX else members[k], m)
+    def edge_dist_sq(members, pcs, j, k):
         if k == APEX:
-            return packed_apex.dist_sq(members[j], pcs[j])
+            if pcs is None:
+                raise ValueError("an apex leg needs vertex points (packed sign words)")
+            return apex.dist_sq(members[j], pcs[j])
+        if pcs is None:
+            return dist_sq(p, members[j], members[k], 2 * box.N)
         return vertex_dist_sq(box, members[j], members[k], pcs[j], pcs[k])
 
     def work(members, attempts, weight=1):  # (attempts, d^2 total, *hits), each times weight
         pcs = [popcount(x) for x in members] if members[0].dtype == np.uint64 else None
         ok = [True] * verdicts
         d2_sum = 0
-        for j, k, m, ranges in plan:
-            vals = edge_dist_sq(members, pcs, j, k, m)
+        for j, k, bound, ranges in plan:
+            vals = edge_dist_sq(members, pcs, j, k)
             ok = [row & (vals >= lo) & (vals <= hi) for row, (lo, hi) in zip(ok, ranges)]
-            d2_sum += exact_sum(vals, dist_sq_bound(p, box.dim, m))
+            d2_sum += exact_sum(vals, bound)
         hits = (int(np.count_nonzero(row)) for row in ok)
         return tuple(weight * n for n in (attempts, d2_sum, *hits))
 
     rows = spec.draw if isinstance(spec.draw, np.ndarray) else None
     unit_dim = spec.K * box.dim
     if rows is not None:
+        if spec.K not in (1, 2):
+            raise ValueError(f"a sweep visits single rows or ordered pairs, not K = {spec.K}")
         if spec.K == 2:
             ordered_pairs(len(rows))
             unit_dim = len(rows) * rows.shape[1]

@@ -15,9 +15,11 @@ results are asserted identical; the polynomial is easy to mistranscribe.
 
 The oracle recomputes each moment by full enumeration of the 2^(p-1)
 vertices in exact integer arithmetic, so a formula/oracle match is a
-zero-tolerance certificate at that (p, N).  A point moment is one
-`kernels.PackedApex` pass of d^2(x, alpha) over the packed vertex rows, the
-pass exhaustive T4 makes.  The pair moments read per-point sums instead:
+zero-tolerance certificate at that (p, N).  A fixed point meets the packed
+vertex rows only as a `kernels.PackedApex`: a point moment is one pass of
+d^2(x, alpha), the pass exhaustive T4 makes, and the cancellation sums take
+<a, s> = 2 L(x) + Tr(a) from its mask sums and sum s = 2 pc(x) - (p-1) over
+the +-1 signs s of a row.  The pair moments read per-point sums instead:
 with d^2(x, y) = Q(x - y), Q(v) = v^T A v and
 A = p^2 I - (p+1) J, the n^2 ordered pairs of n rows give
 
@@ -155,11 +157,6 @@ def closed_forms(box: BoxSpec, alpha: Optional[CyclotomicInt] = None) -> list:
 
 # --- exhaustive oracle -------------------------------------------------------
 
-def _sign_rows(box: BoxSpec):
-    """The +-1 sign rows of the vertices of `box`, refused above the enumeration guard."""
-    return rng.unpack_signs(kernels.box_vertex_rows(box), box.dim)
-
-
 def oracle_moments(box: BoxSpec, alpha: Optional[CyclotomicInt] = None) -> list:
     """Recompute the `closed_forms` moments by full enumeration and pair them up.
 
@@ -168,13 +165,13 @@ def oracle_moments(box: BoxSpec, alpha: Optional[CyclotomicInt] = None) -> list:
     """
     forms = closed_forms(box, alpha)
     p, N, d2 = box.p, box.N, box.diameter_sq()
+    rows = kernels.box_vertex_rows(box)
     if alpha is None:
         count = box.num_vertices() ** 2
-        d2_sum, d4_sum = kernels.pair_totals(p, _sign_rows(box), 1)
+        d2_sum, d4_sum = kernels.pair_totals(p, rng.unpack_signs(rows, box.dim), 1)
         d2_sum, d4_sum = d2_sum * N ** 2, d4_sum * N ** 4
     else:
         count = box.num_vertices()
-        rows = kernels.box_vertex_rows(box)
         apex = kernels.PackedApex(box, alpha.coeffs)
         bound = apex.bound
         vals = apex.dist_sq(rows, kernels.popcount(rows))
@@ -212,22 +209,23 @@ class CancellationCheck:
 def oracle_cancellation_sums(alpha: CyclotomicInt, box: BoxSpec) -> CancellationCheck:
     """Verify by enumeration the sums over vertices that cancel or collapse."""
     _check_pair(alpha, box)
-    p, N = box.p, box.N
-    signs = _sign_rows(box)  # n <= 2^16 rows, so m and M stay far inside int64
-    nv = len(signs)
-    a = np.array(alpha.coeffs, dtype=object)
-    lin = N * int(a @ signs.sum(axis=0))
-    quad = N * N * int(a @ np.einsum("ij,ik->jk", signs, signs) @ a)
-    srow = signs.sum(axis=1)
-    s2, s3, s4 = (N ** k * kernels.exact_sum(srow ** k, box.dim ** k) for k in (2, 3, 4))
+    p, N, dim = box.p, box.N, box.dim
+    rows = kernels.box_vertex_rows(box)
+    nv = len(rows)
     tr = alpha.trace()
-    e = alpha.euclid_norm_sq()
+    # <a, s> = 2 L(x) + Tr(a), Tr(a) = -sum a_j, over the +-1 signs s of row x; 0 if a = 0
+    dots = np.broadcast_to(kernels.PackedApex(box, alpha.coeffs).mask_sum(rows, tr, 2), nv)
+    bound = dim * max(abs(c) for c in alpha.coeffs)  # on |<a, s>|
+    lin = N * kernels.exact_sum(dots, bound)
+    quad = N * N * kernels.exact_sum(kernels.lift(dots, bound * bound) ** 2, bound * bound)
+    srow = 2 * kernels.popcount(rows) - dim  # sum s, at most dim = p - 1 <= 16
+    s2, s3, s4 = (N ** k * kernels.exact_sum(srow ** k, dim ** k) for k in (2, 3, 4))
     return CancellationCheck(
         p=p,
         N=N,
         alpha=alpha.coeffs,
         linear=(lin, 0),
-        quadratic=(quad, nv * e * N * N),
+        quadratic=(quad, nv * alpha.euclid_norm_sq() * N * N),
         trace_quadratic=(tr * tr * s2, nv * tr * tr * N * N * (p - 1)),
         cubic=(s3, 0),
         quartic=(s4, nv * N ** 4 * (p - 1) * (3 * p - 5)),

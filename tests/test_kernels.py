@@ -64,8 +64,9 @@ class TestDistanceKernel:
     def test_vertex_apex(self, data, p, N, rows):
         x = kernels.scaled(data.draw(_signs(p, rows)), N)
         alpha = data.draw(st.lists(COEFFS, min_size=p - 1, max_size=p - 1))
-        m = N + max(abs(c) for c in alpha)
-        _check(p, x, kernels.coeff_array(alpha), m, x.tolist(), [alpha] * rows)
+        widest = max(abs(c) for c in alpha)
+        y = np.array(alpha, dtype=kernels.exact_dtype(widest))
+        _check(p, x, y, N + widest, x.tolist(), [alpha] * rows)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), PRIMES, SIZES, st.integers(1, 8))
@@ -313,6 +314,26 @@ class TestExhaustiveSweeps:
                 with pytest.raises(ValueError):
                     kernels.tally(spec, 0, total, 1)
 
+    @pytest.mark.parametrize("K", [3, 4])
+    def test_sweep_refuses_k_past_2_before_any_slab(self, monkeypatch, K):
+        box = BoxSpec(5, 1)
+        rows = kernels.box_vertex_rows(box)
+
+        def no_slabs(*args):
+            raise AssertionError("a slab was formed")
+
+        monkeypatch.setattr(kernels, "run_chunks", no_slabs)
+        spec = kernels.EdgeSpec(box, K, rows, ((0, 1, ()),))
+        with pytest.raises(ValueError, match=f"K = {K}"):
+            kernels.tally(spec, 0, len(rows), 1)
+
+    def test_apex_leg_refuses_box_points(self):
+        box = BoxSpec(5, 3)
+        leg = (0, kernels.APEX, (IntervalSpec(Fraction(1, 2), Fraction(1, 10)),))
+        spec = kernels.EdgeSpec(box, 1, kernels.draw_box_points, (leg,), apex=(1, 0, -2, 3))
+        with pytest.raises(ValueError, match="vertex points"):
+            kernels.tally(spec, 0, 10, 1)
+
     def test_box_pair_oracle_over_several_blocks(self):
         box = BoxSpec(5, 3)  # 2401 points: 4 row blocks
         assert box.num_points() == 2401
@@ -332,8 +353,7 @@ class TestPairTotals:
         m = max(1, max(abs(c) for row in rows for c in row))
         points = [CyclotomicInt(p, row) for row in rows]
         d2 = [core.dist_sq(x, y) for x in points for y in points]
-        got = kernels.pair_totals(p, kernels.coeff_array([c for row in rows for c in row])
-                                  .reshape(n, p - 1), m)
+        got = kernels.pair_totals(p, np.array(rows, dtype=kernels.exact_dtype(m)), m)
         assert got == (sum(d2), sum(d * d for d in d2))
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -402,6 +422,29 @@ class TestPackedKernel:
         assert [int(v) for v in got] == [core.dist_sq(_vertex_of(p, N, v), a) for v in xs]
         widest = max(abs(c) for c in alpha)
         assert len(apex.terms) <= min(len(set(alpha) - {0}), 2 * widest.bit_length())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), PACKED_PRIMES, SIZES, st.integers(1, 5))
+    def test_mask_sum_is_alpha_over_the_set_bits(self, data, p, N, rows):
+        box = BoxSpec(p, N)
+        x, xs = data.draw(_packed_vertices(p - 1, rows))
+        alpha = data.draw(_apexes(box))
+        start, weight = data.draw(st.integers(-N, N)), data.draw(st.sampled_from([2, -4 * N]))
+        got = kernels.PackedApex(box, alpha).mask_sum(x, start, weight)
+        want = [start + weight * sum(c for j, c in enumerate(alpha) if v >> j & 1) for v in xs]
+        assert np.broadcast_to(got, rows).tolist() == want
+
+    @pytest.mark.parametrize("alpha,values", [
+        ((3, 3, -5, 3, 0, -5), {3, -5}),  # one mask per distinct value
+        ((1, 2, 3, 4, 5, 6), {1, 2, 4}),  # one per bit: 3 masks, not 6
+    ])
+    def test_mask_sum_under_either_mask_choice(self, alpha, values):
+        box = BoxSpec(7, 2 ** 62)
+        apex = kernels.PackedApex(box, alpha)
+        assert {c for c, _ in apex.terms} == values
+        got = apex.mask_sum(kernels.box_vertex_rows(box), 7, -4 * box.N)
+        assert got.tolist() == [7 - 4 * box.N * sum(c for j, c in enumerate(alpha) if v >> j & 1)
+                                for v in range(2 ** box.dim)]
 
     @pytest.mark.parametrize("p,N", [(3, 1), (7, 5), (13, 2 ** 62)])
     def test_sweep_rows_unpack_to_the_vertex_matrix(self, p, N):

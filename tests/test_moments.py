@@ -167,6 +167,29 @@ class TestCancellationSums:
             assert c.cubic[0] == dumb["cubic"]
             assert c.quartic[0] == dumb["quartic"]
 
+    @pytest.mark.parametrize("N", [1, 2 ** 62])
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("kind", ["zero", "north-pole", "past-int64", "per-bit-masks"])
+    def test_each_sum_against_a_per_vertex_loop(self, p, N, kind):
+        box = BoxSpec(p, N)
+        coeffs = {
+            "zero": (0,) * (p - 1),  # no masks: <a, s> is one scalar for every row
+            "north-pole": north_pole_point(box).coeffs,
+            "past-int64": (2 ** 64 + 1, -(2 ** 63) - 1) + (0,) * (p - 3),
+            "per-bit-masks": tuple(range(1, p)),  # fewer masks by bit than by value
+        }[kind]
+        c = oracle_cancellation_sums(CyclotomicInt(p, coeffs), box)
+        want = dict.fromkeys(("linear", "quadratic", "trace_quadratic", "cubic", "quartic"), 0)
+        for x in box.vertices():
+            dot, sx = sum(a * v for a, v in zip(coeffs, x.coeffs)), sum(x.coeffs)
+            want["linear"] += dot
+            want["quadratic"] += dot * dot
+            want["trace_quadratic"] += sum(coeffs) ** 2 * sx * sx
+            want["cubic"] += sx ** 3
+            want["quartic"] += sx ** 4
+        assert {k: getattr(c, k)[0] for k in want} == want
+        assert c.all_match
+
 
 class TestOracleReach:
     def test_pair_moments_at_p17(self):
