@@ -6,12 +6,15 @@ Overflow policy: each array step knows a bound on every value it makes;
 arrays) when it does not, and `lift` promotes an operand just before the
 first step that could wrap.  `exact_sum` adds int64 pieces whose totals
 provably fit.  The kernel is d^2 = p^2 q - (p+1) s^2 with q = sum(d_j^2) and
-s = sum(d_j) of a difference d.  Coefficient rows reduce d directly; vertices
-stay packed sign words (bit j set: coordinate j is +N), and q and s come from
-popcounts of whole rows.  `tally` runs an `EdgeSpec` through `run_chunks`, a
-draw in chunks of samples and a sweep in slabs of rows; chunks depend only on
-the sample or row count and the row width, so tallies are the same for any
-worker count.  The oracles visit no pairs: `pair_totals` reads the exact totals
+s = sum(d_j) of a difference d.  Coefficient rows reduce d directly, on the
+path `arithmetic_path` picks: all in int64 while d^2 fits; in two int64 limbs
+d = h 2^k + l while the limb sums fit, lifting only the row sums; else in
+Python ints.  Vertices stay packed sign words (bit j set: coordinate j is +N),
+and q and s come from popcounts of whole rows.  `tally` runs an `EdgeSpec`
+through `run_chunks`, a draw in chunks of samples and a sweep in slabs of rows
+(a pair slab sized so all its per-pair temporaries fit one batch); chunks
+depend only on the sample or row count and the row width, so tallies are the
+same for any worker count.  The oracles visit no pairs: `pair_totals` reads the exact totals
 of d^2 and d^4 from per-point sums.  A fixed point meets vertex rows only as a
 `PackedApex` and its mask sums, for `tally`'s apex legs (exhaustive T4 among them),
 the oracle's point moments, the angles and the cancellation sums; only the
@@ -36,6 +39,7 @@ PAIR_SWEEP_MAX = 1 << 24  # ordered pairs an exhaustive pair sweep may visit
 EDGE_MAX = 1 << 16  # edges of one K-polytope, one kernel pass per chunk each: K <= 362
 
 _BATCH_ELEMENTS = 1 << 21  # per-batch int64 budget, ~16 MB per temporary
+_PAIR_TEMPORARIES = 8  # int64 values per pair that a pair slab's kernel pass holds at once
 
 
 # --- overflow policy ------------------------------------------------------------
@@ -72,11 +76,41 @@ def _combine(p: int, q, s):
     return p * p * q - (p + 1) * s * s
 
 
+def _limb_bits(m: int) -> int:
+    """k = ceil(bitlen(m) / 2), so d = h 2^k + l with |d| <= m has |h| <= 2^k, 0 <= l < 2^k."""
+    return (m.bit_length() + 1) // 2
+
+
+def arithmetic_path(p: int, dim: int, m: int) -> str:
+    """How `dist_sq` reduces `dim` differences with |d_j| <= m: "int64" while d^2 fits
+    int64, "limbs" while the int64 sums of h^2, hl and l^2 over the limbs of d do
+    (dim 2^(2k) <= INT64_MAX), else "object" (Python ints)."""
+    if dist_sq_bound(p, dim, m) <= INT64_MAX:
+        return "int64"
+    if dim << 2 * _limb_bits(m) <= INT64_MAX:
+        return "limbs"
+    return "object"
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...j,...j->...", a, b)
+
+
 def dist_sq(p: int, x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """Exact d^2(x, y) over the broadcast rows of x and y, given |x_j - y_j| <= m."""
-    x = lift(x, m)
-    diff = lift(x - y, dist_sq_bound(p, x.shape[-1], m))
-    return _combine(p, np.einsum("...j,...j->...", diff, diff), np.einsum("...j->...", diff))
+    """Exact d^2(x, y) over the broadcast rows of x and y, given |x_j - y_j| <= m.
+    On the "limbs" path q = (sum h^2 << 2k) + (sum hl << k+1) + sum l^2, and only
+    these row sums and s become Python ints."""
+    dim = x.shape[-1]
+    bound = dist_sq_bound(p, dim, m)
+    if arithmetic_path(p, dim, m) == "limbs":
+        diff = x - y
+        k = _limb_bits(m)
+        high, low = diff >> k, diff & ((1 << k) - 1)
+        hh, hl, ll = (lift(_row_dot(a, b), bound) for a, b in ((high, high), (high, low), (low, low)))
+        return _combine(p, (hh << 2 * k) + (hl << (k + 1)) + ll,
+                        lift(np.einsum("...j->...", diff), bound))
+    diff = lift(lift(x, m) - y, bound)
+    return _combine(p, _row_dot(diff, diff), np.einsum("...j->...", diff))
 
 
 def popcount(words: np.ndarray) -> np.ndarray:
@@ -107,7 +141,8 @@ class PackedApex:
     sum of alpha_j over the set bits of x is L(x) = sum_c c pc(x & M_c), and d = x - alpha
     has q = N^2 dim + E + 2NT - 4N L(x) and s = N (2 pc(x) - dim) - T.
     The masks are one per distinct nonzero alpha_j, or one per sign and bit of
-    |alpha_j| when that takes fewer, so no alpha needs more than 2 bitlen(max |alpha_j|)."""
+    |alpha_j| when that takes fewer, so no alpha needs more than 2 bitlen(max |alpha_j|);
+    the bit masks are read off the distinct values, not every coefficient."""
 
     def __init__(self, box: BoxSpec, coeffs: tuple):
         N, dim = box.N, box.dim
@@ -120,9 +155,10 @@ class PackedApex:
         for j, c in enumerate(coeffs):
             if c:
                 by_value.setdefault(c, []).append(j)
+        for c, idx in by_value.items():
             for k in range(abs(c).bit_length()):
                 if abs(c) >> k & 1:
-                    by_bit.setdefault((1 if c > 0 else -1) << k, []).append(j)
+                    by_bit.setdefault((1 if c > 0 else -1) << k, []).extend(idx)
         terms = min(by_value, by_bit, key=len)
         self.terms = [(c, _pack(idx, dim)) for c, idx in terms.items()]
 
@@ -249,7 +285,7 @@ class EdgeSpec:
     In place of a draw, an (n, width) row matrix sweeps every ordered K-tuple of
     its rows once, slab by slab (K = 1 or 2; a K = 2 sweep joins only points 0 and 1).
     Edge (j, k, intervals) joins points j and k (k == APEX: the fixed `apex`, met
-    as a `PackedApex`, so an apex leg needs vertex points) and must hit
+    as a `PackedApex`, so an apex leg needs the apex and vertex points) and must hit
     intervals[v] for verdict v; every edge lists one interval per verdict."""
 
     box: BoxSpec
@@ -271,9 +307,12 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
     A sweep draws no stream: `total` is its row count n, and its chunks are slabs
     of rows [lo, hi).  A K = 2 slab meets its own rows in both orders and, at
     weight 2 as d^2 is symmetric, the rows [0, lo), so the slabs visit each of the
-    n^K ordered tuples once; `attempts` counts them, and PAIR_SWEEP_MAX bounds them."""
+    n^K ordered tuples once; `attempts` counts them, and PAIR_SWEEP_MAX bounds them.
+    With s slabs that evaluates n^2 (s + 1) / (2s) pairs, so smaller slabs do less work."""
     box = spec.box
     p, d2 = box.p, box.diameter_sq()
+    if spec.apex is None and any(k == APEX for _, k, _ in spec.edges):
+        raise ValueError("an apex leg (k == APEX) needs the spec's apex, and it has none")
     apex = None if spec.apex is None else PackedApex(box, spec.apex)
     verdicts = len(spec.edges[0][2])
     plan = [(j, k, apex.bound if k == APEX else dist_sq_bound(p, box.dim, 2 * box.N),
@@ -304,9 +343,9 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
     if rows is not None:
         if spec.K not in (1, 2):
             raise ValueError(f"a sweep visits single rows or ordered pairs, not K = {spec.K}")
-        if spec.K == 2:
+        if spec.K == 2:  # all temporaries of a slab's pairs, together, fit one batch
             ordered_pairs(len(rows))
-            unit_dim = len(rows) * rows.shape[1]
+            unit_dim = _PAIR_TEMPORARIES * len(rows) * rows.shape[1]
         if total != len(rows):
             raise ValueError(f"a sweep runs once over its {len(rows)} rows, not {total}")
 

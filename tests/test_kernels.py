@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -76,6 +77,73 @@ class TestDistanceKernel:
         x = np.array(pts[:rows], dtype=np.int64)
         y = np.array(pts[rows:], dtype=np.int64)
         _check(p, x, y, 2 * N, pts[:rows], pts[rows:])
+
+
+# p -> the largest N whose box-point differences (|d_j| <= 2N) the int64 limbs hold
+LIMB_EDGE = {5: 2 ** 59 - 1, 101: 2 ** 55 - 1, 1009: 2 ** 51 - 1}
+
+
+def _first_past_int64(p):
+    """The smallest N whose p^2 (p-1) (2N)^2 passes INT64_MAX."""
+    n = math.isqrt(kernels.INT64_MAX // (4 * p * p * (p - 1)))
+    while p * p * (p - 1) * (2 * n) ** 2 <= kernels.INT64_MAX:
+        n += 1
+    return n
+
+
+def _path_sizes(p):
+    return [_first_past_int64(p), 2 ** 40, LIMB_EDGE[p], LIMB_EDGE[p] + 1, 2 ** 62]
+
+
+class TestArithmeticPath:
+    @pytest.mark.parametrize("p", sorted(LIMB_EDGE))
+    def test_path_at_its_edges(self, p):
+        def path(N):
+            return kernels.arithmetic_path(p, p - 1, 2 * N)
+
+        first = _first_past_int64(p)
+        assert path(first - 1) == "int64"
+        assert path(first) == path(2 ** 40) == path(LIMB_EDGE[p]) == "limbs"
+        assert path(LIMB_EDGE[p] + 1) == path(2 ** 62) == "object"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from(sorted(LIMB_EDGE)), st.integers(1, 4),
+           st.sampled_from(["random", "plus-minus", "mixed-signs"]), st.integers(0, 2 ** 32))
+    def test_limbs_equal_the_object_path(self, data, p, rows, kind, seed):
+        N = data.draw(st.sampled_from(_path_sizes(p)))
+        dim, gen = p - 1, np.random.default_rng(seed)
+        if kind == "random":
+            x, y = (gen.integers(-N, N, size=(rows, dim), endpoint=True) for _ in range(2))
+        elif kind == "plus-minus":  # every d_j is +2N or -2N, the widest
+            x = np.full((rows, dim), N, dtype=np.int64) * gen.choice([-1, 1], size=(rows, 1))
+            y = -x
+        else:
+            x, y = (N * gen.choice([-1, 1], size=(rows, dim)) for _ in range(2))
+        got = kernels.dist_sq(p, x, y, 2 * N)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "arithmetic_path", lambda *args: "object")
+            by_objects = kernels.dist_sq(p, x, y, 2 * N)
+        want = [core.dist_sq(CyclotomicInt(p, a), CyclotomicInt(p, b))
+                for a, b in zip(x.tolist(), y.tolist())]
+        assert [int(v) for v in got] == [int(v) for v in by_objects] == want
+
+    def test_box_pair_tally_lifts_only_row_totals(self, monkeypatch):
+        box, count = BoxSpec(101, 2 ** 40), 50
+        lifted = []
+
+        def recording_lift(a, bound, lift=kernels.lift):
+            out = lift(a, bound)
+            if out.dtype != a.dtype:
+                lifted.append(a.shape)
+            return out
+
+        monkeypatch.setattr(kernels, "lift", recording_lift)
+        spec = kernels.EdgeSpec(box, 2, kernels.draw_box_points, ((0, 1, ()),))
+        got = kernels.tally(spec, 3, count, 1)
+        assert lifted and all(shape == (count,) for shape in lifted)
+        pts, _ = kernels.draw_box_points(box, 2, 3, 0, count)
+        assert got.d2_sum == sum(core.dist_sq(CyclotomicInt(101, a), CyclotomicInt(101, b))
+                                 for a, b in pts.tolist())
 
 
 class TestOverflowPolicy:
@@ -267,7 +335,7 @@ class TestExhaustiveSweeps:
         (11, Fraction(1, 100), 1),
         (11, Fraction(1, 10), 1),
         (11, Fraction(3, 4), 1),
-        (13, Fraction(3, 4), 3),  # eight slabs on three threads
+        (13, Fraction(3, 4), 3),  # 64 slabs on three threads
     ])
     def test_t5_hits_match_the_pair_histogram(self, p, eps, workers):
         box = BoxSpec(p, 1)
@@ -282,15 +350,33 @@ class TestExhaustiveSweeps:
             assert r.hits == r.extra["hits_half"] == r.trials
 
     def test_exhaustive_worker_count_invariance(self):
-        for p in (11, 13):  # one slab at p = 11; eight at p = 13, run on two threads
+        for p in (11, 13):  # four slabs at p = 11 and 64 at p = 13, run on two threads
             one, two = (_t5_sweep(p, w) for w in (1, 2))
             assert replace(two, worker_count=1) == one
 
+    def test_t5_at_p11_runs_in_several_slabs(self, monkeypatch):
+        slabs = []
+
+        def recording_run_chunks(fn, total, workers, unit_dim=1, run=kernels.run_chunks):
+            def slab(lo, hi):
+                slabs.append((lo, hi))
+                return fn(lo, hi)
+            return run(slab, total, workers, unit_dim)
+
+        monkeypatch.setattr(kernels, "run_chunks", recording_run_chunks)
+        one = _t5_sweep(11)
+        assert len(slabs) > 1
+        assert [lo for lo, _ in sorted(slabs)] == [0] + [hi for _, hi in sorted(slabs)][:-1]
+        assert max(hi for _, hi in slabs) == 1024
+        assert one.trials == 1024 ** 2
+        assert replace(_t5_sweep(11, 2), worker_count=1) == one
+
     # batch budgets that cut each sweep into slabs of 10 rows (100 at p = 11), the last short
     @pytest.mark.parametrize("sweep,p,budget", [
-        (_t4_sweep, 7, 10 * 6),       # a K = 1 slab of c rows holds c * dim elements
-        (_t5_sweep, 7, 10 * 64),      # a K = 2 slab of c rows meets n rows: c * n
-        (_t5_sweep, 11, 100 * 1024),
+        (_t4_sweep, 7, 10 * 6),  # a K = 1 slab of c rows holds c * dim elements
+        # a K = 2 slab of c rows meets n rows, with 8 temporaries per pair: 8 * c * n
+        (_t5_sweep, 7, 10 * 64 * kernels._PAIR_TEMPORARIES),
+        (_t5_sweep, 11, 100 * 1024 * kernels._PAIR_TEMPORARIES),
     ])
     def test_ragged_slabs_match_one_slab(self, monkeypatch, sweep, p, budget):
         whole = sweep(p)
@@ -333,6 +419,17 @@ class TestExhaustiveSweeps:
         spec = kernels.EdgeSpec(box, 1, kernels.draw_box_points, (leg,), apex=(1, 0, -2, 3))
         with pytest.raises(ValueError, match="vertex points"):
             kernels.tally(spec, 0, 10, 1)
+
+    def test_apex_leg_without_an_apex_is_refused_before_any_chunk(self, monkeypatch):
+        def no_chunks(*args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(kernels, "run_chunks", no_chunks)
+        leg = (0, kernels.APEX, (IntervalSpec(Fraction(1, 2), Fraction(1, 10)),))
+        for K, edges in ((1, (leg,)), (3, kernels.all_edges(3, leg[2]) + (leg,))):
+            spec = kernels.EdgeSpec(BoxSpec(5, 1), K, kernels.draw_vertices, edges)
+            with pytest.raises(ValueError, match="apex"):
+                kernels.tally(spec, 0, 10, 1)
 
     def test_box_pair_oracle_over_several_blocks(self):
         box = BoxSpec(5, 3)  # 2401 points: 4 row blocks
@@ -399,6 +496,19 @@ def _apexes(draw, box):
     return tuple(draw(st.lists(coeff, min_size=dim, max_size=dim)))
 
 
+def _per_coordinate_terms(alpha):
+    """PackedApex's (c, set bits of M_c) terms, built by visiting every bit of
+    every coefficient: one per distinct value, or one per sign and bit if fewer."""
+    by_value, by_bit = {}, {}
+    for j, c in enumerate(alpha):
+        if c:
+            by_value.setdefault(c, set()).add(j)
+        for k in range(abs(c).bit_length()):
+            if abs(c) >> k & 1:
+                by_bit.setdefault((1 if c > 0 else -1) << k, set()).add(j)
+    return {(c, frozenset(idx)) for c, idx in min(by_value, by_bit, key=len).items()}
+
+
 class TestPackedKernel:
     @settings(max_examples=60, deadline=None)
     @given(st.data(), PACKED_PRIMES, SIZES, st.integers(1, 5))
@@ -445,6 +555,26 @@ class TestPackedKernel:
         got = apex.mask_sum(kernels.box_vertex_rows(box), 7, -4 * box.N)
         assert got.tolist() == [7 - 4 * box.N * sum(c for j, c in enumerate(alpha) if v >> j & 1)
                                 for v in range(2 ** box.dim)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([7, 101, 1009]), st.sampled_from([1, 2 ** 31, 2 ** 62]),
+           st.sampled_from(["north-pole", "alternating", 3, 100, "random"]),
+           st.integers(0, 2 ** 32))
+    def test_masks_from_distinct_values_match_a_per_coordinate_build(self, p, N, kind, seed):
+        box, gen = BoxSpec(p, N), random.Random(seed)
+        if kind == "north-pole":
+            alpha = core.north_pole_point(box).coeffs
+        elif kind == "alternating":
+            alpha = core.alternating_point(box).coeffs
+        elif kind == "random":
+            alpha = tuple(gen.randint(-N, N) for _ in range(box.dim))
+        else:  # coefficients from a pool of 3 or 100 values: repeated, by value or by bit
+            values = [gen.randint(-N, N) for _ in range(kind)]
+            alpha = tuple(gen.choice(values) for _ in range(box.dim))
+        got = {(c, frozenset(np.flatnonzero(np.unpackbits(
+            mask.astype("<u8").view(np.uint8), bitorder="little")).tolist()))
+            for c, mask in kernels.PackedApex(box, alpha).terms}
+        assert got == _per_coordinate_terms(alpha)
 
     @pytest.mark.parametrize("p,N", [(3, 1), (7, 5), (13, 2 ** 62)])
     def test_sweep_rows_unpack_to_the_vertex_matrix(self, p, N):
