@@ -371,16 +371,17 @@ class TestExhaustiveSweeps:
         assert one.trials == 1024 ** 2
         assert replace(_t5_sweep(11, 2), worker_count=1) == one
 
-    # batch budgets that cut each sweep into slabs of 10 rows (100 at p = 11), the last short
-    @pytest.mark.parametrize("sweep,p,budget", [
+    # slab sizes of 10 rows (100 at p = 11), the last short, in elements per slab
+    @pytest.mark.parametrize("sweep,p,elements", [
         (_t4_sweep, 7, 10 * 6),  # a K = 1 slab of c rows holds c * dim elements
-        # a K = 2 slab of c rows meets n rows, with 8 temporaries per pair: 8 * c * n
-        (_t5_sweep, 7, 10 * 64 * kernels._PAIR_TEMPORARIES),
-        (_t5_sweep, 11, 100 * 1024 * kernels._PAIR_TEMPORARIES),
+        (_t5_sweep, 7, 10 * 64),  # a K = 2 slab of c rows meets n rows: c * n pairs
+        (_t5_sweep, 11, 100 * 1024),
     ])
-    def test_ragged_slabs_match_one_slab(self, monkeypatch, sweep, p, budget):
+    def test_ragged_slabs_match_one_slab(self, monkeypatch, sweep, p, elements):
         whole = sweep(p)
-        monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", budget)
+        # each pair of a K = 2 slab holds _PAIR_TEMPORARIES int64 values against the budget
+        per_element = kernels._PAIR_TEMPORARIES if sweep is _t5_sweep else 1
+        monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", elements * per_element)
         one, two = (sweep(p, w) for w in (1, 2))
         assert replace(two, worker_count=1) == one == whole
         if sweep is _t5_sweep:
