@@ -375,6 +375,14 @@ def _cmd_poles(args) -> int:
         z = embed_complex(coeffs, q)
         # + 0.0 clears the sign of a part that rounds to zero
         re, im = (round(v, 9) + 0.0 for v in (z.real, z.imag))
+        # cos(2 pi j/q) is even and sin(2 pi j/q) odd under j -> q - j, so a part is
+        # exactly 0 when c_j = -c_(q-j) (real) or c_j = c_(q-j) (imaginary) for every j;
+        # the float sum leaves it near 0, off by more than 9 decimals at large q
+        mirror = coeffs[::-1]
+        if all(a == -b for a, b in zip(coeffs, mirror)):
+            re = 0.0
+        if coeffs == mirror:
+            im = 0.0
         print(f"{name}({q}) coeffs = ({', '.join(map(str, coeffs))})")
         print(f"{name}({q}) value  = {re:.9f}{im:+.9f}i")
     if q % 2 == 1:

@@ -361,7 +361,8 @@ def right_angle_report(alpha: CyclotomicInt, box: BoxSpec, eps_cos: float,
         cos_abs = np.abs(tw_f / 2) / np.sqrt(na / (1 << 2 * a) * nb_f)
         return int(np.sum(ok)), cos_abs
 
-    parts = kernels.run_chunks(work, cfg.sample_count, cfg.worker_count, dim)
+    # packed vertex chunks run on the calling thread (see `kernels.run_chunks`)
+    parts = kernels.run_chunks(work, cfg.sample_count, 1, dim)
     hits = sum(x[0] for x in parts)
     cos_all = np.concatenate([x[1] for x in parts])
     return _finish(

@@ -14,7 +14,17 @@ and q and s come from popcounts of whole rows.  `tally` runs an `EdgeSpec`
 through `run_chunks`, a draw in chunks of samples and a sweep in slabs of rows
 (a pair slab sized so all its per-pair temporaries fit one batch); chunks
 depend only on the sample or row count and the row width, so tallies are the
-same for any worker count.  The oracles visit no pairs: `pair_totals` reads the exact totals
+same for any worker count.  Chunks of sampled packed vertices run on the
+calling thread: each holds about 1/64 of the words its row width claims, and its
+short numpy steps lose more to GIL handoffs between two threads than the
+second thread saves.  Kernel steps scale and subtract in place, but only into
+temporaries they made (`_combine` into its q and s), never into an argument
+or an array `lift` passed through: a fresh temporary per step faults its
+pages in again whenever glibc has trimmed the heap since the last one
+(`vertex_dist_sq` on one 256 x 1024 exhaustive T5 slab at p = 11 took 2,080
+minor faults and 9-10 ms with fresh temporaries, 1,056 and 5.4 ms without, on
+a 2-core x86-64 machine).
+The oracles visit no pairs: `pair_totals` reads the exact totals
 of d^2 and d^4 from per-point sums.  A fixed point meets vertex rows only as a
 `PackedApex` and its mask sums, for `tally`'s apex legs (exhaustive T4 among them),
 the oracle's point moments, the angles and the cancellation sums; only the
@@ -72,8 +82,14 @@ def dist_sq_bound(p: int, dim: int, m: int) -> int:
 
 
 def _combine(p: int, q, s):
-    """d^2 from q = sum(d_j^2) and s = sum(d_j) of a difference d."""
-    return p * p * q - (p + 1) * s * s
+    """d^2 = p^2 q - (p+1) s^2 from q = sum(d_j^2) and s = sum(d_j) of a difference d.
+    It scales and subtracts in place, into q and s, so both must be temporaries the
+    caller made: never a kernel's argument, nor an array `lift` passed through."""
+    q *= p * p
+    s *= s
+    s *= p + 1
+    q -= s
+    return q
 
 
 def _limb_bits(m: int) -> int:
@@ -105,10 +121,16 @@ def dist_sq(p: int, x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     if arithmetic_path(p, dim, m) == "limbs":
         diff = x - y
         k = _limb_bits(m)
-        high, low = diff >> k, diff & ((1 << k) - 1)
+        s = lift(np.einsum("...j->...", diff), bound)
+        low = diff & ((1 << k) - 1)
+        high = diff
+        high >>= k  # in place: diff is this call's own, and s is already summed
         hh, hl, ll = (lift(_row_dot(a, b), bound) for a, b in ((high, high), (high, low), (low, low)))
-        return _combine(p, (hh << 2 * k) + (hl << (k + 1)) + ll,
-                        lift(np.einsum("...j->...", diff), bound))
+        hh <<= 2 * k
+        hl <<= k + 1
+        hh += hl
+        hh += ll
+        return _combine(p, hh, s)
     diff = lift(lift(x, m) - y, bound)
     return _combine(p, _row_dot(diff, diff), np.einsum("...j->...", diff))
 
@@ -124,8 +146,11 @@ def vertex_dist_sq(box: BoxSpec, x: np.ndarray, y: np.ndarray,
     popcounts: d_j is 0 or +-2N, so q = 4N^2 pc(x ^ y) and s = 2N (pc(x) - pc(y))."""
     N = box.N
     bound = dist_sq_bound(box.p, box.dim, 2 * N)
-    q = lift(popcount(x ^ y), bound) * (4 * N * N)
-    return _combine(box.p, q, lift(pcx - pcy, bound) * (2 * N))
+    q = lift(popcount(x ^ y), bound)
+    q *= 4 * N * N
+    s = lift(pcx - pcy, bound)
+    s *= 2 * N
+    return _combine(box.p, q, s)
 
 
 def _pack(indices: list, dim: int) -> np.ndarray:
@@ -167,13 +192,17 @@ class PackedApex:
         |alpha_j| <= bound; just `start`, a scalar, when alpha = 0 has no masks."""
         total = start
         for c, mask in self.terms:
-            total = total + lift(popcount(x & mask), self.bound) * (weight * c)
+            term = lift(popcount(x & mask), self.bound)
+            term *= weight * c
+            term += total
+            total = term
         return total
 
     def dist_sq(self, x: np.ndarray, pcx: np.ndarray) -> np.ndarray:
         """Exact d^2(x, alpha) over packed vertex rows x with popcounts pcx."""
         q = self.mask_sum(x, self.q0, -4 * self.box.N)
-        s = lift(pcx, self.bound) * (2 * self.box.N) - self.s0
+        s = lift(pcx, self.bound) * (2 * self.box.N)  # a new array: pcx is the caller's
+        s -= self.s0
         return _combine(self.box.p, q, s)
 
 
@@ -237,6 +266,13 @@ def run_chunks(fn, total: int, workers: int, unit_dim: int = 1) -> list:
 
     The split depends only on `total` and the row width, never on the worker
     count, and tallies are summed, so results are worker-count independent.
+    This is the one place a thread pool is made.  Callers whose chunks are
+    sampled packed vertices pass workers = 1: such a chunk is sized by its
+    K * dim coefficients but holds K * ceil(dim / 64) words (2080 x 16 words,
+    about 256 KB, at p = 1009), about 1/64 of the budget, and its 30-60 us numpy
+    steps cost more in GIL handoffs between two threads than the second
+    thread saves (the vertex-laws benchmark read 13-27 % slower at two workers
+    than at one).
     """
     batch = max(1, _BATCH_ELEMENTS // max(unit_dim, 1))
     tasks = [(lo, min(lo + batch, total)) for lo in range(0, total, batch)]
@@ -308,7 +344,9 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
     of rows [lo, hi).  A K = 2 slab meets its own rows in both orders and, at
     weight 2 as d^2 is symmetric, the rows [0, lo), so the slabs visit each of the
     n^K ordered tuples once; `attempts` counts them, and PAIR_SWEEP_MAX bounds them.
-    With s slabs that evaluates n^2 (s + 1) / (2s) pairs, so smaller slabs do less work."""
+    With s slabs that evaluates n^2 (s + 1) / (2s) pairs, so smaller slabs do less work.
+    Chunks of `draw_vertices` run on the calling thread at any worker count (see
+    `run_chunks`); box-point draws and sweep slabs fill the budget and use the pool."""
     box = spec.box
     p, d2 = box.p, box.diameter_sq()
     if spec.apex is None and any(k == APEX for _, k, _ in spec.edges):
@@ -362,5 +400,7 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
         earlier = work((slab[:, None], rows[None, :lo]), (hi - lo) * lo, 2)
         return tuple(map(sum, zip(own, earlier)))
 
+    if spec.draw is draw_vertices:
+        workers = 1
     attempts, d2_sum, *hits = map(sum, zip(*run_chunks(chunk, total, workers, unit_dim)))
     return Tally(tuple(hits), attempts, d2_sum)

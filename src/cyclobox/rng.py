@@ -21,6 +21,13 @@ with base = key + (j+1)*G, `box_offsets_at` keys each stream once, and a retry
 round adds one constant to the first round's keyed counters and runs the
 counter round alone.  Its words are still words(seed, stream, j + dim*t), word
 for word, though it does not call `words`.
+
+Every round mixes its argument in place, through one reused shift buffer,
+and returns it: a fresh temporary per step of a (count, dim) draw costs a page
+fault per 4 KB whenever glibc has trimmed the heap since the last draw.  So
+each caller hands the round an array of its own: `words` the sum it has just
+formed, `box_offsets_at` a copy of its keyed counters, which the retry rounds
+read again.
 """
 
 from __future__ import annotations
@@ -41,11 +48,17 @@ _BLOCK_WORDS = 1 << 16  # words per block of box draws: temporaries stay in cach
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> _U(30))
-    z = z * _MIX1
-    z = z ^ (z >> _U(27))
-    z = z * _MIX2
-    return z ^ (z >> _U(31))
+    """The splitmix64 finalizer, mixed into the uint64 array z in place through one
+    shift buffer for all three shifts; returns z.  It wraps: callers hold np.errstate."""
+    shifted = np.right_shift(z, _U(30), out=np.empty_like(z))  # an array even if z is 0-d
+    z ^= shifted
+    z *= _MIX1
+    np.right_shift(z, _U(27), out=shifted)
+    z ^= shifted
+    z *= _MIX2
+    np.right_shift(z, _U(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 def require_seed(seed: int) -> None:
@@ -59,19 +72,20 @@ def _seed_word(seed: int) -> np.uint64:
     """The seed round of `words`, mixed once per seed."""
     require_seed(seed)
     with np.errstate(over="ignore"):
-        return _mix64(_U(seed) + _GOLDEN)
+        return _mix64(np.asarray(_U(seed) + _GOLDEN))[()]
 
 
 def _stream_keys(seed: int, stream) -> np.ndarray:
     """The stream round of `words`: the key of each stream, a function of (seed, stream)."""
     stream = np.asarray(stream, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _mix64(_seed_word(seed) + (stream + _U(1)) * _GOLDEN)
+        return _mix64(np.asarray(_seed_word(seed) + (stream + _U(1)) * _GOLDEN))
 
 
 # The counter round of `words` on z = key + (counter+1)*G (mod 2^64), the one
-# step every word passes through.  It wraps: callers hold np.errstate.  An alias,
-# not a wrapper, so that the mix frees z as it goes, as a direct call does.
+# step every word passes through.  It mixes z in place, so each caller passes an
+# array it owns and will not read again: `words` the sum it has just formed,
+# `box_offsets_at` a copy of the keyed counters its retry rounds read again.
 _counter_round = _mix64
 
 
@@ -79,7 +93,7 @@ def words(seed: int, stream, counter) -> np.ndarray:
     """64-bit words indexed by (stream, counter); broadcasting applies."""
     counter = np.asarray(counter, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _counter_round(_stream_keys(seed, stream) + (counter + _U(1)) * _GOLDEN)
+        return _counter_round(np.asarray(_stream_keys(seed, stream) + (counter + _U(1)) * _GOLDEN))
 
 
 def vertex_words(seed: int, first_stream: int, count: int, dim: int) -> np.ndarray:
@@ -139,17 +153,19 @@ def box_offsets_at(seed: int, streams, dim: int, N: int) -> np.ndarray:
         stride = _U(dim) * _GOLDEN  # one retry's counter step, dim*G
         for lo in range(0, len(keys), rows):
             base = keys[lo : lo + rows, None] + steps
-            vals = _counter_round(base)
+            vals = _counter_round(base.copy())  # the retries read base again
             vals &= mask
             base, flat = base.reshape(-1), vals.reshape(-1)
             idx = np.flatnonzero(flat >= over)  # the still-rejected coefficients
             shift = _U(0)
             while idx.size:
                 shift += stride
-                redrawn = _counter_round(base[idx] + shift)
+                redrawn = base.take(idx)
+                redrawn += shift
+                redrawn = _counter_round(redrawn)
                 redrawn &= mask
                 flat[idx] = redrawn
-                idx = idx[redrawn >= over]
+                idx = idx.compress(redrawn >= over)
             np.subtract(vals.view(np.int64), N, out=out[lo : lo + rows])
     return out
 

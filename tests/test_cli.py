@@ -69,6 +69,16 @@ class TestCommands:
         assert "EP(13) value  = 7.296229811+0.000000000i" in out
         assert "-0.000000000" not in out
 
+    def test_poles_print_forced_zero_parts_exactly(self, capsys):
+        # the float sums leave NP's real part near -4e-9 and EP's imaginary part
+        # near 2e-9 here; both are 0, as the coefficients' symmetry forces
+        code, out, _ = run(capsys, "poles", "--q", "1000003")
+        assert code == 0
+        values = dict(line.split(" value  = ") for line in out.splitlines() if " value  = " in line)
+        assert values["NP(1000003)"].startswith("0.000000000+636621.68222")
+        assert values["EP(1000003)"].startswith("636620.68222")
+        assert values["EP(1000003)"].endswith("+0.000000000i")
+
     def test_sample_json_roundtrip(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         code, out, _ = run(

@@ -1,5 +1,6 @@
 """Source hygiene, checked with the standard library: no module imports a name it
-never uses, and every `module.name` the docs cite exists."""
+never uses, every `module.name` the docs cite exists, and one function makes
+thread pools."""
 
 import ast
 import importlib
@@ -89,3 +90,27 @@ def test_docs_cite_names_that_exist():
     missing = [(source, ".".join([head, *rest])) for source, head, rest in cited
                if not _resolves(head, rest)]
     assert not missing, f"cited names that do not resolve: {missing}"
+
+
+def _pool_references(tree: ast.AST) -> list:
+    """Lines that read `ThreadPoolExecutor`, as a name or an attribute, or import it
+    under another name."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Name) and node.id == "ThreadPoolExecutor")
+                  or (isinstance(node, ast.Attribute) and node.attr == "ThreadPoolExecutor")
+                  or (isinstance(node, ast.ImportFrom)
+                      and any(a.name == "ThreadPoolExecutor" and a.asname for a in node.names)))
+
+
+def test_thread_pools_are_made_only_in_run_chunks():
+    """One chunk runner: `kernels.run_chunks` is the only code that reads
+    `ThreadPoolExecutor`, so no report grows a pool of its own."""
+    kernels_tree = ast.parse((ROOT / "src" / "cyclobox" / "kernels.py").read_text())
+    runner = next(node for node in kernels_tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "run_chunks")
+    inside = set(_pool_references(runner))
+    assert inside
+    for path in SOURCES:
+        allowed = inside if path.name == "kernels.py" else set()
+        outside = sorted(set(_pool_references(ast.parse(path.read_text()))) - allowed)
+        assert not outside, f"{path.name} reads ThreadPoolExecutor at lines {outside}"

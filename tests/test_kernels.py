@@ -1,9 +1,11 @@
 import math
 import random
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,6 +17,10 @@ from cyclobox.concentration import (
     CounterStream,
     IntervalSpec,
     SamplerConfig,
+    isosceles_report,
+    polytope_report,
+    pyramid_report,
+    right_angle_report,
     sample_vertex,
     theorem4_report,
     vertex_pair_report,
@@ -22,7 +28,11 @@ from cyclobox.concentration import (
 )
 from cyclobox.core import BoxSpec, CyclotomicInt, GuardError
 from cyclobox.moments import avg_vertex_pairs
-from cyclobox.visibility import mean_box_pair_dist_sq, oracle_mean_box_pair_dist_sq
+from cyclobox.visibility import (
+    box_pair_mean_report,
+    mean_box_pair_dist_sq,
+    oracle_mean_box_pair_dist_sq,
+)
 
 PRIMES = st.sampled_from([3, 5, 7, 13])
 SIZES = st.sampled_from([1, 2 ** 20, 2 ** 31, 2 ** 62, 10 ** 12])
@@ -644,3 +654,156 @@ class TestPairSweepLimit:
         r = vertex_pair_report(box, Fraction(1, 4), SamplerConfig(1, 1), exhaustive=True)
         assert r.trials == 1 << 24
         assert r.extra["mean_dist_sq"] == str(avg_vertex_pairs(box))
+
+
+def _unchanged(fn, *args):
+    """fn(*args), checked to leave every array argument as it found it."""
+    saved = [a.copy() if isinstance(a, np.ndarray) else None for a in args]
+    out = fn(*args)
+    for a, before in zip(args, saved):
+        if before is not None:
+            assert a.dtype == before.dtype and np.array_equal(a, before), f"{fn} wrote an input"
+    return out
+
+
+def _row_ints(packed):
+    """Each packed row as one Python int, bit j for coordinate j."""
+    return [sum(int(w) << 64 * k for k, w in enumerate(row)) for row in packed]
+
+
+class TestKernelsLeaveTheirInputs:
+    """`_combine`, `PackedApex.mask_sum` and the counter round write in place, but only
+    into temporaries their callers made: no kernel changes an array it is given."""
+
+    @pytest.mark.parametrize("N", [1, 2 ** 62], ids=["N1", "N2^62"])
+    def test_vertex_dist_sq_with_popcounts_shared_across_edges(self, N):
+        box = BoxSpec(67, N)  # two words per row
+        pts, _ = kernels.draw_vertices(box, 4, 3, 0, 40)
+        members = [pts[:, m] for m in range(4)]
+        pcs = [kernels.popcount(x) for x in members]
+        points = [[_vertex_of(67, N, bits) for bits in _row_ints(x)] for x in members]
+        for _ in range(2):  # each edge reads the popcounts the edges before it read
+            for j, k in combinations(range(4), 2):
+                got = _unchanged(kernels.vertex_dist_sq, box, members[j], members[k],
+                                 pcs[j], pcs[k])
+                assert [int(v) for v in got] == [core.dist_sq(a, b)
+                                                 for a, b in zip(points[j], points[k])]
+        rows, pc = members[0], pcs[0]  # a sweep slab: both operands view the same arrays
+        got = _unchanged(kernels.vertex_dist_sq, box, rows[:, None], rows[None, :],
+                         pc[:, None], pc[None, :])
+        assert [int(v) for v in got[3]] == [core.dist_sq(points[0][3], b) for b in points[0]]
+
+    @pytest.mark.parametrize("kind", ["zero", "pole", "past 2^64"])
+    def test_packed_apex(self, kind):
+        box = BoxSpec(67, 3)
+        alpha = {"zero": (0,) * box.dim,
+                 "pole": core.north_pole_point(box).coeffs,
+                 "past 2^64": (2 ** 64 + 1, -3) + (1, 0) * 32}[kind]
+        apex = kernels.PackedApex(box, alpha)
+        x = kernels.draw_vertices(box, 1, 9, 0, 30)[0][:, 0]
+        pcx = kernels.popcount(x)
+        xs = _row_ints(x)
+        start, weight = 5, -4 * box.N
+        for _ in range(2):
+            got = _unchanged(apex.mask_sum, x, start, weight)
+            want = [start + weight * sum(c for j, c in enumerate(alpha) if v >> j & 1)
+                    for v in xs]
+            assert np.broadcast_to(got, len(xs)).tolist() == want
+            assert (kind == "zero") == np.isscalar(got)
+            got = _unchanged(apex.dist_sq, x, pcx)
+            a = CyclotomicInt(box.p, alpha)
+            assert [int(v) for v in got] == [core.dist_sq(_vertex_of(box.p, box.N, v), a)
+                                             for v in xs]
+
+    @pytest.mark.parametrize("p,N,path", [(5, 3, "int64"), (101, 2 ** 40, "limbs"),
+                                          (101, 2 ** 62, "object")])
+    def test_dist_sq_on_each_path(self, p, N, path):
+        dim = p - 1
+        assert kernels.arithmetic_path(p, dim, 2 * N) == path
+        x = rng.box_offsets(4, 0, 12, dim, N)
+        y = rng.box_offsets(4, 12, 12, dim, N)
+        want = [core.dist_sq(CyclotomicInt(p, tuple(a)), CyclotomicInt(p, tuple(b)))
+                for a, b in zip(x.tolist(), y.tolist())]
+        for _ in range(2):
+            assert [int(v) for v in _unchanged(kernels.dist_sq, p, x, y, 2 * N)] == want
+        row = y[:1]  # one row met by every row, as an apex row is
+        got = _unchanged(kernels.dist_sq, p, x, row, 2 * N)
+        assert int(got[0]) == core.dist_sq(CyclotomicInt(p, tuple(x[0].tolist())),
+                                           CyclotomicInt(p, tuple(row[0].tolist())))
+
+    @pytest.mark.parametrize("N", [2, 2 ** 40], ids=["N2", "N2^40"])
+    def test_pair_totals(self, N):
+        rows = rng.box_offsets(6, 0, 20, 6, N)
+        first = _unchanged(kernels.pair_totals, 7, rows, N)
+        assert _unchanged(kernels.pair_totals, 7, rows, N) == first
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each pool built, counted by a stand-in for
+    `kernels.ThreadPoolExecutor`."""
+    built = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", CountingPool)
+    return built
+
+
+@pytest.fixture
+def chunk_counts(monkeypatch):
+    """The number of chunks of each `run_chunks` call."""
+    counts = []
+
+    def counting(fn, total, workers, unit_dim=1, run=kernels.run_chunks):
+        parts = run(fn, total, workers, unit_dim)
+        counts.append(len(parts))
+        return parts
+
+    monkeypatch.setattr(kernels, "run_chunks", counting)
+    return counts
+
+
+_BOX = BoxSpec(1009, 1)
+_POLE = core.north_pole_point(_BOX)
+# report and sample count, each at three or more chunks, so that two workers
+# would have built a pool
+VERTEX_REPORTS = {
+    "T5": (lambda cfg: vertex_pair_report(_BOX, Fraction(1, 4), cfg), 2500),
+    "T4": (lambda cfg: theorem4_report(_POLE, _BOX, Fraction(1, 4), cfg), 4500),
+    "isosceles": (lambda cfg: isosceles_report(_POLE, _BOX, Fraction(1, 4), cfg), 2500),
+    "polytope": (lambda cfg: polytope_report(_BOX, 4, 1009 ** 0.1, cfg), 1200),
+    "pyramid": (lambda cfg: pyramid_report(CyclotomicInt.zero(1009), _BOX, 3,
+                                           Fraction(1, 4), cfg), 1500),
+    "right-angle": (lambda cfg: right_angle_report(_POLE, _BOX, 0.1, cfg), 4500),
+}
+
+
+class TestThreadUse:
+    """Sampled packed-vertex chunks run on the calling thread at any worker count;
+    box-point draws and pair-sweep slabs keep the pool."""
+
+    @pytest.mark.parametrize("name", sorted(VERTEX_REPORTS))
+    def test_vertex_reports_build_no_pool(self, pools, chunk_counts, name):
+        report, samples = VERTEX_REPORTS[name]
+        one = report(SamplerConfig(11, samples, 1))
+        two = report(SamplerConfig(11, samples, 2))
+        assert pools == []
+        assert min(chunk_counts) >= 3
+        assert replace(two, worker_count=1) == one
+
+    def test_box_pair_means_build_a_pool(self, pools, chunk_counts):
+        box = BoxSpec(1009, 3)
+        one = box_pair_mean_report(box, SamplerConfig(2, 2100, 1))
+        assert pools == []
+        assert box_pair_mean_report(box, SamplerConfig(2, 2100, 2)) == one
+        assert pools == [2] and chunk_counts == [3, 3]
+
+    def test_exhaustive_t5_at_p11_builds_a_pool(self, pools, chunk_counts):
+        one = _t5_sweep(11)
+        assert pools == []
+        assert replace(_t5_sweep(11, 2), worker_count=1) == one
+        assert pools == [2] and chunk_counts == [4, 4]

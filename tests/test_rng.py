@@ -178,3 +178,30 @@ def test_words_are_the_counter_round_of_the_stream_keys():
         assert np.array_equal(rng.words(seed, streams[:, None], counters[None, :]), want)
         scalars = [int(rng.words(seed, int(s), int(c))) for s, c in zip(streams, counters)]
         assert scalars == want.diagonal().tolist()
+
+
+@pytest.mark.parametrize("N", [10 ** 4, 2 ** 40])
+def test_stream_functions_leave_their_inputs_as_they_were(N):
+    """The counter round mixes in place, into arrays its callers made, never into a
+    caller's streams or counters; the words stay those of `rng.words`."""
+    dim = 100
+    streams = np.array([2 ** 64 - 1, 5, 2 ** 40 + 3, 17, 6, 2 ** 33, 1000, 0] * 3,
+                       dtype=np.uint64)
+    counters = np.arange(0, 3 * dim, 7, dtype=np.uint64)
+    saved = streams.copy(), counters.copy()
+
+    w = rng.words(8, streams[:, None], counters[None, :])
+    assert np.array_equal(streams, saved[0]) and np.array_equal(counters, saved[1])
+    assert np.array_equal(w, rng.words(8, streams[:, None], counters[None, :]))
+
+    packed = rng.vertex_words(8, 40, 30, 130)
+    raw = rng.words(8, np.arange(40, 70, dtype=np.uint64)[:, None],
+                    np.arange(3, dtype=np.uint64)[None, :])
+    raw[:, -1] &= np.uint64((1 << 130 % 64) - 1)
+    assert np.array_equal(packed, raw)
+
+    want, needed = _reference_box_offsets(8, streams, dim, N)
+    assert needed > len(streams) * dim  # some coefficients are redrawn
+    assert rng.box_offsets_at(8, streams, dim, N).tolist() == want
+    assert np.array_equal(streams, saved[0])
+    assert rng.box_offsets_at(8, streams, dim, N).tolist() == want
