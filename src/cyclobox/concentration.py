@@ -225,24 +225,16 @@ def _finish(theorem, box, cfg, hits, trials, bound, formula, *, eps=None, center
 
 # --- theorem reports ----------------------------------------------------------
 
-def _vertex_draw(box: BoxSpec, cfg: SamplerConfig, exhaustive: bool) -> tuple:
-    """(draw, total) to tally: sampled vertex tuples, or the packed vertex rows to sweep."""
-    if not exhaustive:
-        return kernels.draw_vertices, cfg.sample_count
-    rows = kernels.box_vertex_rows(box)
-    return rows, len(rows)
-
-
 def _leg_report(theorem: str, alpha: CyclotomicInt, box: BoxSpec, eps, cfg: SamplerConfig,
                 K: int, constant: int, exhaustive: bool = False) -> ConcentrationReport:
     """K legs from a fixed point to random vertices, all within eps of sqrt(A(alpha))."""
     eps = Fraction(eps)
     bound = _bound(box.p, eps, constant)
     a_val = avg_point_to_vertices(alpha, box)
-    draw, total = _vertex_draw(box, cfg, exhaustive)
+    draw = kernels.vertex_orbits(box, alpha.coeffs) if exhaustive else kernels.draw_vertices
     legs = tuple((j, kernels.APEX, (IntervalSpec(a_val, eps),)) for j in range(K))
     spec = kernels.EdgeSpec(box, K, draw, legs, apex=alpha.coeffs)
-    result = kernels.tally(spec, cfg.seed, total, cfg.worker_count)
+    result = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count)
     return _finish(
         theorem, box, cfg, *result.hits, result.attempts, bound, f"1 - {constant}/p^(1-2*eta)",
         exhaustive=exhaustive, alpha=_alpha_label(alpha),
@@ -272,10 +264,10 @@ def vertex_pair_report(box: BoxSpec, eps, cfg: SamplerConfig,
     eps = Fraction(eps)
     bound = _bound(box.p, eps, 2)
     a_vv = avg_vertex_pairs(box)
-    draw, total = _vertex_draw(box, cfg, exhaustive)
+    draw = kernels.vertex_orbits(box) if exhaustive else kernels.draw_vertices
     intervals = (IntervalSpec(a_vv, eps), IntervalSpec(Fraction(1, 2), eps))
     spec = kernels.EdgeSpec(box, 2, draw, ((0, 1, intervals),))
-    result = kernels.tally(spec, cfg.seed, total, cfg.worker_count)
+    result = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count)
     hits, hits_half = result.hits
     trials = result.attempts
     mean_d2 = Fraction(result.d2_sum, trials * box.diameter_sq())

@@ -14,8 +14,9 @@ used throughout, and it collapses to the closed form
 Everything here is integer arithmetic; rationals (`fractions.Fraction`)
 enter only with distances normalized by the box diameter, and floats only
 at reporting boundaries (complex-plane embedding, cosines).  The
-complex-plane embedding sum a_j w^j is one function, `embed_rows`; the poles,
-`embed_complex`, `euclidean_diameter` and every rendered scene go through it.
+complex-plane embedding sum a_j w^j is one function, `embed_rows`;
+`embed_complex`, `euclidean_diameter` and every rendered scene go through it
+(the `poles` command sums each run of equal pole coefficients in closed form).
 """
 
 from __future__ import annotations

@@ -11,22 +11,21 @@ path `arithmetic_path` picks: all in int64 while d^2 fits; in two int64 limbs
 d = h 2^k + l while the limb sums fit, lifting only the row sums; else in
 Python ints.  Vertices stay packed sign words (bit j set: coordinate j is +N),
 and q and s come from popcounts of whole rows.  `tally` runs an `EdgeSpec`
-through `run_chunks`, a draw in chunks of samples and a sweep in slabs of rows
-(a pair slab sized so all its per-pair temporaries fit one batch); chunks
-depend only on the sample or row count and the row width, so tallies are the
-same for any worker count.  Chunks of sampled packed vertices run on the
-calling thread: each holds about 1/64 of the words its row width claims, and its
-short numpy steps lose more to GIL handoffs between two threads than the
-second thread saves.  Kernel steps scale and subtract in place, but only into
-temporaries they made (`_combine` into its q and s), never into an argument
-or an array `lift` passed through: a fresh temporary per step faults its
-pages in again whenever glibc has trimmed the heap since the last one
-(`vertex_dist_sq` on one 256 x 1024 exhaustive T5 slab at p = 11 took 2,080
-minor faults and 9-10 ms with fresh temporaries, 1,056 and 5.4 ms without, on
-a 2-core x86-64 machine).
+through `run_chunks`, a draw in chunks of samples that depend only on the
+sample count and the row width, so tallies are the same for any worker count;
+an exhaustive law is one batch of `vertex_orbits`, one tuple per orbit of tuples
+that share every d^2, weighted by its size.  Chunks of sampled packed vertices
+run on the calling thread: each holds about 1/64 of the words its row width
+claims, and its short numpy steps lose more to GIL handoffs between two threads
+than the second thread saves.  Kernel steps scale and subtract in place, but only
+into temporaries they made (`_combine` into its q and s), never into an argument
+or an array `lift` passed through: a fresh temporary per step faults its pages
+in again whenever glibc has trimmed the heap since the last one (`vertex_dist_sq`
+on 2^18 vertex pairs at p = 11 took 2,080 minor faults and 9-10 ms with fresh
+temporaries, 1,056 and 5.4 ms without, on a 2-core x86-64 machine).
 The oracles visit no pairs: `pair_totals` reads the exact totals
 of d^2 and d^4 from per-point sums.  A fixed point meets vertex rows only as a
-`PackedApex` and its mask sums, for `tally`'s apex legs (exhaustive T4 among them),
+`PackedApex` and its mask sums, for `tally`'s apex legs (T4 orbits among them),
 the oracle's point moments, the angles and the cancellation sums; only the
 renderer unpacks vertices to coefficients (`vertex_matrix`).
 """
@@ -35,7 +34,8 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, groupby
+from math import comb, prod
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,11 +45,9 @@ from .core import BoxSpec, GuardError, require_vertex_enumeration
 
 INT64_MAX = 2 ** 63 - 1
 APEX = -1  # edge endpoint that stands for the spec's fixed apex
-PAIR_SWEEP_MAX = 1 << 24  # ordered pairs an exhaustive pair sweep may visit
 EDGE_MAX = 1 << 16  # edges of one K-polytope, one kernel pass per chunk each: K <= 362
 
 _BATCH_ELEMENTS = 1 << 21  # per-batch int64 budget, ~16 MB per temporary
-_PAIR_TEMPORARIES = 8  # int64 values per pair that a pair slab's kernel pass holds at once
 
 
 # --- overflow policy ------------------------------------------------------------
@@ -283,13 +281,6 @@ def run_chunks(fn, total: int, workers: int, unit_dim: int = 1) -> list:
         return [f.result() for f in futures]
 
 
-def ordered_pairs(n: int) -> int:
-    """The n^2 ordered pairs of an n-row sweep, refused past PAIR_SWEEP_MAX."""
-    if n * n > PAIR_SWEEP_MAX:
-        raise GuardError(f"refusing to sweep {n}^2 ordered pairs (limit {PAIR_SWEEP_MAX})")
-    return n * n
-
-
 def draw_vertices(box: BoxSpec, K: int, seed: int, start: int, stop: int) -> tuple:
     """Uniform vertices as packed sign words; member m of sample i reads stream K*i + m."""
     count = stop - start
@@ -302,6 +293,41 @@ def draw_box_points(box: BoxSpec, K: int, seed: int, start: int, stop: int) -> t
     count = stop - start
     pts = rng.box_offsets(seed, K * start, K * count, box.dim, box.N)
     return pts.reshape(count, K, box.dim), count
+
+
+def require_orbit_batch(count: int, K: int, dim: int) -> None:
+    """Refuse `count` orbit tuples of K packed vertices that do not fit one batch."""
+    if count * K * ((dim + 63) // 64) > _BATCH_ELEMENTS:
+        raise GuardError(f"refusing {count} orbits of {K} vertices (limit {_BATCH_ELEMENTS} words)")
+
+
+def vertex_orbits(box: BoxSpec, apex: Optional[tuple] = None) -> tuple:
+    """Every vertex pair (no apex) or vertex met by `apex`, as (tuples, total, weights):
+    a packed (K, words) tuple per orbit of tuples that share every d^2, the 2^(K dim)
+    tuples in all, and the orbit sizes, in int64 while that total fits.  Pair orbit
+    (a, b), for the a and b coordinates where x alone or y alone is +N, is x = bits
+    [0, a), y = bits [a, a+b), of size C(n, a+b) C(a+b, a) 2^(n-a-b), n = dim.  Apex
+    orbit (k_c) sets the first k_c of the m_c coordinates where alpha_j = c, for each
+    value c, of size prod_c C(m_c, k_c).  `require_orbit_batch` runs before any row."""
+    n = box.dim
+    if apex is None:
+        require_orbit_batch((n + 1) * (n + 2) // 2, 2, n)
+        a, t = np.triu_indices(n + 1)  # every 0 <= a <= t = a + b <= n
+        weights = [comb(n, j) * comb(j, i) << n - j for i, j in zip(a.tolist(), t.tolist())]
+        prefix = np.bitwise_or.accumulate([_pack([], n)] + [_pack([j], n) for j in range(n)])
+        tuples = np.stack([prefix[a], prefix[t] ^ prefix[a]], axis=1)
+        return tuples, 1 << 2 * n, np.array(weights, dtype=exact_dtype(1 << 2 * n))
+    value = apex.__getitem__  # classes: the coordinates of each value of alpha
+    classes = [list(idx) for _, idx in groupby(sorted(range(n), key=value), key=value)]
+    require_orbit_batch(prod(len(idx) + 1 for idx in classes), 1, n)
+    rows, weights = _pack([], n)[None], np.ones(1, dtype=exact_dtype(1 << n))
+    for idx in classes:
+        prefix = np.bitwise_or.accumulate([_pack([], n)] + [_pack([j], n) for j in idx])
+        rows = (rows[:, None] | prefix).reshape(-1, rows.shape[1])
+        m = len(idx)  # the sizes C(m, k), k = 0 .. m, one product each
+        sizes = list(accumulate(range(m), lambda c, k: c * (m - k) // (k + 1), initial=1))
+        weights = np.multiply.outer(weights, sizes).ravel()
+    return rows[:, None], 1 << n, weights
 
 
 # --- engine -------------------------------------------------------------------------
@@ -318,15 +344,14 @@ class EdgeSpec:
     """A distance law.  Each sample draws K points of `box`:
     draw(box, K, seed, start, stop) -> ((count, K, width) points, tuples drawn),
     where a point is `dim` coefficients, or packed sign words if uint64 (a vertex).
-    In place of a draw, an (n, width) row matrix sweeps every ordered K-tuple of
-    its rows once, slab by slab (K = 1 or 2; a K = 2 sweep joins only points 0 and 1).
+    In place of a draw, the (tuples, total, weights) of `vertex_orbits` give the exact law.
     Edge (j, k, intervals) joins points j and k (k == APEX: the fixed `apex`, met
     as a `PackedApex`, so an apex leg needs the apex and vertex points) and must hit
     intervals[v] for verdict v; every edge lists one interval per verdict."""
 
     box: BoxSpec
     K: int
-    draw: Callable
+    draw: Callable | tuple
     edges: tuple
     apex: Optional[tuple] = None
 
@@ -334,19 +359,16 @@ class EdgeSpec:
 @dataclass(frozen=True)
 class Tally:
     hits: tuple    # per verdict: samples whose every edge hits its interval
-    attempts: int  # K-tuples drawn or swept, rejected ones included
+    attempts: int  # K-tuples drawn, rejected ones included, or the orbits' weight
     d2_sum: int    # exact total of d^2 over all edges of all samples
 
 
 def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
-    """Run samples [0, total) of `spec` in chunks and merge their counts.
-    A sweep draws no stream: `total` is its row count n, and its chunks are slabs
-    of rows [lo, hi).  A K = 2 slab meets its own rows in both orders and, at
-    weight 2 as d^2 is symmetric, the rows [0, lo), so the slabs visit each of the
-    n^K ordered tuples once; `attempts` counts them, and PAIR_SWEEP_MAX bounds them.
-    With s slabs that evaluates n^2 (s + 1) / (2s) pairs, so smaller slabs do less work.
-    Chunks of `draw_vertices` run on the calling thread at any worker count (see
-    `run_chunks`); box-point draws and sweep slabs fill the budget and use the pool."""
+    """Run samples [0, total) of `spec` in chunks and merge their counts.  The
+    (tuples, total, weights) of `vertex_orbits` run as one batch, so seed, total and
+    workers do not matter, and a tuple of weight w counts w hits and w d^2.  Chunks
+    of `draw_vertices` run on the calling thread at any worker count (see
+    `run_chunks`); box-point draws fill the budget and use the pool."""
     box = spec.box
     p, d2 = box.p, box.diameter_sq()
     if spec.apex is None and any(k == APEX for _, k, _ in spec.edges):
@@ -365,42 +387,27 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
             return dist_sq(p, members[j], members[k], 2 * box.N)
         return vertex_dist_sq(box, members[j], members[k], pcs[j], pcs[k])
 
-    def work(members, attempts, weight=1):  # (attempts, d^2 total, *hits), each times weight
-        pcs = [popcount(x) for x in members] if members[0].dtype == np.uint64 else None
+    def work(pts, attempts, weights=None):  # (attempts, d^2 total, *hits)
+        members = [pts[:, m] for m in range(pts.shape[1])]
+        pcs = [popcount(x) for x in members] if pts.dtype == np.uint64 else None
         ok = [True] * verdicts
         d2_sum = 0
         for j, k, bound, ranges in plan:
             vals = edge_dist_sq(members, pcs, j, k)
             ok = [row & (vals >= lo) & (vals <= hi) for row, (lo, hi) in zip(ok, ranges)]
-            d2_sum += exact_sum(vals, bound)
-        hits = (int(np.count_nonzero(row)) for row in ok)
-        return tuple(weight * n for n in (attempts, d2_sum, *hits))
-
-    rows = spec.draw if isinstance(spec.draw, np.ndarray) else None
-    unit_dim = spec.K * box.dim
-    if rows is not None:
-        if spec.K not in (1, 2):
-            raise ValueError(f"a sweep visits single rows or ordered pairs, not K = {spec.K}")
-        if spec.K == 2:  # all temporaries of a slab's pairs, together, fit one batch
-            ordered_pairs(len(rows))
-            unit_dim = _PAIR_TEMPORARIES * len(rows) * rows.shape[1]
-        if total != len(rows):
-            raise ValueError(f"a sweep runs once over its {len(rows)} rows, not {total}")
+            if weights is None:
+                d2_sum += exact_sum(vals, bound)
+            else:  # the weights total `attempts`, so no partial sum passes attempts * bound
+                d2_sum += int(np.dot(lift(vals, attempts * bound), lift(weights, attempts * bound)))
+        hits = (np.count_nonzero(row) if weights is None else np.sum(weights[row]) for row in ok)
+        return (attempts, d2_sum, *map(int, hits))
 
     def chunk(lo, hi):
-        if rows is None:
-            pts, attempts = spec.draw(box, spec.K, seed, lo, hi)
-            return work([pts[:, m] for m in range(spec.K)], attempts)
-        slab = rows[lo:hi]
-        if spec.K == 1:
-            return work((slab,), hi - lo)
-        own = work((slab[:, None], slab[None, :]), (hi - lo) ** 2)
-        if lo == 0:
-            return own
-        earlier = work((slab[:, None], rows[None, :lo]), (hi - lo) * lo, 2)
-        return tuple(map(sum, zip(own, earlier)))
+        return work(*spec.draw(box, spec.K, seed, lo, hi))
 
     if spec.draw is draw_vertices:
         workers = 1
-    attempts, d2_sum, *hits = map(sum, zip(*run_chunks(chunk, total, workers, unit_dim)))
+    unit = spec.K * box.dim
+    parts = run_chunks(chunk, total, workers, unit) if callable(spec.draw) else [work(*spec.draw)]
+    attempts, d2_sum, *hits = map(sum, zip(*parts))
     return Tally(tuple(hits), attempts, d2_sum)

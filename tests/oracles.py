@@ -3,14 +3,21 @@
 Nothing here reuses the closed forms under test: traces come from literal
 Galois-conjugate summation, distances from the trace-embedding definition,
 moments from literal deviation sums over full enumerations, and visibility
-from a geometric segment walk.
+from a geometric segment walk.  The exhaustive vertex laws enumerate every
+vertex pair (numpy int64 rows) or every vertex met by a point (`core.dist_sq`
+on Python ints), not the orbits the reports count.
 """
 
 import cmath
 import itertools
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
+
+from cyclobox import core
+from cyclobox.concentration import IntervalSpec, within_sqrt_interval
 
 
 def iter_vertex_coeffs(p, N):
@@ -77,6 +84,41 @@ def exhaustive_pair_moments(p, N, dist_fn=None):
     fourth = sum((v * v for v in vals), Fraction(0)) / len(vals)
     var = sum(((v - mean) ** 2 for v in vals), Fraction(0)) / len(vals)
     return mean, fourth, var
+
+
+@lru_cache(maxsize=None)
+def _pair_histogram_n1(p):
+    v = np.array(list(iter_vertex_coeffs(p, 1)), dtype=np.int64)
+    hist = Counter()
+    for i in range(0, len(v), 64):
+        diff = v[i : i + 64, None, :] - v[None, :, :]
+        d2 = p * p * np.sum(diff * diff, axis=-1) - (p + 1) * np.sum(diff, axis=-1) ** 2
+        vals, counts = np.unique(d2, return_counts=True)
+        hist.update(dict(zip(vals.tolist(), counts.tolist())))
+    return hist
+
+
+def vertex_pair_histogram(p, N):
+    """d^2 -> number of ordered vertex pairs at that d^2, every pair visited at N = 1
+    in numpy row chunks; a vertex pair's difference, so its d^2 / N^2, is N-free."""
+    return Counter({d2 * N * N: c for d2, c in _pair_histogram_n1(p).items()})
+
+
+def point_vertex_histogram(p, N, alpha_coeffs):
+    """d^2 -> number of vertices x with d^2(alpha, x) at that value, one
+    `core.dist_sq` on Python ints per vertex."""
+    alpha = core.CyclotomicInt(p, tuple(alpha_coeffs))
+    return Counter(core.dist_sq(alpha, core.CyclotomicInt(p, v)) for v in iter_vertex_coeffs(p, N))
+
+
+def histogram_law(hist, p, N, center, eps):
+    """(hits, trials, mean of d^2 / D) of a d^2 histogram, the hits within eps of
+    sqrt(center) by the exact test `within_sqrt_interval`."""
+    d2 = 4 * N * N * p * p * (p - 1)
+    spec = IntervalSpec(center, eps)
+    hits = sum(c for n, c in hist.items() if within_sqrt_interval(Fraction(n, d2), spec))
+    trials = sum(hist.values())
+    return hits, trials, Fraction(sum(n * c for n, c in hist.items()), trials * d2)
 
 
 def dumb_cancellation_sums(p, N, alpha_coeffs):

@@ -71,13 +71,15 @@ class TestCommands:
 
     def test_poles_print_forced_zero_parts_exactly(self, capsys):
         # the float sums leave NP's real part near -4e-9 and EP's imaginary part
-        # near 2e-9 here; both are 0, as the coefficients' symmetry forces
+        # near 2e-9 here; both are 0, as the coefficients' symmetry forces.  The other
+        # parts are the closed-form values to 9 decimals (to 40 digits, N cot(pi/2q) =
+        # 636621.68222637485 and Re EP = 636620.68222716024); a float sum of the q-1
+        # terms printed ...682226374 and ...682227166
         code, out, _ = run(capsys, "poles", "--q", "1000003")
         assert code == 0
         values = dict(line.split(" value  = ") for line in out.splitlines() if " value  = " in line)
-        assert values["NP(1000003)"].startswith("0.000000000+636621.68222")
-        assert values["EP(1000003)"].startswith("636620.68222")
-        assert values["EP(1000003)"].endswith("+0.000000000i")
+        assert values["NP(1000003)"] == "0.000000000+636621.682226375i"
+        assert values["EP(1000003)"] == "636620.682227160+0.000000000i"
 
     def test_sample_json_roundtrip(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
@@ -99,6 +101,11 @@ class TestCommands:
         )
         assert code == 0
         assert "proportion=1.000000" in err
+
+    def test_sample_exhaustive_t5_at_p17(self, capsys):
+        code, out, _ = run(capsys, "sample", "--theorem", "t5", "--p", "17", "--exhaustive")
+        assert code == 0
+        assert json.loads(out)["trials"] == 4 ** 16
 
     def test_vacuous_verdict_serialized(self):
         r = vertex_pair_report(BoxSpec(3, 1), "1/100", SamplerConfig(1, 50))
@@ -240,7 +247,8 @@ class TestErrorPaths:
         assert "guard violation" in err
 
     def test_exhaustive_t5_past_the_pair_limit_exit(self, capsys):
-        code, out, err = run(capsys, "sample", "--theorem", "t5", "--p", "17", "--exhaustive")
+        # the pair orbits of p = 1009, 16 words per pair, pass one batch
+        code, out, err = run(capsys, "sample", "--theorem", "t5", "--p", "1009", "--exhaustive")
         assert code == 2
         assert "guard violation" in err and out == ""
 

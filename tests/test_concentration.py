@@ -23,7 +23,7 @@ from cyclobox.concentration import (
     vertex_pair_report,
     within_sqrt_interval,
 )
-from cyclobox.moments import avg_vertex_pairs, variance_vertex_pairs
+from cyclobox.moments import avg_point_to_vertices, avg_vertex_pairs, variance_vertex_pairs
 
 F = Fraction
 
@@ -143,11 +143,37 @@ class TestTheorem4:
             assert r.exhaustive
 
     def test_exhaustive_guard(self):
+        # 100 distinct values make 2^100 orbits, past one batch
         with pytest.raises(GuardError):
             theorem4_report(
-                CyclotomicInt.zero(19), BoxSpec(19, 1), F(1, 2), SamplerConfig(1, 10),
-                exhaustive=True,
+                CyclotomicInt(101, tuple(range(100))), BoxSpec(101, 100), F(1, 2),
+                SamplerConfig(1, 10), exhaustive=True,
             )
+
+    @pytest.mark.parametrize("N", [1, 2 ** 62])
+    def test_exhaustive_origin_at_p19_is_a_binomial_count(self, N):
+        # a vertex with k coordinates at +N is at d^2 = N^2 (p^2 n - (p+1) (2k - n)^2)
+        p, n = 19, 18
+        box = BoxSpec(p, N)
+        zero = CyclotomicInt.zero(p)
+        for eps in (F(1, 100), F(1, 20), F(1, 5)):
+            spec = IntervalSpec(avg_point_to_vertices(zero, box), eps)
+            want = sum(math.comb(n, k) for k in range(n + 1) if within_sqrt_interval(
+                F(N * N * (p * p * n - (p + 1) * (2 * k - n) ** 2), box.diameter_sq()), spec))
+            r = theorem4_report(zero, box, eps, SamplerConfig(1, 10), exhaustive=True)
+            assert (r.hits, r.trials) == (want, 2 ** n)
+            assert 0 < want < 2 ** n or eps == F(1, 100)
+
+    def test_sampled_north_pole_at_p101_tracks_exhaustive(self):
+        box = BoxSpec(101, 1)
+        pole = north_pole_point(box)
+        eps = F(1, 40)
+        exact = theorem4_report(pole, box, eps, SamplerConfig(1, 1), exhaustive=True)
+        assert exact.trials == 2 ** 100
+        p_true = exact.empirical_proportion
+        n = 10_000
+        sampled = theorem4_report(pole, box, eps, SamplerConfig(29, n))
+        assert abs(sampled.empirical_proportion - p_true) <= 4 * math.sqrt(p_true * (1 - p_true) / n)
 
     def test_vacuous_bound_flagged(self):
         box = BoxSpec(7, 1)
@@ -179,8 +205,25 @@ class TestTheorem5:
         assert r_mid.extra["mean_dist_sq"] == "5/18"
 
     def test_pair_guard(self):
+        # (n + 1)(n + 2) / 2 pair orbits of 2 x 16 words at p = 1009, past one batch
         with pytest.raises(GuardError):
-            vertex_pair_report(BoxSpec(17, 1), F(1, 2), SamplerConfig(1, 2), exhaustive=True)
+            vertex_pair_report(BoxSpec(1009, 1), F(1, 2), SamplerConfig(1, 2), exhaustive=True)
+
+    def test_exhaustive_at_p101(self):
+        box = BoxSpec(101, 2 ** 40)
+        r = vertex_pair_report(box, F(1, 40), SamplerConfig(1, 1), exhaustive=True)
+        assert r.trials == 4 ** 100
+        assert Fraction(r.extra["mean_dist_sq"]) == avg_vertex_pairs(box)
+
+    def test_sampled_at_p101_tracks_exhaustive(self):
+        box = BoxSpec(101, 1)
+        eps = F(1, 40)
+        exact = vertex_pair_report(box, eps, SamplerConfig(1, 1), exhaustive=True)
+        n = 10_000
+        sampled = vertex_pair_report(box, eps, SamplerConfig(37, n))
+        for got, want in ((sampled.empirical_proportion, exact.empirical_proportion),
+                          (sampled.extra["proportion_half"], exact.extra["proportion_half"])):
+            assert abs(got - want) <= 4 * math.sqrt(want * (1 - want) / n)
 
     @pytest.mark.parametrize("eps", [0, F(-1, 10)])
     def test_eps_at_or_below_zero_is_refused(self, eps):

@@ -114,3 +114,46 @@ def test_thread_pools_are_made_only_in_run_chunks():
         allowed = inside if path.name == "kernels.py" else set()
         outside = sorted(set(_pool_references(ast.parse(path.read_text()))) - allowed)
         assert not outside, f"{path.name} reads ThreadPoolExecutor at lines {outside}"
+
+
+LIMIT = re.compile(r"[A-Z0-9_]+_MAX(_P)?")
+
+
+def _limits() -> set:
+    """The module-level `*_MAX` and `*_MAX_P` limits, `INT64_MAX` (a fact of int64,
+    not a limit) left out."""
+    return {target.id for path in SOURCES for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.Assign) for target in node.targets
+            if isinstance(target, ast.Name) and LIMIT.fullmatch(target.id)} - {"INT64_MAX"}
+
+
+def _compared(tree: ast.AST) -> set:
+    """(innermost enclosing function or class, dotted, name) for every name or attribute
+    that a comparison reads."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Compare):
+            found.update((where or "<module>", sub.id if isinstance(sub, ast.Name) else sub.attr)
+                         for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_each_limit_is_compared_in_one_function():
+    """A limit is decided in one place: every `*_MAX` or `*_MAX_P` limit is compared
+    inside exactly one function, so no second check can drift from the first."""
+    limits = _limits()
+    assert {"VERTEX_ENUM_MAX_P", "POINT_ENUM_MAX", "EDGE_MAX"} <= limits
+    where = {name: set() for name in limits}
+    for path in SOURCES:
+        for func, name in _compared(ast.parse(path.read_text())):
+            if name in where:
+                where[name].add(f"{path.name}:{func}")
+    wrong = {name: sorted(places) for name, places in where.items() if len(places) != 1}
+    assert not wrong, f"limits compared in other than one function: {wrong}"

@@ -1,13 +1,12 @@
 import math
 import random
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +26,7 @@ from cyclobox.concentration import (
     within_sqrt_interval,
 )
 from cyclobox.core import BoxSpec, CyclotomicInt, GuardError
-from cyclobox.moments import avg_vertex_pairs
+from cyclobox.moments import avg_point_to_vertices, avg_vertex_pairs, oracle_moments
 from cyclobox.visibility import (
     box_pair_mean_report,
     mean_box_pair_dist_sq,
@@ -309,26 +308,6 @@ class TestIntervalRange:
             assert kernels.INT64_MAX < lo <= hi
 
 
-@lru_cache(maxsize=None)
-def _pair_histogram(p):
-    """d^2 -> number of ordered vertex pairs at N = 1, from numpy row chunks."""
-    v = np.array([x.coeffs for x in BoxSpec(p, 1).vertices()], dtype=np.int64)
-    hist = Counter()
-    for i in range(0, len(v), 64):
-        diff = v[i : i + 64, None, :] - v[None, :, :]
-        d2 = p * p * np.sum(diff * diff, axis=-1) - (p + 1) * np.sum(diff, axis=-1) ** 2
-        vals, counts = np.unique(d2, return_counts=True)
-        hist.update(dict(zip(vals.tolist(), counts.tolist())))
-    return hist
-
-
-def _histogram_hits(p, center, eps):
-    """Ordered vertex pairs at N = 1 within eps of sqrt(center), from `_pair_histogram`."""
-    d2, spec = BoxSpec(p, 1).diameter_sq(), IntervalSpec(center, eps)
-    return sum(c for n, c in _pair_histogram(p).items()
-               if within_sqrt_interval(Fraction(n, d2), spec))
-
-
 def _t5_sweep(p, workers=1):
     return vertex_pair_report(BoxSpec(p, 1), Fraction(1, 10), SamplerConfig(1, 1, workers),
                               exhaustive=True)
@@ -340,89 +319,136 @@ def _t4_sweep(p, workers=1):
                            SamplerConfig(1, 1, workers), exhaustive=True)
 
 
+def _alpha(kind, p, N):
+    """A fixed point for BoxSpec(p, N): the origin, the poles, an alternating point, values
+    repeated or all distinct (outside the box when it has too few values), or
+    coefficients past int64."""
+    dim, gen = p - 1, random.Random(p * 7 + N)
+    if kind == "origin":
+        return (0,) * dim
+    if kind == "north-pole":
+        return core.north_pole(p, N)
+    if kind == "east-pole":
+        return core.east_pole(p, N)
+    if kind == "alternating":
+        return core.alternating_point(BoxSpec(p, N)).coeffs
+    if kind == "repeated":
+        return tuple(gen.choice([-N, 0, N // 3, N]) for _ in range(dim))
+    if kind == "distinct":
+        if 2 * N + 1 < dim:  # more coordinates than values in the box
+            return tuple(range(dim))
+        values = []
+        while len(values) < dim:
+            v = gen.randint(-N, N)
+            values += [v] * (v not in values)
+        return tuple(values)
+    return tuple(gen.choice([2 ** 64 + 3, -(2 ** 70), 5, 0]) for _ in range(dim))  # past int64
+
+
+ALPHA_KINDS = ["origin", "north-pole", "east-pole", "alternating", "repeated", "distinct",
+               "wide"]
+# eps = 1 takes in every tuple of the box: sqrt(d^2 / D) and sqrt(A) both lie in [0, 1]
+EPSILONS = [Fraction(1, 100), Fraction(1, 10), Fraction(1, 3), Fraction(1)]
+BOX_SIZES = [1, 2 ** 31, 2 ** 62]
+
+
 class TestExhaustiveSweeps:
     @pytest.mark.parametrize("p,eps,workers", [
         (11, Fraction(1, 100), 1),
         (11, Fraction(1, 10), 1),
         (11, Fraction(3, 4), 1),
-        (13, Fraction(3, 4), 3),  # 64 slabs on three threads
+        (13, Fraction(3, 4), 3),
     ])
     def test_t5_hits_match_the_pair_histogram(self, p, eps, workers):
         box = BoxSpec(p, 1)
-        v = kernels.box_vertex_rows(box)
+        hist = oracles.vertex_pair_histogram(p, 1)
         r = vertex_pair_report(box, eps, SamplerConfig(1, 1, workers), exhaustive=True)
         a_vv = avg_vertex_pairs(box)
-        assert r.trials == len(v) ** 2
-        assert r.hits == _histogram_hits(p, a_vv, eps)
-        assert r.extra["hits_half"] == _histogram_hits(p, Fraction(1, 2), eps)
-        assert Fraction(r.extra["mean_dist_sq"]) == a_vv
+        hits, trials, mean = oracles.histogram_law(hist, p, 1, a_vv, eps)
+        assert (r.hits, r.trials) == (hits, trials) == (hits, 4 ** (p - 1))
+        assert r.extra["hits_half"] == oracles.histogram_law(hist, p, 1, Fraction(1, 2), eps)[0]
+        assert Fraction(r.extra["mean_dist_sq"]) == mean == a_vv
         if eps * eps > a_vv:  # every pair hits, the diagonal ones included
             assert r.hits == r.extra["hits_half"] == r.trials
 
+    @pytest.mark.parametrize("N", BOX_SIZES)
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_t5_matches_the_brute_force_law(self, p, N):
+        box = BoxSpec(p, N)
+        hist = oracles.vertex_pair_histogram(p, N)
+        for eps in EPSILONS:
+            r = vertex_pair_report(box, eps, SamplerConfig(1, 1), exhaustive=True)
+            hits, trials, mean = oracles.histogram_law(hist, p, N, avg_vertex_pairs(box), eps)
+            half = oracles.histogram_law(hist, p, N, Fraction(1, 2), eps)[0]
+            assert (r.hits, r.extra["hits_half"], r.trials) == (hits, half, trials)
+            assert Fraction(r.extra["mean_dist_sq"]) == mean
+            assert r.hits == r.trials or eps < 1
+
+    @pytest.mark.parametrize("kind", ALPHA_KINDS)
+    @pytest.mark.parametrize("N", BOX_SIZES)
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_t4_matches_the_brute_force_law(self, p, N, kind):
+        box = BoxSpec(p, N)
+        alpha = CyclotomicInt(p, _alpha(kind, p, N))
+        hist = oracles.point_vertex_histogram(p, N, alpha.coeffs)
+        center = avg_point_to_vertices(alpha, box)
+        for eps in EPSILONS:
+            r = theorem4_report(alpha, box, eps, SamplerConfig(1, 1), exhaustive=True)
+            hits, trials, _ = oracles.histogram_law(hist, p, N, center, eps)
+            assert (r.hits, r.trials) == (hits, trials) == (hits, 2 ** (p - 1))
+            assert r.hits == r.trials or eps < 1 or max(map(abs, alpha.coeffs)) > N
+        spec = kernels.EdgeSpec(box, 1, kernels.vertex_orbits(box, alpha.coeffs),
+                                ((0, kernels.APEX, ()),), apex=alpha.coeffs)
+        assert kernels.tally(spec, 0, 1, 1).d2_sum == sum(n * c for n, c in hist.items())
+
     def test_exhaustive_worker_count_invariance(self):
-        for p in (11, 13):  # four slabs at p = 11 and 64 at p = 13, run on two threads
+        for p in (11, 13):
             one, two = (_t5_sweep(p, w) for w in (1, 2))
             assert replace(two, worker_count=1) == one
+            one, two = (_t4_sweep(p, w) for w in (1, 2))
+            assert replace(two, worker_count=1) == one
 
-    def test_t5_at_p11_runs_in_several_slabs(self, monkeypatch):
-        slabs = []
+    def test_t5_at_p11_is_one_orbit_batch(self, monkeypatch):
+        batches = []
 
-        def recording_run_chunks(fn, total, workers, unit_dim=1, run=kernels.run_chunks):
-            def slab(lo, hi):
-                slabs.append((lo, hi))
-                return fn(lo, hi)
-            return run(slab, total, workers, unit_dim)
+        def recording(box, x, y, pcx, pcy, kernel=kernels.vertex_dist_sq):
+            batches.append(len(x))
+            return kernel(box, x, y, pcx, pcy)
 
-        monkeypatch.setattr(kernels, "run_chunks", recording_run_chunks)
+        monkeypatch.setattr(kernels, "vertex_dist_sq", recording)
         one = _t5_sweep(11)
-        assert len(slabs) > 1
-        assert [lo for lo, _ in sorted(slabs)] == [0] + [hi for _, hi in sorted(slabs)][:-1]
-        assert max(hi for _, hi in slabs) == 1024
+        assert batches == [66]  # (n + 1)(n + 2) / 2 orbits of pairs, n = 10
         assert one.trials == 1024 ** 2
         assert replace(_t5_sweep(11, 2), worker_count=1) == one
 
-    # slab sizes of 10 rows (100 at p = 11), the last short, in elements per slab
-    @pytest.mark.parametrize("sweep,p,elements", [
-        (_t4_sweep, 7, 10 * 6),  # a K = 1 slab of c rows holds c * dim elements
-        (_t5_sweep, 7, 10 * 64),  # a K = 2 slab of c rows meets n rows: c * n pairs
-        (_t5_sweep, 11, 100 * 1024),
-    ])
-    def test_ragged_slabs_match_one_slab(self, monkeypatch, sweep, p, elements):
-        whole = sweep(p)
-        # each pair of a K = 2 slab holds _PAIR_TEMPORARIES int64 values against the budget
-        per_element = kernels._PAIR_TEMPORARIES if sweep is _t5_sweep else 1
-        monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", elements * per_element)
-        one, two = (sweep(p, w) for w in (1, 2))
-        assert replace(two, worker_count=1) == one == whole
-        if sweep is _t5_sweep:
-            a_vv = avg_vertex_pairs(BoxSpec(p, 1))
-            assert one.trials == sum(_pair_histogram(p).values())
-            assert one.hits == _histogram_hits(p, a_vv, Fraction(1, 10))
-            assert one.extra["hits_half"] == _histogram_hits(p, Fraction(1, 2), Fraction(1, 10))
-            assert Fraction(one.extra["mean_dist_sq"]) == a_vv
-
-    def test_sweep_total_is_the_row_count(self):
-        box = BoxSpec(7, 1)
-        rows = kernels.box_vertex_rows(box)
-        for K in (1, 2):
-            spec = kernels.EdgeSpec(box, K, rows, ((0, K - 1, ()),))
-            assert kernels.tally(spec, 0, len(rows), 1).attempts == len(rows) ** K
-            for total in (0, len(rows) - 1, len(rows) + 1, len(rows) ** 2):
-                with pytest.raises(ValueError):
-                    kernels.tally(spec, 0, total, 1)
-
-    @pytest.mark.parametrize("K", [3, 4])
-    def test_sweep_refuses_k_past_2_before_any_slab(self, monkeypatch, K):
-        box = BoxSpec(5, 1)
-        rows = kernels.box_vertex_rows(box)
-
-        def no_slabs(*args):
-            raise AssertionError("a slab was formed")
-
-        monkeypatch.setattr(kernels, "run_chunks", no_slabs)
-        spec = kernels.EdgeSpec(box, K, rows, ((0, 1, ()),))
-        with pytest.raises(ValueError, match=f"K = {K}"):
-            kernels.tally(spec, 0, len(rows), 1)
+    def test_orbit_weights_total_every_tuple(self):
+        """Each representative is the orbit its docstring names, once, with the orbit's
+        size as its weight; the weights total every tuple."""
+        for p in (3, 7, 13):
+            box, n = BoxSpec(p, 2 ** 62), p - 1
+            tuples, total, weights = kernels.vertex_orbits(box)
+            assert sum(weights.tolist()) == total == 4 ** n
+            orbits = set()
+            for (x, y), w in zip(tuples[:, :, 0].tolist(), weights.tolist()):
+                a, b = x.bit_count(), y.bit_count()
+                assert x == (1 << a) - 1 and y == (1 << a + b) - 1 - x
+                assert w == math.comb(n, a + b) * math.comb(a + b, a) * 2 ** (n - a - b)
+                orbits.add((a, b))
+            assert len(orbits) == len(tuples) == (n + 1) * (n + 2) // 2
+            spec = kernels.EdgeSpec(box, 2, (tuples, total, weights), ((0, 1, ()),))
+            assert kernels.tally(spec, 0, 1, 1).attempts == 4 ** n
+            for kind in ALPHA_KINDS:
+                alpha = _alpha(kind, p, box.N)
+                tuples, total, weights = kernels.vertex_orbits(box, alpha)
+                assert sum(weights.tolist()) == total == 2 ** n
+                classes = [[j for j in range(n) if alpha[j] == c] for c in set(alpha)]
+                orbits = set()
+                for x, w in zip(tuples[:, 0, 0].tolist(), weights.tolist()):
+                    ks = tuple(sum(x >> j & 1 for j in idx) for idx in classes)
+                    assert x == sum(1 << j for idx, k in zip(classes, ks) for j in idx[:k])
+                    assert w == math.prod(math.comb(len(idx), k) for idx, k in zip(classes, ks))
+                    orbits.add(ks)
+                assert len(orbits) == len(tuples) == math.prod(len(idx) + 1 for idx in classes)
 
     def test_apex_leg_refuses_box_points(self):
         box = BoxSpec(5, 3)
@@ -466,12 +492,12 @@ class TestPairTotals:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_d2_total_equals_the_block_sweep(self, p):
+        """The d^2 total of the pair orbits, weighted, is the pair oracle's total."""
         box = BoxSpec(p, 3)
-        rows = kernels.box_vertex_rows(box)
-        spec = kernels.EdgeSpec(box, 2, rows, ((0, 1, ()),))
-        swept = kernels.tally(spec, 0, len(rows), 1).d2_sum
-        d2, _ = kernels.pair_totals(p, rng.unpack_signs(rows, box.dim), 1)
-        assert d2 * box.N ** 2 == swept
+        spec = kernels.EdgeSpec(box, 2, kernels.vertex_orbits(box), ((0, 1, ()),))
+        weighted = kernels.tally(spec, 0, 1, 1).d2_sum
+        d2, _ = kernels.pair_totals(p, rng.unpack_signs(kernels.box_vertex_rows(box), box.dim), 1)
+        assert d2 * box.N ** 2 == weighted
 
 
 PACKED_PRIMES = st.sampled_from([3, 67, 193, 1009])
@@ -604,29 +630,46 @@ class TestPackedKernel:
         with pytest.raises(GuardError):
             kernels.box_vertex_rows(box)
         with pytest.raises(GuardError):
-            theorem4_report(CyclotomicInt.zero(19), box, Fraction(1, 10), SamplerConfig(1, 1),
-                            exhaustive=True)
+            oracle_moments(box, CyclotomicInt.zero(19))
 
 
 class TestPairSweepLimit:
-    def test_ordered_pairs_edge(self):
-        assert kernels.ordered_pairs(1 << 12) == kernels.PAIR_SWEEP_MAX == 1 << 24
+    def test_orbit_batch_edge(self):
+        budget = kernels._BATCH_ELEMENTS  # tuples x K x words
+
+        def t5(p):  # (n + 1)(n + 2) / 2 pair orbits, n = p - 1
+            return p * (p + 1) // 2, 2, p - 1
+
+        def pole(p):  # (n/2 + 1)^2 orbits of one vertex at the north pole
+            return ((p - 1) // 2 + 1) ** 2, 1, p - 1
+
+        # the budget at one and two words a vertex, and the reach the README states:
+        # T5 to p = 509, T4 at the origin to p = 11579 and at the pole to p = 797
+        fits = [(budget, 1, 64), (budget // 2, 2, 64), (budget // 4, 2, 65), t5(509),
+                (11579, 1, 11578), pole(797)]
+        past = [(budget + 1, 1, 64), (budget // 2 + 1, 2, 64), (budget // 4 + 1, 2, 65),
+                t5(521), (11587, 1, 11586), pole(809)]
+        for count, K, dim in fits:
+            kernels.require_orbit_batch(count, K, dim)
+        for count, K, dim in past:
+            with pytest.raises(GuardError):
+                kernels.require_orbit_batch(count, K, dim)
+
+    def test_orbit_batch_is_refused_before_any_row(self, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a row was formed")
+
+        monkeypatch.setattr(kernels, "_pack", no_rows)
+        distinct = CyclotomicInt(101, tuple(range(100)))  # 2^100 apex orbits
         with pytest.raises(GuardError):
-            kernels.ordered_pairs((1 << 12) + 1)
-
-    def test_tally_guards_a_pair_sweep_before_any_pair(self, monkeypatch):
-        box = BoxSpec(17, 1)
-        rows = kernels.vertex_rows(box.dim)[: (1 << 12) + 1]
-        spec = kernels.EdgeSpec(box, 2, rows, ((0, 1, ()),))
-
-        def no_pairs(*args):
-            raise AssertionError("a pair was formed")
-
-        monkeypatch.setattr(kernels, "vertex_dist_sq", no_pairs)
+            kernels.vertex_orbits(BoxSpec(1009, 1))
         with pytest.raises(GuardError):
-            kernels.tally(spec, 0, len(rows), 1)
-        with pytest.raises(AssertionError, match="a pair was formed"):
-            kernels.tally(replace(spec, draw=rows[:-1]), 0, len(rows) - 1, 1)
+            kernels.vertex_orbits(BoxSpec(101, 100), distinct.coeffs)
+        with pytest.raises(GuardError):
+            theorem4_report(distinct, BoxSpec(101, 100), Fraction(1, 10), SamplerConfig(1, 1),
+                            exhaustive=True)
+        with pytest.raises(AssertionError, match="a row was formed"):
+            kernels.vertex_orbits(BoxSpec(101, 1))
 
     def test_box_pair_oracle_at_the_edge(self):
         box = BoxSpec(3, 511)  # 1023^2 = 1,046,529 points, the most an enumeration lists
@@ -783,8 +826,8 @@ VERTEX_REPORTS = {
 
 
 class TestThreadUse:
-    """Sampled packed-vertex chunks run on the calling thread at any worker count;
-    box-point draws and pair-sweep slabs keep the pool."""
+    """Sampled packed-vertex chunks run on the calling thread at any worker count, and
+    exhaustive vertex orbits run as one batch there too; box-point draws keep the pool."""
 
     @pytest.mark.parametrize("name", sorted(VERTEX_REPORTS))
     def test_vertex_reports_build_no_pool(self, pools, chunk_counts, name):
@@ -802,8 +845,7 @@ class TestThreadUse:
         assert box_pair_mean_report(box, SamplerConfig(2, 2100, 2)) == one
         assert pools == [2] and chunk_counts == [3, 3]
 
-    def test_exhaustive_t5_at_p11_builds_a_pool(self, pools, chunk_counts):
-        one = _t5_sweep(11)
-        assert pools == []
-        assert replace(_t5_sweep(11, 2), worker_count=1) == one
-        assert pools == [2] and chunk_counts == [4, 4]
+    def test_exhaustive_reports_build_no_pool(self, pools, chunk_counts):
+        for sweep, p in ((_t5_sweep, 11), (_t4_sweep, 17)):
+            assert replace(sweep(p, 2), worker_count=1) == sweep(p, 1)
+        assert pools == [] and chunk_counts == []
