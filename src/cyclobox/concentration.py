@@ -341,11 +341,13 @@ def right_angle_report(alpha: CyclotomicInt, box: BoxSpec, eps_cos: float,
     # twice stays below 2^501 by Cauchy-Schwarz.  Below that size a = b = 0 and nothing moves.
     a, b = (max(0, (n.bit_length() - 499) // 2) for n in (na, nb_bound))
 
+    words, scratch = kernels.vertex_buffers(cfg.sample_count, 1, dim)
+
     def work(start, stop):
-        x = kernels.draw_vertices(box, 1, cfg.seed, start, stop)[0][:, 0]
+        x = kernels.draw_vertices(box, 1, cfg.seed, start, stop, words, scratch)[0][:, 0]
         pcx = kernels.popcount(x)
         nb = origin.dist_sq(x, pcx)
-        twice = kernels.lift(nb, twice_bound) + na - apex.dist_sq(x, pcx)
+        twice = kernels.lift(nb, twice_bound) + na - apex.dist_sq(x, pcx, scratch)
         tw = kernels.lift(twice, compare_bound)
         ok = tw * tw * ed2 <= 4 * en2 * na * kernels.lift(nb, compare_bound)
         tw_f = (twice / (1 << (a + b))).astype(np.float64, copy=False)
@@ -353,7 +355,8 @@ def right_angle_report(alpha: CyclotomicInt, box: BoxSpec, eps_cos: float,
         cos_abs = np.abs(tw_f / 2) / np.sqrt(na / (1 << 2 * a) * nb_f)
         return int(np.sum(ok)), cos_abs
 
-    # packed vertex chunks run on the calling thread (see `kernels.run_chunks`)
+    # packed vertex chunks run on the calling thread, through the buffers above
+    # (see `kernels.run_chunks`)
     parts = kernels.run_chunks(work, cfg.sample_count, 1, dim)
     hits = sum(x[0] for x in parts)
     cos_all = np.concatenate([x[1] for x in parts])

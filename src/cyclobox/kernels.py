@@ -22,7 +22,15 @@ into temporaries they made (`_combine` into its q and s), never into an argument
 or an array `lift` passed through: a fresh temporary per step faults its pages
 in again whenever glibc has trimmed the heap since the last one (`vertex_dist_sq`
 on 2^18 vertex pairs at p = 11 took 2,080 minor faults and 9-10 ms with fresh
-temporaries, 1,056 and 5.4 ms without, on a 2-core x86-64 machine).
+temporaries, 1,056 and 5.4 ms without, on a 2-core x86-64 machine).  A sampled
+packed-vertex run makes no chunk-sized array per chunk: it owns `vertex_buffers`, a
+words buffer and a scratch for its largest chunk, into which each chunk draws its
+words and forms x ^ y and x & M_c; only the (count,) results and the uint8 bit counts
+are new.  The two are one allocation: glibc then serves the next run's from the pages
+this run frees, where two separate buffers are given back to the system and faulted
+in again by every run (per warmed pass of the vertex-laws benchmark: 3,571 minor
+faults with per-chunk arrays, 1,052 with two buffers, 0 with one).  `popcount`
+contracts the per-word bit counts in one einsum, for all K members of a chunk at once.
 The oracles visit no pairs: `pair_totals` reads the exact totals
 of d^2 and d^4 from per-point sums.  A fixed point meets vertex rows only as a
 `PackedApex` and its mask sums, for `tally`'s apex legs (T4 orbits among them),
@@ -134,17 +142,29 @@ def dist_sq(p: int, x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
 
 
 def popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each packed row (the last axis), as int64."""
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+    """Set bits of each packed row (the last axis), as a new int64 array: one
+    contraction of the per-word counts, which beats a `sum` over 1 to 32 words a row."""
+    return np.einsum("...j->...", np.bitwise_count(words), dtype=np.int64)
+
+
+def _into(scratch: Optional[np.ndarray], shape: tuple) -> Optional[np.ndarray]:
+    """The first prod(shape) words of `scratch` as an array of `shape`, or None (a
+    ufunc's `out` for a new array) when there is no scratch."""
+    if scratch is None:
+        return None
+    return scratch.reshape(-1)[:prod(shape)].reshape(shape)
 
 
 def vertex_dist_sq(box: BoxSpec, x: np.ndarray, y: np.ndarray,
-                   pcx: np.ndarray, pcy: np.ndarray) -> np.ndarray:
+                   pcx: np.ndarray, pcy: np.ndarray,
+                   scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact d^2 between the broadcast rows of packed vertices x and y, given their
-    popcounts: d_j is 0 or +-2N, so q = 4N^2 pc(x ^ y) and s = 2N (pc(x) - pc(y))."""
+    popcounts: d_j is 0 or +-2N, so q = 4N^2 pc(x ^ y) and s = 2N (pc(x) - pc(y)).
+    x ^ y is formed in `scratch` (a contiguous uint64 array with room for it) if given."""
     N = box.N
     bound = dist_sq_bound(box.p, box.dim, 2 * N)
-    q = lift(popcount(x ^ y), bound)
+    xor = np.bitwise_xor(x, y, out=_into(scratch, np.broadcast_shapes(x.shape, y.shape)))
+    q = lift(popcount(xor), bound)
     q *= 4 * N * N
     s = lift(pcx - pcy, bound)
     s *= 2 * N
@@ -185,20 +205,25 @@ class PackedApex:
         terms = min(by_value, by_bit, key=len)
         self.terms = [(c, _pack(idx, dim)) for c, idx in terms.items()]
 
-    def mask_sum(self, x: np.ndarray, start: int, weight: int):
+    def mask_sum(self, x: np.ndarray, start: int, weight: int,
+                 scratch: Optional[np.ndarray] = None):
         """start + weight * L(x) over packed rows x, exact while |start| + |weight| sum_j
-        |alpha_j| <= bound; just `start`, a scalar, when alpha = 0 has no masks."""
+        |alpha_j| <= bound; just `start`, a scalar, when alpha = 0 has no masks.  Each
+        x & M_c is formed in `scratch` (as for `vertex_dist_sq`) if given."""
         total = start
+        masked = _into(scratch, x.shape)
         for c, mask in self.terms:
-            term = lift(popcount(x & mask), self.bound)
+            term = lift(popcount(np.bitwise_and(x, mask, out=masked)), self.bound)
             term *= weight * c
             term += total
             total = term
         return total
 
-    def dist_sq(self, x: np.ndarray, pcx: np.ndarray) -> np.ndarray:
-        """Exact d^2(x, alpha) over packed vertex rows x with popcounts pcx."""
-        q = self.mask_sum(x, self.q0, -4 * self.box.N)
+    def dist_sq(self, x: np.ndarray, pcx: np.ndarray,
+                scratch: Optional[np.ndarray] = None) -> np.ndarray:
+        """Exact d^2(x, alpha) over packed vertex rows x with popcounts pcx; `scratch`
+        as for `mask_sum`."""
+        q = self.mask_sum(x, self.q0, -4 * self.box.N, scratch)
         s = lift(pcx, self.bound) * (2 * self.box.N)  # a new array: pcx is the caller's
         s -= self.s0
         return _combine(self.box.p, q, s)
@@ -259,6 +284,11 @@ def box_vertex_rows(box: BoxSpec) -> np.ndarray:
     return vertex_rows(box.dim)
 
 
+def _batch(unit_dim: int) -> int:
+    """Samples in a full chunk of `run_chunks` at row width `unit_dim`."""
+    return max(1, _BATCH_ELEMENTS // max(unit_dim, 1))
+
+
 def run_chunks(fn, total: int, workers: int, unit_dim: int = 1) -> list:
     """[fn(lo, hi)] over batches of [0, total) small enough to keep temporaries bounded.
 
@@ -270,9 +300,11 @@ def run_chunks(fn, total: int, workers: int, unit_dim: int = 1) -> list:
     about 256 KB, at p = 1009), about 1/64 of the budget, and its 30-60 us numpy
     steps cost more in GIL handoffs between two threads than the second
     thread saves (the vertex-laws benchmark read 13-27 % slower at two workers
-    than at one).
+    than at one).  Such a caller also owns the chunk's words and scratch
+    (`vertex_buffers`), made once for the largest chunk and reused by each, so
+    no chunk allocates an array of its size.
     """
-    batch = max(1, _BATCH_ELEMENTS // max(unit_dim, 1))
+    batch = _batch(unit_dim)
     tasks = [(lo, min(lo + batch, total)) for lo in range(0, total, batch)]
     if workers <= 1 or len(tasks) <= 1:
         return [fn(*t) for t in tasks]
@@ -281,10 +313,25 @@ def run_chunks(fn, total: int, workers: int, unit_dim: int = 1) -> list:
         return [f.result() for f in futures]
 
 
-def draw_vertices(box: BoxSpec, K: int, seed: int, start: int, stop: int) -> tuple:
-    """Uniform vertices as packed sign words; member m of sample i reads stream K*i + m."""
+def vertex_buffers(total: int, K: int, dim: int) -> tuple:
+    """The words buffer and scratch of a run of samples [0, total) of K packed vertices:
+    each has a row of ceil(dim/64) words for every vertex of the largest chunk
+    `run_chunks` makes of it at row width K * dim.  The run makes them when it starts,
+    hands them to every chunk and drops them when it returns.  They are the two halves
+    of one allocation, so that a run reuses the pages the last run freed (see the
+    module docstring)."""
+    rows = K * min(total, _batch(K * dim))
+    words, scratch = np.empty((2, rows, (dim + 63) // 64), dtype=np.uint64)
+    return words, scratch
+
+
+def draw_vertices(box: BoxSpec, K: int, seed: int, start: int, stop: int,
+                  out: Optional[np.ndarray] = None,
+                  scratch: Optional[np.ndarray] = None) -> tuple:
+    """Uniform vertices as packed sign words; member m of sample i reads stream K*i + m.
+    With the `vertex_buffers` of the run, the words are a view of `out`."""
     count = stop - start
-    words = rng.vertex_words(seed, K * start, K * count, box.dim)
+    words = rng.vertex_words(seed, K * start, K * count, box.dim, out, scratch)
     return words.reshape(count, K, -1), count
 
 
@@ -367,8 +414,9 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
     """Run samples [0, total) of `spec` in chunks and merge their counts.  The
     (tuples, total, weights) of `vertex_orbits` run as one batch, so seed, total and
     workers do not matter, and a tuple of weight w counts w hits and w d^2.  Chunks
-    of `draw_vertices` run on the calling thread at any worker count (see
-    `run_chunks`); box-point draws fill the budget and use the pool."""
+    of `draw_vertices` run on the calling thread at any worker count, through the
+    run's own `vertex_buffers` (see `run_chunks`); box-point draws fill the budget
+    and use the pool.  The popcounts of all K members of a chunk are one call."""
     box = spec.box
     p, d2 = box.p, box.diameter_sq()
     if spec.apex is None and any(k == APEX for _, k, _ in spec.edges):
@@ -378,18 +426,22 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
     plan = [(j, k, apex.bound if k == APEX else dist_sq_bound(p, box.dim, 2 * box.N),
              [iv.members(d2) for iv in ivs]) for j, k, ivs in spec.edges]
 
+    vertices = spec.draw is draw_vertices
+    buffers = vertex_buffers(total, spec.K, box.dim) if vertices else ()
+    scratch = buffers[1] if vertices else None
+
     def edge_dist_sq(members, pcs, j, k):
         if k == APEX:
             if pcs is None:
                 raise ValueError("an apex leg needs vertex points (packed sign words)")
-            return apex.dist_sq(members[j], pcs[j])
+            return apex.dist_sq(members[j], pcs[:, j], scratch)
         if pcs is None:
             return dist_sq(p, members[j], members[k], 2 * box.N)
-        return vertex_dist_sq(box, members[j], members[k], pcs[j], pcs[k])
+        return vertex_dist_sq(box, members[j], members[k], pcs[:, j], pcs[:, k], scratch)
 
     def work(pts, attempts, weights=None):  # (attempts, d^2 total, *hits)
         members = [pts[:, m] for m in range(pts.shape[1])]
-        pcs = [popcount(x) for x in members] if pts.dtype == np.uint64 else None
+        pcs = popcount(pts) if pts.dtype == np.uint64 else None  # (count, K)
         ok = [True] * verdicts
         d2_sum = 0
         for j, k, bound, ranges in plan:
@@ -403,9 +455,9 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
         return (attempts, d2_sum, *map(int, hits))
 
     def chunk(lo, hi):
-        return work(*spec.draw(box, spec.K, seed, lo, hi))
+        return work(*spec.draw(box, spec.K, seed, lo, hi, *buffers))
 
-    if spec.draw is draw_vertices:
+    if vertices:
         workers = 1
     unit = spec.K * box.dim
     parts = run_chunks(chunk, total, workers, unit) if callable(spec.draw) else [work(*spec.draw)]

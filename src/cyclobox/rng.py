@@ -22,17 +22,21 @@ round adds one constant to the first round's keyed counters and runs the
 counter round alone.  Its words are still words(seed, stream, j + dim*t), word
 for word, though it does not call `words`.
 
-Every round mixes its argument in place, through one reused shift buffer,
-and returns it: a fresh temporary per step of a (count, dim) draw costs a page
+Every round mixes its argument in place, through one shift buffer, and
+returns it: a fresh temporary per step of a (count, dim) draw costs a page
 fault per 4 KB whenever glibc has trimmed the heap since the last draw.  So
 each caller hands the round an array of its own: `words` the sum it has just
 formed, `box_offsets_at` a copy of its keyed counters, which the retry rounds
-read again.
+read again.  A packed-vertex run goes further: it owns a words buffer and a
+scratch array, made once for its largest chunk, and `vertex_words` writes each
+chunk's words into the buffer and mixes them there with the scratch as the
+shift buffer, so a chunk allocates nothing of its size.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -47,10 +51,13 @@ _U = np.uint64
 _BLOCK_WORDS = 1 << 16  # words per block of box draws: temporaries stay in cache
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
+def _mix64(z: np.ndarray, shifted: Optional[np.ndarray] = None) -> np.ndarray:
     """The splitmix64 finalizer, mixed into the uint64 array z in place through one
-    shift buffer for all three shifts; returns z.  It wraps: callers hold np.errstate."""
-    shifted = np.right_shift(z, _U(30), out=np.empty_like(z))  # an array even if z is 0-d
+    shift buffer for all three shifts, `shifted` (of z's shape) if given, else a new
+    one; returns z.  It wraps: callers hold np.errstate."""
+    if shifted is None:
+        shifted = np.empty_like(z)  # an array even if z is 0-d
+    np.right_shift(z, _U(30), out=shifted)
     z ^= shifted
     z *= _MIX1
     np.right_shift(z, _U(27), out=shifted)
@@ -89,24 +96,34 @@ def _stream_keys(seed: int, stream) -> np.ndarray:
 _counter_round = _mix64
 
 
-def words(seed: int, stream, counter) -> np.ndarray:
-    """64-bit words indexed by (stream, counter); broadcasting applies."""
+def words(seed: int, stream, counter, out: Optional[np.ndarray] = None,
+          scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """64-bit words indexed by (stream, counter); broadcasting applies.  With `out`
+    (of the broadcast shape) the words are written there and `out` is returned, and
+    `scratch` (of the same shape) is the counter round's shift buffer."""
     counter = np.asarray(counter, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _counter_round(np.asarray(_stream_keys(seed, stream) + (counter + _U(1)) * _GOLDEN))
+        z = np.add(_stream_keys(seed, stream), (counter + _U(1)) * _GOLDEN, out=out)
+        return _counter_round(np.asarray(z), scratch)
 
 
-def vertex_words(seed: int, first_stream: int, count: int, dim: int) -> np.ndarray:
+def vertex_words(seed: int, first_stream: int, count: int, dim: int,
+                 out: Optional[np.ndarray] = None,
+                 scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """(count, ceil(dim/64)) packed sign words; point i uses stream first_stream+i.
 
     Bit j of a row (bit j % 64 of word j // 64) set means coordinate j is
     positive.  Bits past `dim` are cleared, so a row's popcount counts its
-    positive coordinates.
+    positive coordinates.  With `out` and `scratch`, uint64 arrays of at least
+    `count` rows of that width, the words are written to the first `count` rows
+    of `out` and mixed there through those of `scratch`, and the result is that
+    view of `out`; without them it is a new array.
     """
     nwords = (dim + 63) // 64
     streams = (np.arange(count, dtype=np.uint64) + _U(first_stream))[:, None]
     ctrs = np.arange(nwords, dtype=np.uint64)[None, :]
-    w = words(seed, streams, ctrs).reshape(count, nwords)
+    rows = (None if buf is None else buf[:count] for buf in (out, scratch))
+    w = words(seed, streams, ctrs, *rows).reshape(count, nwords)
     if dim % 64:
         w[:, -1] &= _U((1 << dim % 64) - 1)
     return w

@@ -1,6 +1,6 @@
 """Source hygiene, checked with the standard library: no module imports a name it
-never uses, every `module.name` the docs cite exists, and one function makes
-thread pools."""
+never uses, every `module.name` the docs cite exists, one function makes
+thread pools and one counts bits."""
 
 import ast
 import importlib
@@ -92,28 +92,38 @@ def test_docs_cite_names_that_exist():
     assert not missing, f"cited names that do not resolve: {missing}"
 
 
-def _pool_references(tree: ast.AST) -> list:
-    """Lines that read `ThreadPoolExecutor`, as a name or an attribute, or import it
-    under another name."""
+def _references(tree: ast.AST, name: str) -> list:
+    """Lines that read `name`, as a name or an attribute, or import it under another name."""
     return sorted(node.lineno for node in ast.walk(tree)
-                  if (isinstance(node, ast.Name) and node.id == "ThreadPoolExecutor")
-                  or (isinstance(node, ast.Attribute) and node.attr == "ThreadPoolExecutor")
+                  if (isinstance(node, ast.Name) and node.id == name)
+                  or (isinstance(node, ast.Attribute) and node.attr == name)
                   or (isinstance(node, ast.ImportFrom)
-                      and any(a.name == "ThreadPoolExecutor" and a.asname for a in node.names)))
+                      and any(a.name == name and a.asname for a in node.names)))
+
+
+def _read_only_in(name: str, function: str) -> None:
+    """Assert that `kernels.<function>` reads `name` and that no other code does."""
+    kernels_tree = ast.parse((ROOT / "src" / "cyclobox" / "kernels.py").read_text())
+    body = next(node for node in kernels_tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    inside = set(_references(body, name))
+    assert inside
+    for path in SOURCES:
+        allowed = inside if path.name == "kernels.py" else set()
+        outside = sorted(set(_references(ast.parse(path.read_text()), name)) - allowed)
+        assert not outside, f"{path.name} reads {name} at lines {outside}"
 
 
 def test_thread_pools_are_made_only_in_run_chunks():
     """One chunk runner: `kernels.run_chunks` is the only code that reads
     `ThreadPoolExecutor`, so no report grows a pool of its own."""
-    kernels_tree = ast.parse((ROOT / "src" / "cyclobox" / "kernels.py").read_text())
-    runner = next(node for node in kernels_tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "run_chunks")
-    inside = set(_pool_references(runner))
-    assert inside
-    for path in SOURCES:
-        allowed = inside if path.name == "kernels.py" else set()
-        outside = sorted(set(_pool_references(ast.parse(path.read_text()))) - allowed)
-        assert not outside, f"{path.name} reads ThreadPoolExecutor at lines {outside}"
+    _read_only_in("ThreadPoolExecutor", "run_chunks")
+
+
+def test_bits_are_counted_only_in_popcount():
+    """One row-sum rule: `kernels.popcount` is the only code that reads
+    `np.bitwise_count`, so every kernel counts a row's bits the same way."""
+    _read_only_in("bitwise_count", "popcount")
 
 
 LIMIT = re.compile(r"[A-Z0-9_]+_MAX(_P)?")

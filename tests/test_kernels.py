@@ -3,6 +3,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -411,9 +412,11 @@ class TestExhaustiveSweeps:
     def test_t5_at_p11_is_one_orbit_batch(self, monkeypatch):
         batches = []
 
-        def recording(box, x, y, pcx, pcy, kernel=kernels.vertex_dist_sq):
+        kernel = kernels.vertex_dist_sq
+
+        def recording(box, x, y, pcx, pcy, scratch=None):
             batches.append(len(x))
-            return kernel(box, x, y, pcx, pcy)
+            return kernel(box, x, y, pcx, pcy, scratch)
 
         monkeypatch.setattr(kernels, "vertex_dist_sq", recording)
         one = _t5_sweep(11)
@@ -507,9 +510,13 @@ PACKED_PRIMES = st.sampled_from([3, 67, 193, 1009])
 def _packed_vertices(draw, dim, rows):
     """(rows, nwords) packed sign words and the same rows as Python ints."""
     ints = draw(st.lists(st.integers(0, 2 ** dim - 1), min_size=rows, max_size=rows))
-    nwords = (dim + 63) // 64
-    words = [[v >> 64 * k & (2 ** 64 - 1) for k in range(nwords)] for v in ints]
-    return np.array(words, dtype=np.uint64), ints
+    return _words_of(ints, (dim + 63) // 64), ints
+
+
+def _words_of(ints, nwords):
+    """(len(ints), nwords) packed rows, bit j of a row for bit j of its int."""
+    return np.array([[v >> 64 * k & (2 ** 64 - 1) for k in range(nwords)] for v in ints],
+                    dtype=np.uint64).reshape(len(ints), nwords)
 
 
 def _vertex_of(p, N, bits):
@@ -544,6 +551,41 @@ def _per_coordinate_terms(alpha):
             if abs(c) >> k & 1:
                 by_bit.setdefault((1 if c > 0 else -1) << k, set()).add(j)
     return {(c, frozenset(idx)) for c, idx in min(by_value, by_bit, key=len).items()}
+
+
+@st.composite
+def _word_blocks(draw, nwords, K):
+    """A uint64 block of (count, nwords) rows, or (count, K, nwords) if K, and each
+    row as a Python int: random rows, all-zero and all-one rows, and rows whose bits
+    past some dim are cleared."""
+    width = 64 * nwords
+    row = st.one_of(st.just(0), st.just((1 << width) - 1), st.integers(0, (1 << width) - 1),
+                    st.integers(1, width).flatmap(lambda dim: st.integers(0, (1 << dim) - 1)))
+    count = draw(st.integers(0, 6))
+    ints = draw(st.lists(row, min_size=count * (K or 1), max_size=count * (K or 1)))
+    words = _words_of(ints, nwords)
+    return words.reshape((count, K, nwords)) if K else words, ints
+
+
+class TestPopcount:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.sampled_from([1, 2, 16, 32]), st.sampled_from([None, 1, 3]))
+    def test_set_bits_of_each_row(self, data, nwords, K):
+        words, ints = data.draw(_word_blocks(nwords, K))
+        got = kernels.popcount(words)
+        assert got.dtype == np.int64 and got.shape == words.shape[:-1]
+        assert got.ravel().tolist() == [v.bit_count() for v in ints]
+
+    @pytest.mark.parametrize("p", [5, 67, 1009, 2003])  # 1, 2, 16 and 32 words a row
+    def test_rows_cut_to_dim_and_rows_of_zeros_and_ones(self, p):
+        dim = p - 1
+        nwords = (dim + 63) // 64
+        drawn = _row_ints(rng.vertex_words(3, 0, 12, dim))  # bits past dim cleared
+        ints = drawn + [0, (1 << dim) - 1, (1 << 64 * nwords) - 1]
+        words = _words_of(ints, nwords)
+        assert kernels.popcount(words).tolist() == [v.bit_count() for v in ints]
+        pairs = kernels.popcount(words[:12].reshape(6, 2, nwords))
+        assert pairs.tolist() == [[v.bit_count() for v in ints[i:i + 2]] for i in range(0, 12, 2)]
 
 
 class TestPackedKernel:
@@ -758,6 +800,35 @@ class TestKernelsLeaveTheirInputs:
             assert [int(v) for v in got] == [core.dist_sq(_vertex_of(box.p, box.N, v), a)
                                              for v in xs]
 
+    @pytest.mark.parametrize("N", [3, 2 ** 62], ids=["N3", "N2^62"])
+    def test_calls_through_a_run_scratch(self, N):
+        """With a run's buffers, the kernels leave their inputs and the apex masks as they
+        were, equal the call without them, and return new arrays: a result kept from one
+        call is unchanged after later calls reuse the same scratch."""
+        box, K, count = BoxSpec(67, N), 3, 40
+        words, scratch = kernels.vertex_buffers(count, K, box.dim)
+        pts, _ = kernels.draw_vertices(box, K, 3, 0, count, words, scratch)
+        assert np.shares_memory(pts, words)
+        assert np.array_equal(pts, kernels.draw_vertices(box, K, 3, 0, count)[0])
+        members = [pts[:, m] for m in range(K)]
+        pcs = kernels.popcount(pts)
+        apex = kernels.PackedApex(box, core.north_pole_point(box).coeffs)
+        masks = [mask.copy() for _, mask in apex.terms]
+        assert masks
+        calls = [(kernels.vertex_dist_sq, (box, members[0], members[1], pcs[:, 0], pcs[:, 1])),
+                 (apex.mask_sum, (members[0], 5, -4 * box.N)),
+                 (kernels.vertex_dist_sq, (box, members[1], members[2], pcs[:, 1], pcs[:, 2])),
+                 (apex.dist_sq, (members[2], pcs[:, 2]))]
+        kept = []
+        for fn, args in calls:
+            got = _unchanged(partial(fn, scratch=scratch), *args)
+            assert not (np.shares_memory(got, scratch) or np.shares_memory(got, words))
+            assert got.tolist() == fn(*args).tolist()
+            kept.append((got, got.copy()))
+        for got, before in kept:
+            assert np.array_equal(got, before)
+        assert all(np.array_equal(m, before) for (_, m), before in zip(apex.terms, masks))
+
     @pytest.mark.parametrize("p,N,path", [(5, 3, "int64"), (101, 2 ** 40, "limbs"),
                                           (101, 2 ** 62, "object")])
     def test_dist_sq_on_each_path(self, p, N, path):
@@ -849,3 +920,34 @@ class TestThreadUse:
         for sweep, p in ((_t5_sweep, 11), (_t4_sweep, 17)):
             assert replace(sweep(p, 2), worker_count=1) == sweep(p, 1)
         assert pools == [] and chunk_counts == []
+
+
+_SMALL = BoxSpec(67, 3)
+_SMALL_POLE = core.north_pole_point(_SMALL)
+# report and the K vertices of each of its samples
+RAGGED_REPORTS = {
+    "T5": (lambda cfg: vertex_pair_report(_SMALL, Fraction(1, 20), cfg), 2),
+    "T4": (lambda cfg: theorem4_report(_SMALL_POLE, _SMALL, Fraction(1, 20), cfg), 1),
+    "isosceles": (lambda cfg: isosceles_report(_SMALL_POLE, _SMALL, Fraction(1, 20), cfg), 2),
+    "polytope": (lambda cfg: polytope_report(_SMALL, 4, 10, cfg), 4),
+    "pyramid": (lambda cfg: pyramid_report(_SMALL_POLE, _SMALL, 3, Fraction(1, 10), cfg), 3),
+    "right-angle": (lambda cfg: right_angle_report(_SMALL_POLE, _SMALL, 0.1, cfg), 1),
+}
+
+
+class TestRaggedChunks:
+    """Every chunk of a packed-vertex run writes into the same buffers, so a short last
+    chunk must read nothing a longer chunk left behind: a report is the same as one
+    chunk, as 3 full chunks, and as 3 full chunks and a short one."""
+
+    @pytest.mark.parametrize("name", sorted(RAGGED_REPORTS))
+    def test_reports_do_not_depend_on_the_chunks(self, monkeypatch, chunk_counts, name):
+        report, K = RAGGED_REPORTS[name]
+        cfg = SamplerConfig(5, 30)
+        got = []
+        for samples, chunks in ((30, 1), (10, 3), (8, 4)):  # 8 + 8 + 8 + 6
+            monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", samples * K * _SMALL.dim)
+            got.append(report(cfg))
+            assert chunk_counts[-1] == chunks
+        assert got[0] == got[1] == got[2]
+        assert 0 < got[0].hits < got[0].trials  # the verdict reads every sample

@@ -93,6 +93,23 @@ def test_vertex_words_are_the_stream_words_cut_to_dim(p):
     assert rng.vertex_signs(5, 40, 300, dim).tolist() == signs
 
 
+@pytest.mark.parametrize("p", [5, 67, 1009, 2003])  # 1, 2, 16 and 32 words a row
+def test_vertex_words_into_a_buffer_are_the_stream_words(p):
+    """Written into the first rows of a buffer whose every bit is set, and mixed through
+    a scratch in the same state, the words are those of `rng.words`, cut to dim."""
+    dim = p - 1
+    nwords = (dim + 63) // 64
+    out = np.full((50, nwords), 2 ** 64 - 1, dtype=np.uint64)
+    scratch = out.copy()
+    got = rng.vertex_words(5, 40, 37, dim, out, scratch)
+    assert np.shares_memory(got, out) and got.shape == (37, nwords)
+    raw = rng.words(5, np.arange(40, 77, dtype=np.uint64)[:, None],
+                    np.arange(nwords, dtype=np.uint64)[None, :])
+    assert [_as_int(row) for row in got] == [_as_int(row) & ((1 << dim) - 1) for row in raw]
+    assert np.array_equal(got, rng.vertex_words(5, 40, 37, dim))
+    assert (out[37:] == np.uint64(2 ** 64 - 1)).all()  # rows past the count are left alone
+
+
 def _reference_box_offsets(seed, streams, dim, N):
     """Box offsets from `rng.words` alone, as exact ints, and the words they need:
     coefficient j of stream s takes the first t whose words(seed, s, j + dim*t)
