@@ -341,7 +341,7 @@ def right_angle_report(alpha: CyclotomicInt, box: BoxSpec, eps_cos: float,
     # twice stays below 2^501 by Cauchy-Schwarz.  Below that size a = b = 0 and nothing moves.
     a, b = (max(0, (n.bit_length() - 499) // 2) for n in (na, nb_bound))
 
-    words, scratch = kernels.vertex_buffers(cfg.sample_count, 1, dim)
+    words, scratch = kernels.run_buffers(cfg.sample_count, 1, dim, packed=True)
 
     def work(start, stop):
         x = kernels.draw_vertices(box, 1, cfg.seed, start, stop, words, scratch)[0][:, 0]

@@ -23,14 +23,20 @@ or an array `lift` passed through: a fresh temporary per step faults its pages
 in again whenever glibc has trimmed the heap since the last one (`vertex_dist_sq`
 on 2^18 vertex pairs at p = 11 took 2,080 minor faults and 9-10 ms with fresh
 temporaries, 1,056 and 5.4 ms without, on a 2-core x86-64 machine).  A sampled
-packed-vertex run makes no chunk-sized array per chunk: it owns `vertex_buffers`, a
-words buffer and a scratch for its largest chunk, into which each chunk draws its
-words and forms x ^ y and x & M_c; only the (count,) results and the uint8 bit counts
-are new.  The two are one allocation: glibc then serves the next run's from the pages
+run makes no chunk-sized array per chunk: it owns `run_buffers`, a points buffer and
+a scratch for its largest chunk.  A packed-vertex chunk draws its words into the
+buffer and forms x ^ y and x & M_c in the scratch; a box-point chunk draws its points
+into the buffer through the scratch (`rng.box_offsets_at`), and `dist_sq` then forms
+the differences and low limbs there, a block of `rng.block_rows(dim)` rows at a time.
+Only the (count,) results, the uint8 bit counts and the draws' retry rounds are new.
+Buffer and scratch are one allocation: glibc then serves the next run's from the pages
 this run frees, where two separate buffers are given back to the system and faulted
 in again by every run (per warmed pass of the vertex-laws benchmark: 3,571 minor
-faults with per-chunk arrays, 1,052 with two buffers, 0 with one).  `popcount`
-contracts the per-word bit counts in one einsum, for all K members of a chunk at once.
+faults with per-chunk arrays, 1,052 with two buffers, 0 with one; of the exact
+benchmark, whose box-pair cell had drawn fresh points: 1,532 before box-point runs
+owned theirs, 2 after).  Pooled box-point chunks take a set per chunk running at
+once.  `popcount` contracts the per-word bit counts in one einsum, for all K members
+of a chunk at once.
 The oracles visit no pairs: `pair_totals` reads the exact totals
 of d^2 and d^4 from per-point sums.  A fixed point meets vertex rows only as a
 `PackedApex` and its mask sums, for `tally`'s apex legs (T4 orbits among them),
@@ -118,27 +124,48 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...j,...j->...", a, b)
 
 
-def dist_sq(p: int, x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+def dist_sq(p: int, x: np.ndarray, y, m: int,
+            scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact d^2(x, y) over the broadcast rows of x and y, given |x_j - y_j| <= m.
-    On the "limbs" path q = (sum h^2 << 2k) + (sum hl << k+1) + sum l^2, and only
-    these row sums and s become Python ints."""
+    On the int64 and "limbs" paths the rows are reduced in blocks of
+    `rng.block_rows(dim)` rows, each block's difference (and on the "limbs" path its
+    low limbs) formed in `scratch`, a contiguous 8-byte array with room for two
+    blocks, or in a new one; only the row sums are of the rows' size.  On the "limbs"
+    path q = (sum h^2 << 2k) + (sum hl << k+1) + sum l^2, and only these row sums and
+    s become Python ints."""
     dim = x.shape[-1]
     bound = dist_sq_bound(p, dim, m)
-    if arithmetic_path(p, dim, m) == "limbs":
-        diff = x - y
-        k = _limb_bits(m)
-        s = lift(np.einsum("...j->...", diff), bound)
-        low = diff & ((1 << k) - 1)
-        high = diff
-        high >>= k  # in place: diff is this call's own, and s is already summed
-        hh, hl, ll = (lift(_row_dot(a, b), bound) for a, b in ((high, high), (high, low), (low, low)))
-        hh <<= 2 * k
+    path = arithmetic_path(p, dim, m)
+    if path == "object":
+        diff = lift(lift(x, m) - y, bound)
+        return _combine(p, _row_dot(diff, diff), np.einsum("...j->...", diff))
+    shape = np.broadcast_shapes(x.shape, np.shape(y))
+    x, y = (np.broadcast_to(a, shape).reshape(-1, dim) for a in (x, y))
+    count, step = len(x), rng.block_rows(dim)
+    if scratch is None:
+        scratch = np.empty(2 * min(count, step) * dim, dtype=np.int64)
+    limbs, k = path == "limbs", _limb_bits(m)
+    sums = np.empty((4 if limbs else 2, count), dtype=np.int64)  # s, then q or hh, hl, ll
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        diff, low = _into(scratch.view(np.int64), (2, hi - lo, dim))
+        np.subtract(x[lo:hi], y[lo:hi], out=diff)
+        np.einsum("ij->i", diff, out=sums[0, lo:hi])
+        if limbs:
+            np.bitwise_and(diff, (1 << k) - 1, out=low)
+            diff >>= k  # the high limbs, in place: s is already summed
+        products = ((diff, diff), (diff, low), (low, low)) if limbs else ((diff, diff),)
+        for row, (a, b) in zip(sums[1:], products):
+            np.einsum("ij,ij->i", a, b, out=row[lo:hi])
+    if limbs:
+        s, q, hl, ll = (lift(row, bound) for row in sums)
+        q <<= 2 * k
         hl <<= k + 1
-        hh += hl
-        hh += ll
-        return _combine(p, hh, s)
-    diff = lift(lift(x, m) - y, bound)
-    return _combine(p, _row_dot(diff, diff), np.einsum("...j->...", diff))
+        q += hl
+        q += ll
+    else:
+        s, q = sums
+    return _combine(p, q, s).reshape(shape[:-1])
 
 
 def popcount(words: np.ndarray) -> np.ndarray:
@@ -300,9 +327,11 @@ def run_chunks(fn, total: int, workers: int, unit_dim: int = 1) -> list:
     about 256 KB, at p = 1009), about 1/64 of the budget, and its 30-60 us numpy
     steps cost more in GIL handoffs between two threads than the second
     thread saves (the vertex-laws benchmark read 13-27 % slower at two workers
-    than at one).  Such a caller also owns the chunk's words and scratch
-    (`vertex_buffers`), made once for the largest chunk and reused by each, so
-    no chunk allocates an array of its size.
+    than at one).  Box-point chunks hold K * dim int64 coefficients a sample,
+    the whole budget, and keep the pool.  Every sampled caller owns its chunks'
+    points and scratch (`run_buffers`), made once for the largest chunk and
+    reused by each, one set per chunk running at once, so no chunk allocates an
+    array of its size.
     """
     batch = _batch(unit_dim)
     tasks = [(lo, min(lo + batch, total)) for lo in range(0, total, batch)]
@@ -313,32 +342,42 @@ def run_chunks(fn, total: int, workers: int, unit_dim: int = 1) -> list:
         return [f.result() for f in futures]
 
 
-def vertex_buffers(total: int, K: int, dim: int) -> tuple:
-    """The words buffer and scratch of a run of samples [0, total) of K packed vertices:
-    each has a row of ceil(dim/64) words for every vertex of the largest chunk
-    `run_chunks` makes of it at row width K * dim.  The run makes them when it starts,
-    hands them to every chunk and drops them when it returns.  They are the two halves
-    of one allocation, so that a run reuses the pages the last run freed (see the
-    module docstring)."""
+def run_buffers(total: int, K: int, dim: int, packed: bool) -> tuple:
+    """The points buffer and scratch of a run of samples [0, total) of K points, sized
+    for the largest chunk `run_chunks` makes of it at row width K * dim.  Packed
+    vertices (`packed`) get a words buffer and a scratch of a row of ceil(dim/64) words
+    for every vertex of that chunk; box points get an int64 points buffer of a row of
+    `dim` for every point and a scratch of two blocks of `rng.block_rows(dim)` rows,
+    the work area of the draw and then of `dist_sq`.  The run makes them when it
+    starts, hands them to every chunk and drops them when it returns.  Each pair is
+    the two parts of one allocation, so that a run reuses the pages the last run
+    freed (see the module docstring)."""
     rows = K * min(total, _batch(K * dim))
-    words, scratch = np.empty((2, rows, (dim + 63) // 64), dtype=np.uint64)
-    return words, scratch
+    if packed:
+        words, scratch = np.empty((2, rows, (dim + 63) // 64), dtype=np.uint64)
+        return words, scratch
+    size = rows * dim
+    block = np.empty(size + 2 * min(rows, rng.block_rows(dim)) * dim, dtype=np.uint64)
+    return block[:size].view(np.int64).reshape(rows, dim), block[size:]
 
 
 def draw_vertices(box: BoxSpec, K: int, seed: int, start: int, stop: int,
                   out: Optional[np.ndarray] = None,
                   scratch: Optional[np.ndarray] = None) -> tuple:
     """Uniform vertices as packed sign words; member m of sample i reads stream K*i + m.
-    With the `vertex_buffers` of the run, the words are a view of `out`."""
+    With the `run_buffers` of the run, the words are a view of `out`."""
     count = stop - start
     words = rng.vertex_words(seed, K * start, K * count, box.dim, out, scratch)
     return words.reshape(count, K, -1), count
 
 
-def draw_box_points(box: BoxSpec, K: int, seed: int, start: int, stop: int) -> tuple:
-    """Uniform box points; member m of sample i reads stream K*i + m."""
+def draw_box_points(box: BoxSpec, K: int, seed: int, start: int, stop: int,
+                    out: Optional[np.ndarray] = None,
+                    scratch: Optional[np.ndarray] = None) -> tuple:
+    """Uniform box points; member m of sample i reads stream K*i + m.  With the
+    `run_buffers` of the run, the points are a view of `out`, drawn through `scratch`."""
     count = stop - start
-    pts = rng.box_offsets(seed, K * start, K * count, box.dim, box.N)
+    pts = rng.box_offsets(seed, K * start, K * count, box.dim, box.N, out, scratch)
     return pts.reshape(count, K, box.dim), count
 
 
@@ -389,8 +428,10 @@ def all_edges(K: int, intervals: tuple) -> tuple:
 @dataclass(frozen=True)
 class EdgeSpec:
     """A distance law.  Each sample draws K points of `box`:
-    draw(box, K, seed, start, stop) -> ((count, K, width) points, tuples drawn),
-    where a point is `dim` coefficients, or packed sign words if uint64 (a vertex).
+    draw(box, K, seed, start, stop, out, scratch) -> ((count, K, width) points,
+    tuples drawn), where a point is `dim` coefficients, or packed sign words if
+    uint64 (a vertex, drawn only by `draw_vertices`), and out and scratch are the
+    run's `run_buffers`.
     In place of a draw, the (tuples, total, weights) of `vertex_orbits` give the exact law.
     Edge (j, k, intervals) joins points j and k (k == APEX: the fixed `apex`, met
     as a `PackedApex`, so an apex leg needs the apex and vertex points) and must hit
@@ -413,10 +454,13 @@ class Tally:
 def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
     """Run samples [0, total) of `spec` in chunks and merge their counts.  The
     (tuples, total, weights) of `vertex_orbits` run as one batch, so seed, total and
-    workers do not matter, and a tuple of weight w counts w hits and w d^2.  Chunks
-    of `draw_vertices` run on the calling thread at any worker count, through the
-    run's own `vertex_buffers` (see `run_chunks`); box-point draws fill the budget
-    and use the pool.  The popcounts of all K members of a chunk are one call."""
+    workers do not matter, and a tuple of weight w counts w hits and w d^2.  A
+    sampled chunk draws into, and its kernels work in, a set of `run_buffers` that
+    no other running chunk holds: the run makes one when it starts, a chunk that
+    finds every set held makes another, and the run drops them when it returns.
+    Chunks of `draw_vertices` run on the calling thread at any worker count (see
+    `run_chunks`); box-point chunks use the pool.  The popcounts of all K members
+    of a chunk are one call."""
     box = spec.box
     p, d2 = box.p, box.diameter_sq()
     if spec.apex is None and any(k == APEX for _, k, _ in spec.edges):
@@ -427,25 +471,26 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
              [iv.members(d2) for iv in ivs]) for j, k, ivs in spec.edges]
 
     vertices = spec.draw is draw_vertices
-    buffers = vertex_buffers(total, spec.K, box.dim) if vertices else ()
-    scratch = buffers[1] if vertices else None
+    # the run_buffers sets that no running chunk holds: the run's own, made here, and
+    # one more for each chunk that finds them all held
+    idle = [run_buffers(total, spec.K, box.dim, vertices)] if callable(spec.draw) else []
 
-    def edge_dist_sq(members, pcs, j, k):
+    def edge_dist_sq(members, pcs, j, k, scratch):
         if k == APEX:
             if pcs is None:
                 raise ValueError("an apex leg needs vertex points (packed sign words)")
             return apex.dist_sq(members[j], pcs[:, j], scratch)
         if pcs is None:
-            return dist_sq(p, members[j], members[k], 2 * box.N)
+            return dist_sq(p, members[j], members[k], 2 * box.N, scratch)
         return vertex_dist_sq(box, members[j], members[k], pcs[:, j], pcs[:, k], scratch)
 
-    def work(pts, attempts, weights=None):  # (attempts, d^2 total, *hits)
+    def work(pts, attempts, weights=None, scratch=None):  # (attempts, d^2 total, *hits)
         members = [pts[:, m] for m in range(pts.shape[1])]
         pcs = popcount(pts) if pts.dtype == np.uint64 else None  # (count, K)
         ok = [True] * verdicts
         d2_sum = 0
         for j, k, bound, ranges in plan:
-            vals = edge_dist_sq(members, pcs, j, k)
+            vals = edge_dist_sq(members, pcs, j, k, scratch)
             ok = [row & (vals >= lo) & (vals <= hi) for row, (lo, hi) in zip(ok, ranges)]
             if weights is None:
                 d2_sum += exact_sum(vals, bound)
@@ -455,7 +500,11 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
         return (attempts, d2_sum, *map(int, hits))
 
     def chunk(lo, hi):
-        return work(*spec.draw(box, spec.K, seed, lo, hi, *buffers))
+        buffers = idle.pop() if idle else run_buffers(total, spec.K, box.dim, vertices)
+        try:
+            return work(*spec.draw(box, spec.K, seed, lo, hi, *buffers), scratch=buffers[1])
+        finally:
+            idle.append(buffers)  # list pop and append are atomic: no lock
 
     if vertices:
         workers = 1

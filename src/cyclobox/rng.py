@@ -27,10 +27,13 @@ returns it: a fresh temporary per step of a (count, dim) draw costs a page
 fault per 4 KB whenever glibc has trimmed the heap since the last draw.  So
 each caller hands the round an array of its own: `words` the sum it has just
 formed, `box_offsets_at` a copy of its keyed counters, which the retry rounds
-read again.  A packed-vertex run goes further: it owns a words buffer and a
-scratch array, made once for its largest chunk, and `vertex_words` writes each
-chunk's words into the buffer and mixes them there with the scratch as the
-shift buffer, so a chunk allocates nothing of its size.
+read again.  A sampled run goes further: it owns its chunk's buffers, made
+once for its largest chunk (`kernels.run_buffers`).  `vertex_words` writes each
+chunk's words into the run's words buffer and mixes them there with the scratch
+as the shift buffer.  `box_offsets_at` mixes each block's values in the rows of
+the run's points buffer they end in, and keeps the keyed counters and the shift
+buffer in a work area of two blocks; only its retry rounds, a fraction of a
+block, make arrays of their own.  So a chunk allocates nothing of its size.
 """
 
 from __future__ import annotations
@@ -49,6 +52,11 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U = np.uint64
 
 _BLOCK_WORDS = 1 << 16  # words per block of box draws: temporaries stay in cache
+
+
+def block_rows(dim: int) -> int:
+    """Rows of `dim` words in one block of about _BLOCK_WORDS words, at least one."""
+    return max(1, _BLOCK_WORDS // max(dim, 1))
 
 
 def _mix64(z: np.ndarray, shifted: Optional[np.ndarray] = None) -> np.ndarray:
@@ -141,7 +149,8 @@ def vertex_signs(seed: int, first_stream: int, count: int, dim: int) -> np.ndarr
     return unpack_signs(vertex_words(seed, first_stream, count, dim), dim)
 
 
-def box_offsets_at(seed: int, streams, dim: int, N: int) -> np.ndarray:
+def box_offsets_at(seed: int, streams, dim: int, N: int, out: Optional[np.ndarray] = None,
+                   work: Optional[np.ndarray] = None) -> np.ndarray:
     """(len(streams), dim) array of integers uniform on [-N, N], unbiased.
 
     Draws the smallest power-of-two superset of {0, ..., 2N} per coefficient
@@ -153,24 +162,45 @@ def box_offsets_at(seed: int, streams, dim: int, N: int) -> np.ndarray:
     each stream is keyed once, base = key + (j+1)*G holds the first round's
     keyed counters, and retry round t runs the counter round on
     base + t*(dim*G) for the still-rejected coefficients only.  The rows are
-    evaluated in blocks of about _BLOCK_WORDS words, which changes no value.
-    Against a retry round that keyed each redrawn word again through `words`,
-    this took 20000 streams x 1008 coefficients at N = 1e4 from 0.88 s to 0.62 s
-    on a shared 2-core x86-64 machine.
+    evaluated in blocks of `block_rows(dim)` rows, which changes no value; a
+    block's values are mixed in the rows of the result they end in.  Against a
+    retry round that keyed each redrawn word again through `words`, this took
+    20000 streams x 1008 coefficients at N = 1e4 from 0.88 s to 0.62 s on a
+    shared 2-core x86-64 machine.
+
+    With `out`, a C-contiguous int64 array of at least len(streams) rows of
+    `dim`, the result is its first len(streams) rows; with `work`, a contiguous
+    8-byte array of at least 2 * min(len(streams), block_rows(dim)) * dim
+    elements, the keyed counters and the shift buffer are formed there.
+    Without them both are new arrays.
     """
     m = 2 * N + 1
     if m > 1 << 64:
         raise GuardError(f"box draws take one 64-bit word per coefficient; 2N+1 = {m} > 2^64")
     mask, over = _U((1 << m.bit_length()) - 1), _U(m)
     keys = _stream_keys(seed, streams)
-    out = np.empty((len(keys), dim), dtype=np.int64)
-    rows = max(1, _BLOCK_WORDS // max(dim, 1))
+    count = len(keys)
+    if out is None:
+        out = np.empty((count, dim), dtype=np.int64)
+    elif not out.flags.c_contiguous:
+        raise ValueError("box draws write into a C-contiguous array")
+    out = out[:count]
+    rows = block_rows(dim)
+    area = min(count, rows) * dim
+    if work is None:
+        work = np.empty(2 * area, dtype=np.uint64)
+    keyed, shifted = work.reshape(-1).view(np.uint64)[:2 * area].reshape(2, area)
     with np.errstate(over="ignore"):
         steps = (np.arange(dim, dtype=np.uint64) + _U(1)) * _GOLDEN  # (j+1)*G
         stride = _U(dim) * _GOLDEN  # one retry's counter step, dim*G
-        for lo in range(0, len(keys), rows):
-            base = keys[lo : lo + rows, None] + steps
-            vals = _counter_round(base.copy())  # the retries read base again
+        for lo in range(0, count, rows):
+            block = out[lo : lo + rows]
+            shape = block.shape
+            base = keyed[:block.size].reshape(shape)
+            np.add(keys[lo : lo + rows, None], steps, out=base)
+            vals = block.view(np.uint64)
+            vals[...] = base  # the retries read base again
+            _counter_round(vals, shifted[:block.size].reshape(shape))
             vals &= mask
             base, flat = base.reshape(-1), vals.reshape(-1)
             idx = np.flatnonzero(flat >= over)  # the still-rejected coefficients
@@ -183,10 +213,13 @@ def box_offsets_at(seed: int, streams, dim: int, N: int) -> np.ndarray:
                 redrawn &= mask
                 flat[idx] = redrawn
                 idx = idx.compress(redrawn >= over)
-            np.subtract(vals.view(np.int64), N, out=out[lo : lo + rows])
+            np.subtract(block, N, out=block)
     return out
 
 
-def box_offsets(seed: int, first_stream: int, count: int, dim: int, N: int) -> np.ndarray:
-    """(count, dim) array, point i drawn from stream first_stream + i."""
-    return box_offsets_at(seed, np.arange(count, dtype=np.uint64) + _U(first_stream), dim, N)
+def box_offsets(seed: int, first_stream: int, count: int, dim: int, N: int,
+                out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None) -> np.ndarray:
+    """(count, dim) array, point i drawn from stream first_stream + i; `out` and `work`
+    as for `box_offsets_at`."""
+    streams = np.arange(count, dtype=np.uint64) + _U(first_stream)
+    return box_offsets_at(seed, streams, dim, N, out, work)

@@ -70,13 +70,26 @@ def box_pair_mean_report(box: BoxSpec, cfg: SamplerConfig) -> Fraction:
     return Fraction(total, cfg.sample_count * box.diameter_sq())
 
 
+def _imprimitive(x: np.ndarray, y: np.ndarray, rows: np.ndarray, limit: int) -> np.ndarray:
+    """The entries of `rows` whose difference x - y is not primitive, given |x_j - y_j|
+    <= limit.  Each row's running gcd stops at the first column where it is 1, so
+    most rows read a few columns; an all-zero row ends at gcd 0, not primitive."""
+    g = 0
+    for c in range(x.shape[-1]):
+        g = np.gcd(g, kernels.lift(x[rows, c], limit) - y[rows, c])
+        still = g != 1
+        rows, g = rows[still], g[still]
+        if not rows.size:
+            break
+    return rows
+
+
 def _pairwise_visible(pts: np.ndarray, n_box: int) -> np.ndarray:
     """(count,) mask: all C(K,2) difference vectors of each tuple primitive."""
     count, k, _ = pts.shape
     ok = np.ones(count, dtype=bool)
     for j, m in combinations(range(k), 2):
-        diff = kernels.lift(pts[:, j], 2 * n_box) - pts[:, m]
-        ok &= np.gcd.reduce(np.abs(diff), axis=-1) == 1
+        ok[_imprimitive(pts[:, j], pts[:, m], np.flatnonzero(ok), 2 * n_box)] = False
     return ok
 
 
@@ -90,17 +103,19 @@ def _require_tuple_streams(K: int, stop: int, max_attempts: int) -> None:
 
 
 def _sample_visible_tuples(box: BoxSpec, K: int, seed: int, start: int, stop: int,
-                           max_attempts: int):
+                           out=None, scratch=None, *, max_attempts: int):
     """Self-visible K-tuples for tuple indices [start, stop).
 
     Tuple t, retry a, member m reads stream (t*max_attempts + a)*K + m, so
     the result is a pure function of (seed, t).  Returns the points and the
-    number of draw attempts made, in the form of an `EdgeSpec` draw.
+    number of draw attempts made, in the form of an `EdgeSpec` draw: with the
+    `kernels.run_buffers` of the run, the first attempt is drawn straight into
+    `out`, through `scratch`, and each retry redraws and scatters only the
+    tuples still rejected.
     """
     _require_tuple_streams(K, stop, max_attempts)
     count = stop - start
     dim, n_box = box.dim, box.N
-    pts = np.empty((count, K, dim), dtype=np.int64)
     active = np.arange(count)
     members = np.arange(K, dtype=np.uint64)
     drawn = 0
@@ -108,8 +123,13 @@ def _sample_visible_tuples(box: BoxSpec, K: int, seed: int, start: int, stop: in
         tuple_ids = (np.uint64(start) + active.astype(np.uint64))
         bases = (tuple_ids * np.uint64(max_attempts) + np.uint64(a)) * np.uint64(K)
         streams = (bases[:, None] + members[None, :]).ravel()
-        fresh = rng.box_offsets_at(seed, streams, dim, n_box).reshape(len(active), K, dim)
-        pts[active] = fresh
+        if a == 0:  # every tuple, into the run's buffer
+            pts = rng.box_offsets_at(seed, streams, dim, n_box, out, scratch)
+            fresh = pts = pts.reshape(count, K, dim)
+        else:
+            fresh = rng.box_offsets_at(seed, streams, dim, n_box, work=scratch)
+            fresh = fresh.reshape(len(active), K, dim)
+            pts[active] = fresh
         drawn += len(active)
         active = active[~_pairwise_visible(fresh, n_box)]
         if not active.size:
@@ -124,7 +144,7 @@ def sample_self_visible_polytope(box: BoxSpec, K: int, stream: CounterStream,
     if K < 2:
         raise ValueError("need K >= 2")
     t = stream.take()
-    pts, _ = _sample_visible_tuples(box, K, stream.seed, t, t + 1, max_attempts)
+    pts, _ = _sample_visible_tuples(box, K, stream.seed, t, t + 1, max_attempts=max_attempts)
     return tuple(CyclotomicInt(box.p, tuple(int(c) for c in row)) for row in pts[0])
 
 

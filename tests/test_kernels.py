@@ -1,5 +1,7 @@
 import math
 import random
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -21,6 +23,7 @@ from cyclobox.concentration import (
     polytope_report,
     pyramid_report,
     right_angle_report,
+    sample_box_point,
     sample_vertex,
     theorem4_report,
     vertex_pair_report,
@@ -32,6 +35,7 @@ from cyclobox.visibility import (
     box_pair_mean_report,
     mean_box_pair_dist_sq,
     oracle_mean_box_pair_dist_sq,
+    visibility_concentration_report,
 )
 
 PRIMES = st.sampled_from([3, 5, 7, 13])
@@ -806,7 +810,7 @@ class TestKernelsLeaveTheirInputs:
         were, equal the call without them, and return new arrays: a result kept from one
         call is unchanged after later calls reuse the same scratch."""
         box, K, count = BoxSpec(67, N), 3, 40
-        words, scratch = kernels.vertex_buffers(count, K, box.dim)
+        words, scratch = kernels.run_buffers(count, K, box.dim, packed=True)
         pts, _ = kernels.draw_vertices(box, K, 3, 0, count, words, scratch)
         assert np.shares_memory(pts, words)
         assert np.array_equal(pts, kernels.draw_vertices(box, K, 3, 0, count)[0])
@@ -844,6 +848,28 @@ class TestKernelsLeaveTheirInputs:
         got = _unchanged(kernels.dist_sq, p, x, row, 2 * N)
         assert int(got[0]) == core.dist_sq(CyclotomicInt(p, tuple(x[0].tolist())),
                                            CyclotomicInt(p, tuple(row[0].tolist())))
+
+    @pytest.mark.parametrize("N,path", [(3, "int64"), (2 ** 40, "limbs")])
+    @pytest.mark.parametrize("rows", [1, 7, 17])  # one short block; one full; 7, 7 and 3
+    def test_dist_sq_in_row_blocks(self, monkeypatch, N, path, rows):
+        """In row blocks through a scratch, d^2 is `core.dist_sq`, whether the last block
+        is full or short, the scratch is new or holds a longer call's rows, and the
+        second operand is rows or one broadcast row; the result is a new array."""
+        p, dim = 101, 100
+        assert kernels.arithmetic_path(p, dim, 2 * N) == path
+        monkeypatch.setattr(rng, "_BLOCK_WORDS", 7 * dim + 50)  # blocks of 7 rows
+        x = rng.box_offsets(2, 0, rows, dim, N)
+        y = rng.box_offsets(2, rows, rows, dim, N)
+        members = np.stack([x, y], axis=1)  # operands as strided members, as `tally` reads them
+        scratch = np.full(2 * 7 * dim, -1, dtype=np.int64)
+        for y_rows in (members[:, 1], y[:1]):
+            want = [core.dist_sq(CyclotomicInt(p, tuple(a)), CyclotomicInt(p, tuple(b)))
+                    for a, b in zip(x.tolist(), np.broadcast_to(y_rows, x.shape).tolist())]
+            for buf in (None, scratch, scratch):
+                got = _unchanged(partial(kernels.dist_sq, scratch=buf), p, members[:, 0],
+                                 y_rows, 2 * N)
+                assert got.shape == (rows,) and [int(v) for v in got] == want
+                assert not np.shares_memory(got, scratch)
 
     @pytest.mark.parametrize("N", [2, 2 ** 40], ids=["N2", "N2^40"])
     def test_pair_totals(self, N):
@@ -916,6 +942,42 @@ class TestThreadUse:
         assert box_pair_mean_report(box, SamplerConfig(2, 2100, 2)) == one
         assert pools == [2] and chunk_counts == [3, 3]
 
+    def test_box_pair_chunks_running_at_once_hold_their_own_buffers(self, monkeypatch, pools,
+                                                                    chunk_counts):
+        """A box-pair chunk holds a buffer set from its draw to its one kernel call, and
+        no other chunk draws into a set while it is held: one worker reuses one set for
+        3 chunks, two workers use two, and the mean is that of one worker."""
+        box, cfg = BoxSpec(1009, 3), SamplerConfig(2, 2100, 1)
+        held, drawn, lock = set(), [], threading.Lock()
+
+        def drawing(box, K, seed, start, stop, out, scratch, draw=kernels.draw_box_points):
+            with lock:
+                assert scratch.ctypes.data not in held
+                held.add(scratch.ctypes.data)
+                drawn.append((out, scratch))
+            time.sleep(0.05)  # the other worker starts the next chunk meanwhile
+            return draw(box, K, seed, start, stop, out, scratch)
+
+        def measuring(p, x, y, m, scratch, dist_sq=kernels.dist_sq):
+            try:
+                return dist_sq(p, x, y, m, scratch)
+            finally:
+                with lock:
+                    held.remove(scratch.ctypes.data)
+
+        monkeypatch.setattr(kernels, "draw_box_points", drawing)
+        monkeypatch.setattr(kernels, "dist_sq", measuring)
+        results = []
+        for workers in (1, 2):
+            drawn.clear()
+            results.append(box_pair_mean_report(box, replace(cfg, worker_count=workers)))
+            sets = list({scratch.ctypes.data: (out, scratch) for out, scratch in drawn}.values())
+            assert len(drawn) == 3 and len(sets) == workers and not held
+            for a, b in combinations([array for pair in sets for array in pair], 2):
+                assert not np.shares_memory(a, b)
+        assert chunk_counts == [3, 3] and pools == [2]
+        assert results[0] == results[1] == box_pair_mean_report(box, cfg)
+
     def test_exhaustive_reports_build_no_pool(self, pools, chunk_counts):
         for sweep, p in ((_t5_sweep, 11), (_t4_sweep, 17)):
             assert replace(sweep(p, 2), worker_count=1) == sweep(p, 1)
@@ -936,18 +998,38 @@ RAGGED_REPORTS = {
 
 
 class TestRaggedChunks:
-    """Every chunk of a packed-vertex run writes into the same buffers, so a short last
+    """Every chunk of a sampled run writes into the same buffers, so a short last
     chunk must read nothing a longer chunk left behind: a report is the same as one
     chunk, as 3 full chunks, and as 3 full chunks and a short one."""
+
+    @staticmethod
+    def _by_chunks(monkeypatch, chunk_counts, report, width):
+        got = []
+        for samples, chunks in ((30, 1), (10, 3), (8, 4)):  # 8 + 8 + 8 + 6
+            monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", samples * width)
+            got.append(report(SamplerConfig(5, 30)))
+            assert chunk_counts[-1] == chunks
+        assert got[0] == got[1] == got[2]
+        return got[0]
 
     @pytest.mark.parametrize("name", sorted(RAGGED_REPORTS))
     def test_reports_do_not_depend_on_the_chunks(self, monkeypatch, chunk_counts, name):
         report, K = RAGGED_REPORTS[name]
-        cfg = SamplerConfig(5, 30)
-        got = []
-        for samples, chunks in ((30, 1), (10, 3), (8, 4)):  # 8 + 8 + 8 + 6
-            monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", samples * K * _SMALL.dim)
-            got.append(report(cfg))
-            assert chunk_counts[-1] == chunks
-        assert got[0] == got[1] == got[2]
-        assert 0 < got[0].hits < got[0].trials  # the verdict reads every sample
+        got = self._by_chunks(monkeypatch, chunk_counts, report, K * _SMALL.dim)
+        assert 0 < got.hits < got.trials  # the verdict reads every sample
+
+    def test_box_pair_means_do_not_depend_on_the_chunks(self, monkeypatch, chunk_counts):
+        box = BoxSpec(67, 2 ** 40)  # "limbs" d^2, and about half the words redrawn
+        got = self._by_chunks(monkeypatch, chunk_counts,
+                              lambda cfg: box_pair_mean_report(box, cfg), 2 * box.dim)
+        stream = CounterStream(5)
+        want = sum(core.dist_sq(*(sample_box_point(box, stream) for _ in range(2)))
+                   for _ in range(30))
+        assert got == Fraction(want, 30 * box.diameter_sq())
+
+    def test_visibility_does_not_depend_on_the_chunks(self, monkeypatch, chunk_counts):
+        box = BoxSpec(5, 3)  # about a third of the tuples are redrawn
+        got = self._by_chunks(monkeypatch, chunk_counts,
+                              lambda cfg: visibility_concentration_report(box, 3, 0.2, cfg),
+                              3 * box.dim)
+        assert 0 < got.visible_fraction < 1 and 0 < got.proportion_near_center < 1

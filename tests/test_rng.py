@@ -172,8 +172,8 @@ def test_box_offsets_draw_exactly_the_words_they_need(monkeypatch, N, dim):
     sizes = []
     counter_round = rng._counter_round
 
-    def counting(z):
-        w = counter_round(z)
+    def counting(z, shifted=None):
+        w = counter_round(z, shifted)
         sizes.append(w.size)
         return w
 
@@ -222,3 +222,18 @@ def test_stream_functions_leave_their_inputs_as_they_were(N):
     assert rng.box_offsets_at(8, streams, dim, N).tolist() == want
     assert np.array_equal(streams, saved[0])
     assert rng.box_offsets_at(8, streams, dim, N).tolist() == want
+
+    # into the first rows of a run's points buffer, through its work area, both reused
+    n = len(streams)
+    out = np.full((n + 5, dim), -7, dtype=np.int64)
+    work = np.full(2 * n * dim + 3, 2 ** 64 - 1, dtype=np.uint64)
+    for _ in range(2):
+        got = rng.box_offsets_at(8, streams, dim, N, out, work)
+        assert np.shares_memory(got, out) and got.shape == (n, dim)
+        assert got.tolist() == want
+        assert np.array_equal(streams, saved[0])
+        assert (out[n:] == -7).all()  # rows past the streams are left alone
+    assert rng.box_offsets(8, 3, n, dim, N, out, work).tolist() == \
+        rng.box_offsets(8, 3, n, dim, N).tolist()
+    with pytest.raises(ValueError, match="C-contiguous"):  # its rows would be copies
+        rng.box_offsets_at(8, streams, dim, N, np.empty((dim, n), dtype=np.int64).T, work)

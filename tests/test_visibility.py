@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cyclobox import visibility
 from cyclobox.core import BoxSpec, CyclotomicInt, FieldMismatchError
 from cyclobox.concentration import CounterStream, SamplerConfig
 from cyclobox.visibility import (
@@ -61,6 +63,50 @@ class TestPredicate:
     def test_galois_invariance(self, ab, k):
         a, b = (CyclotomicInt(5, tuple(v)) for v in ab)
         assert is_visible(a, b) == is_visible(a.galois(k), b.galois(k))
+
+
+@st.composite
+def _tuples(draw, N, dim, K):
+    """K rows of dim coefficients in [-N, N]: independent ones, a tuple whose first two
+    members are equal, or one whose first difference has a common factor in every
+    column but the last, where it is 1."""
+    coeff = st.integers(-N, N)
+    rows = [draw(st.lists(coeff, min_size=dim, max_size=dim)) for _ in range(K)]
+    kind = draw(st.sampled_from(["independent", "equal", "unit last"]))
+    if kind == "equal":
+        rows[1] = list(rows[0])
+    elif kind == "unit last":
+        g = draw(st.integers(2, 5))
+        head = draw(st.lists(st.integers(-(N // g), N // g), min_size=dim - 1, max_size=dim - 1))
+        rows[0], rows[1] = [g * c for c in head] + [1], [0] * dim
+    return rows
+
+
+class TestPrimitivity:
+    """`_pairwise_visible` stops each row at its first column of running gcd 1; it
+    must agree with the gcd of every column."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from([1, 3, 10 ** 4, 2 ** 62]), st.integers(1, 8),
+           st.integers(2, 4))
+    def test_equals_the_gcd_of_every_column(self, data, N, dim, K):
+        pts = np.array(data.draw(st.lists(_tuples(N, dim, K), min_size=1, max_size=12)),
+                       dtype=np.int64)
+        want = np.ones(len(pts), dtype=bool)
+        for j, m in combinations(range(K), 2):
+            diff = pts[:, j].astype(object) - pts[:, m]  # Python ints: exact at N = 2^62
+            want &= np.gcd.reduce(np.abs(diff), axis=-1) == 1
+        assert visibility._pairwise_visible(pts, N).tolist() == want.tolist()
+
+    def test_unit_in_the_last_column_zero_rows_and_differences_past_int64(self):
+        N = 2 ** 62  # differences reach 2^63
+        pts = np.array([[[6, 4, 1], [0, 0, 0]],    # running gcd 6, 2, then 1 at the end
+                        [[6, 4, 2], [0, 0, 0]],    # gcd 2
+                        [[5, -5, 5], [5, -5, 5]],  # equal points: gcd 0
+                        [[N, -N, 1], [-N, N, 0]],  # 2^63, -2^63, then 1
+                        [[N, -N, 0], [-N, N, 0]]],  # gcd 2^63
+                       dtype=np.int64)
+        assert visibility._pairwise_visible(pts, N).tolist() == [True, False, False, True, False]
 
 
 class TestSegmentOracle:
