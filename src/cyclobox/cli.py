@@ -2,7 +2,7 @@
 
 Subcommands:
   moments     exact closed-form moment values
-  verify      formula-vs-oracle certification (exhaustive enumeration)
+  verify      formula-vs-oracle certification (exact sums over vertex orbits)
   sample      interval-concentration sampling runs (--theorem t4|t5|isosceles)
   angles      right central angles from a fixed point to random vertices
   polytopes   K-polytope super-regularity
@@ -12,8 +12,8 @@ Subcommands:
   render      SVG scenes (box_points | poles_circle | random_polytopes | pyramids)
 
 Sampling runs print one summary line with the wall time to stderr and the
-payload to stdout.  Exit codes: 0 success/pass, 1 usage error, 2 guard
-violation, 3 a report's verdict is fail or mismatch.  A config file
+payload to stdout.  Exit codes: 0 success/pass, 1 usage error or a closed
+stdout, 2 guard violation, 3 a report's verdict is fail or mismatch.  A config file
 (`key = value` lines) supplies flags to the chosen subcommand, parsed like
 flags: on/off keys take true/false, a repeatable key appends, keys the
 subcommand lacks are ignored, and flags on the command line win.
@@ -452,7 +452,14 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # here, so that a closed pipe is met inside the guard
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so that the
+        # interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except GuardError as exc:
         print(f"cyclobox: guard violation: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 
-VERTEX_ENUM_MAX_P = 17  # 2^16 vertices, 2^32 ordered pairs: the feasibility edge
+VERTEX_ENUM_MAX_P = 17  # 2^16 vertices: the most `BoxSpec.vertices()` lists
 POINT_ENUM_MAX = 1 << 20  # box points an enumeration may list
 
 

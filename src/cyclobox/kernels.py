@@ -37,11 +37,12 @@ benchmark, whose box-pair cell had drawn fresh points: 1,532 before box-point ru
 owned theirs, 2 after).  Pooled box-point chunks take a set per chunk running at
 once.  `popcount` contracts the per-word bit counts in one einsum, for all K members
 of a chunk at once.
-The oracles visit no pairs: `pair_totals` reads the exact totals
-of d^2 and d^4 from per-point sums.  A fixed point meets vertex rows only as a
-`PackedApex` and its mask sums, for `tally`'s apex legs (T4 orbits among them),
-the oracle's point moments, the angles and the cancellation sums; only the
-renderer unpacks vertices to coefficients (`vertex_matrix`).
+Every exact vertex law reads `vertex_orbits` and adds its weighted values with
+`weighted_sum`: exhaustive T4 and T5 in `tally`, the moment oracle and the
+cancellation sums; only the renderer lists every vertex (`vertex_matrix`).  A
+fixed point meets vertex rows only as a `PackedApex` and its mask sums, for apex
+legs, point moments, the angles and the cancellation sums.  The box-pair oracle
+visits no pairs: `pair_totals` reads the exact d^2 total from per-point sums.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .core import BoxSpec, GuardError, require_vertex_enumeration
+from .core import BoxSpec, GuardError
 
 INT64_MAX = 2 ** 63 - 1
 APEX = -1  # edge endpoint that stands for the spec's fixed apex
@@ -265,26 +266,21 @@ def exact_sum(vals: np.ndarray, bound: int) -> int:
     return sum(int(np.sum(flat[i : i + step])) for i in range(0, flat.size, step))
 
 
-def pair_totals(p: int, rows: np.ndarray, limit: int) -> tuple:
-    """Exact totals of d^2 and d^4 over the n^2 ordered pairs of `rows`, given every
-    |x_j| <= limit, from per-point sums in one pass over the rows: S1, S2, m, M and w
-    of the identity stated in `moments`."""
+def weighted_sum(vals: np.ndarray, weights: np.ndarray, total: int, bound: int) -> int:
+    """Exact sum of w v over `vals` and nonnegative `weights` that total `total`, each
+    |v| <= `bound`: no partial sum passes total * bound."""
+    return int(np.dot(lift(vals, total * bound), lift(weights, total * bound)))
+
+
+def pair_totals(p: int, rows: np.ndarray, limit: int) -> int:
+    """Exact total of d^2 over the n^2 ordered pairs of `rows`, given every
+    |x_j| <= limit, from per-point sums in one pass over the rows: with
+    d^2(x, y) = Q(x - y), Q(v) = v^T A v and A = p^2 I - (p+1) J, it is
+    2n S1 - 2 m^T A m for S1 = sum Q(x) and m = sum x."""
     n, dim = rows.shape
-    bound = dist_sq_bound(p, dim, limit)  # on Q(x) = d^2(x, 0)
-    q = dist_sq(p, rows, 0, limit)
-    sq = lift(q, bound * bound)
-    s1, s2 = exact_sum(q, bound), exact_sum(sq * sq, bound * bound)
-    x = lift(rows, n * bound * limit)  # bounds every entry of m, M and w
-    # M by einsum, not x.T @ x: integer matmul has no BLAS path
-    sums = (x.sum(axis=0), np.einsum("ij,ik->jk", x, x), lift(q, n * bound * limit) @ x)
-    m, M, w = (a.astype(object) for a in sums)
-
-    def form(u, v):  # u^T A v
-        return p * p * int(u @ v) - (p + 1) * int(u.sum()) * int(v.sum())
-
-    am = p * p * M - (p + 1) * M.sum(axis=0)  # (AM)_ij = p^2 M_ij - (p+1) sum_k M_kj
-    return (2 * n * s1 - 2 * form(m, m),
-            2 * n * s2 + 2 * s1 * s1 + 4 * int(np.sum(am * am.T)) - 8 * form(w, m))
+    s1 = exact_sum(dist_sq(p, rows, 0, limit), dist_sq_bound(p, dim, limit))
+    m = lift(rows, n * limit).sum(axis=0).tolist()
+    return 2 * n * s1 - 2 * (p * p * sum(v * v for v in m) - (p + 1) * sum(m) ** 2)
 
 
 def vertex_rows(dim: int) -> np.ndarray:
@@ -303,12 +299,6 @@ def box_matrix(dim: int, N: int) -> np.ndarray:
     side = 2 * N + 1
     idx = np.arange(side ** dim, dtype=np.int64)[:, None]
     return idx // side ** np.arange(dim - 1, -1, -1, dtype=np.int64) % side - N
-
-
-def box_vertex_rows(box: BoxSpec) -> np.ndarray:
-    """The packed vertex rows of `box`, refused above the enumeration guard."""
-    require_vertex_enumeration(box)
-    return vertex_rows(box.dim)
 
 
 def _batch(unit_dim: int) -> int:
@@ -494,8 +484,8 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
             ok = [row & (vals >= lo) & (vals <= hi) for row, (lo, hi) in zip(ok, ranges)]
             if weights is None:
                 d2_sum += exact_sum(vals, bound)
-            else:  # the weights total `attempts`, so no partial sum passes attempts * bound
-                d2_sum += int(np.dot(lift(vals, attempts * bound), lift(weights, attempts * bound)))
+            else:
+                d2_sum += weighted_sum(vals, weights, attempts, bound)
         hits = (np.count_nonzero(row) if weights is None else np.sum(weights[row]) for row in ok)
         return (attempts, d2_sum, *map(int, hits))
 

@@ -1,4 +1,4 @@
-"""Closed-form distance moments over the vertex set, with an exhaustive oracle.
+"""Closed-form distance moments over the vertex set, with an exact oracle.
 
 All quantities are averages of powers of the normalized squared distance
 d^2/D^2 (D^2 = 4 N^2 p^2 (p-1)) and are exact rationals.  The closed forms:
@@ -13,22 +13,14 @@ squared distances from a point to the vertices.  The second moment is
 evaluated twice, through two independently derived expressions, and the
 results are asserted identical; the polynomial is easy to mistranscribe.
 
-The oracle recomputes each moment by full enumeration of the 2^(p-1)
-vertices in exact integer arithmetic, so a formula/oracle match is a
-zero-tolerance certificate at that (p, N).  A fixed point meets the packed
-vertex rows only as a `kernels.PackedApex`: a point moment is one pass of
-d^2(x, alpha), the pass exhaustive T4 makes, and the cancellation sums take
-<a, s> = 2 L(x) + Tr(a) from its mask sums and sum s = 2 pc(x) - (p-1) over
-the +-1 signs s of a row.  The pair moments read per-point sums instead:
-with d^2(x, y) = Q(x - y), Q(v) = v^T A v and
-A = p^2 I - (p+1) J, the n^2 ordered pairs of n rows give
-
-  sum d^2 = 2n S1 - 2 m^T A m
-  sum d^4 = 2n S2 + 2 S1^2 + 4 tr(A M A M) - 8 w^T A m
-
-where S1 = sum Q(x), S2 = sum Q(x)^2, m = sum x, M = sum x x^T and
-w = sum Q(x) x.  They are taken on the +-1 sign rows and scaled by N^2 and
-N^4, so the pair oracle costs O(2^(p-1) (p-1)^2), not O(4^(p-1)).
+The oracle recomputes each moment in exact integer arithmetic over the uniform
+law on the vertices, so a formula/oracle match is a zero-tolerance certificate at
+that (p, N).  It reads the law the exhaustive reports read: the weighted orbits of
+`kernels.vertex_orbits`, whose d^2 come from `kernels.vertex_dist_sq` (pairs) or
+`kernels.PackedApex.dist_sq` (a point).  The cancellation sums weight
+<a, s> = 2 L(x) + Tr(a), from the apex's mask sums, and sum s = 2 pc(x) - (p-1)
+over the +-1 signs s of the same orbits.  The orbits must fit one batch
+(`kernels.require_orbit_batch`): pairs do to p = 509, the north pole to p = 797.
 """
 
 from __future__ import annotations
@@ -39,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels, rng
+from . import kernels
 from .core import BoxSpec, CyclotomicInt, FieldMismatchError
 
 __all__ = [
@@ -158,25 +150,26 @@ def closed_forms(box: BoxSpec, alpha: Optional[CyclotomicInt] = None) -> list:
 # --- exhaustive oracle -------------------------------------------------------
 
 def oracle_moments(box: BoxSpec, alpha: Optional[CyclotomicInt] = None) -> list:
-    """Recompute the `closed_forms` moments by full enumeration and pair them up.
+    """Recompute the `closed_forms` moments over the vertex orbits and pair them up.
 
     Oracle values are computed from exact integer power sums, so equality
     with the closed forms is literal rational equality.
     """
     forms = closed_forms(box, alpha)
-    p, N, d2 = box.p, box.N, box.diameter_sq()
-    rows = kernels.box_vertex_rows(box)
+    d2 = box.diameter_sq()
     if alpha is None:
-        count = box.num_vertices() ** 2
-        d2_sum, d4_sum = kernels.pair_totals(p, rng.unpack_signs(rows, box.dim), 1)
-        d2_sum, d4_sum = d2_sum * N ** 2, d4_sum * N ** 4
+        tuples, count, weights = kernels.vertex_orbits(box)
+        x, y = tuples[:, 0], tuples[:, 1]
+        vals = kernels.vertex_dist_sq(box, x, y, kernels.popcount(x), kernels.popcount(y))
+        bound = kernels.dist_sq_bound(box.p, box.dim, 2 * box.N)
     else:
-        count = box.num_vertices()
+        tuples, count, weights = kernels.vertex_orbits(box, alpha.coeffs)
         apex = kernels.PackedApex(box, alpha.coeffs)
-        bound = apex.bound
-        vals = apex.dist_sq(rows, kernels.popcount(rows))
-        sq = kernels.lift(vals, bound * bound)
-        d2_sum, d4_sum = kernels.exact_sum(vals, bound), kernels.exact_sum(sq * sq, bound * bound)
+        rows = tuples[:, 0]
+        vals, bound = apex.dist_sq(rows, kernels.popcount(rows)), apex.bound
+    sq = kernels.lift(vals, bound * bound)
+    d2_sum = kernels.weighted_sum(vals, weights, count, bound)
+    d4_sum = kernels.weighted_sum(sq * sq, weights, count, bound * bound)
     mean = Fraction(d2_sum, count * d2)
     fourth = Fraction(d4_sum, count * d2 * d2)
     central = fourth - mean * mean
@@ -207,19 +200,20 @@ class CancellationCheck:
 
 
 def oracle_cancellation_sums(alpha: CyclotomicInt, box: BoxSpec) -> CancellationCheck:
-    """Verify by enumeration the sums over vertices that cancel or collapse."""
+    """Verify over the weighted vertex orbits the sums that cancel or collapse."""
     _check_pair(alpha, box)
     p, N, dim = box.p, box.N, box.dim
-    rows = kernels.box_vertex_rows(box)
-    nv = len(rows)
+    tuples, nv, weights = kernels.vertex_orbits(box, alpha.coeffs)
+    rows = tuples[:, 0]
     tr = alpha.trace()
     # <a, s> = 2 L(x) + Tr(a), Tr(a) = -sum a_j, over the +-1 signs s of row x; 0 if a = 0
-    dots = np.broadcast_to(kernels.PackedApex(box, alpha.coeffs).mask_sum(rows, tr, 2), nv)
+    dots = np.broadcast_to(kernels.PackedApex(box, alpha.coeffs).mask_sum(rows, tr, 2), len(rows))
     bound = dim * max(abs(c) for c in alpha.coeffs)  # on |<a, s>|
-    lin = N * kernels.exact_sum(dots, bound)
-    quad = N * N * kernels.exact_sum(kernels.lift(dots, bound * bound) ** 2, bound * bound)
-    srow = 2 * kernels.popcount(rows) - dim  # sum s, at most dim = p - 1 <= 16
-    s2, s3, s4 = (N ** k * kernels.exact_sum(srow ** k, dim ** k) for k in (2, 3, 4))
+    lin = N * kernels.weighted_sum(dots, weights, nv, bound)
+    quad = N * N * kernels.weighted_sum(kernels.lift(dots, bound * bound) ** 2, weights, nv,
+                                        bound * bound)
+    srow = kernels.lift(2 * kernels.popcount(rows) - dim, dim ** 4)  # sum s, |sum s| <= dim
+    s2, s3, s4 = (N ** k * kernels.weighted_sum(srow ** k, weights, nv, dim ** k) for k in (2, 3, 4))
     return CancellationCheck(
         p=p,
         N=N,

@@ -59,7 +59,7 @@ def oracle_mean_box_pair_dist_sq(box: BoxSpec) -> Fraction:
     """The same mean over all ordered box-point pairs, from per-point sums of the
     enumerated points (`kernels.pair_totals`)."""
     require_point_enumeration(box)
-    total, _ = kernels.pair_totals(box.p, kernels.box_matrix(box.dim, box.N), box.N)
+    total = kernels.pair_totals(box.p, kernels.box_matrix(box.dim, box.N), box.N)
     return Fraction(total, box.num_points() ** 2 * box.diameter_sq())
 
 

@@ -37,6 +37,12 @@ class TestCommands:
         assert len(lines) >= 7
         assert all(l.startswith("EXACT-EQUAL") for l in lines)
 
+    def test_verify_past_the_vertex_enumeration_guard(self, capsys):
+        code, out, _ = run(capsys, "verify", "--oracle", "--p", "101")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 9 and all(l.startswith("EXACT-EQUAL") for l in lines)
+
     def test_negative_alpha_as_a_separate_token(self, capsys):
         code, out, _ = run(capsys, "verify", "--oracle", "--p", "5", "--alpha", "-1,0,0,1")
         assert code == 0
@@ -242,7 +248,8 @@ class TestErrorPaths:
         assert exc.value.code == 1
 
     def test_guard_violation_exit(self, capsys):
-        code, _, err = run(capsys, "verify", "--oracle", "--p", "19")
+        # the pair orbits of p = 521, 9 words per pair, pass one batch
+        code, _, err = run(capsys, "verify", "--oracle", "--p", "521")
         assert code == 2
         assert "guard violation" in err
 
@@ -627,3 +634,28 @@ class TestModuleEntryPoint:
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert "A(alpha,V) = 19/100" in done.stdout
+
+
+class TestClosedStdout:
+    # each writes far more than a pipe holds (64 KiB on Linux), so it is still
+    # writing when the reader goes away
+    @pytest.mark.parametrize("argv", [
+        ["poles", "--q", "100003"],
+        ["verify", "--oracle", "--p", "101"]
+        + ["--alpha=" + ",".join([str(10 ** 40 + k)] * 100) for k in range(40)],
+    ], ids=["poles", "verify"])
+    def test_a_reader_that_stops_after_one_line_gets_no_traceback(self, argv):
+        import os
+        import subprocess
+        import sys
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen([sys.executable, "-m", "cyclobox", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert first and err == ""  # no traceback, nor any other message

@@ -1,6 +1,6 @@
 """Source hygiene, checked with the standard library: no module imports a name it
 never uses, every `module.name` the docs cite exists, one function makes
-thread pools and one counts bits."""
+thread pools, one counts bits and one lists every vertex."""
 
 import ast
 import importlib
@@ -124,6 +124,13 @@ def test_bits_are_counted_only_in_popcount():
     """One row-sum rule: `kernels.popcount` is the only code that reads
     `np.bitwise_count`, so every kernel counts a row's bits the same way."""
     _read_only_in("bitwise_count", "popcount")
+
+
+def test_vertices_are_listed_only_for_the_renderer():
+    """One exact vertex law: `kernels.vertex_matrix`, the renderer's plotted cloud, is
+    the only code that reads `vertex_rows`, so every exact law reads `vertex_orbits`
+    instead of listing 2^(p-1) vertices."""
+    _read_only_in("vertex_rows", "vertex_matrix")
 
 
 LIMIT = re.compile(r"[A-Z0-9_]+_MAX(_P)?")

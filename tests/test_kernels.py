@@ -190,12 +190,9 @@ class TestVertexEnumeration:
         assert got == [v.coeffs for v in box.vertices()]
 
     def test_one_guard(self):
-        box = BoxSpec(19, 1)
         with pytest.raises(GuardError):
-            kernels.box_vertex_rows(box)
-        with pytest.raises(GuardError):
-            next(box.vertices())
-        assert len(kernels.box_vertex_rows(BoxSpec(core.VERTEX_ENUM_MAX_P, 1))) == 2 ** 16
+            next(BoxSpec(19, 1).vertices())
+        assert next(BoxSpec(core.VERTEX_ENUM_MAX_P, 1).vertices()).coeffs == (-1,) * 16
 
 
 class TestEngine:
@@ -481,7 +478,37 @@ class TestExhaustiveSweeps:
         assert oracle_mean_box_pair_dist_sq(box) == mean_box_pair_dist_sq(box)
 
 
-# row entries: small ones, and ones past 2^31, where Q(x)^2 and the pair totals pass int64
+def _moments_of(hist, d2):
+    """(mean, fourth moment, central moment) of d^2 / d2 over a d^2 histogram."""
+    count = sum(hist.values())
+    mean = Fraction(sum(n * c for n, c in hist.items()), count * d2)
+    fourth = Fraction(sum(n * n * c for n, c in hist.items()), count * d2 * d2)
+    return mean, fourth, fourth - mean * mean
+
+
+class TestOracleAgainstHistograms:
+    """The moment oracle against sums over brute-force d^2 histograms, which visit every
+    vertex pair or vertex: no identity checks its d^4 sums any more."""
+
+    @pytest.mark.parametrize("N", BOX_SIZES)
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_pair_moments(self, p, N):
+        box = BoxSpec(p, N)
+        want = _moments_of(oracles.vertex_pair_histogram(p, N), box.diameter_sq())
+        assert tuple(r.oracle_value for r in oracle_moments(box)) == want
+
+    @pytest.mark.parametrize("kind", ALPHA_KINDS)
+    @pytest.mark.parametrize("N", BOX_SIZES)
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_point_moments(self, p, N, kind):
+        box = BoxSpec(p, N)
+        alpha = CyclotomicInt(p, _alpha(kind, p, N))
+        hist = oracles.point_vertex_histogram(p, N, alpha.coeffs)
+        mean, _, central = _moments_of(hist, box.diameter_sq())
+        assert [r.oracle_value for r in oracle_moments(box, alpha)] == [mean, central]
+
+
+# row entries: small ones, and ones past 2^31, where Q(x) and the pair totals pass int64
 ROW_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 40), 2 ** 40))
 
 
@@ -495,7 +522,7 @@ class TestPairTotals:
         points = [CyclotomicInt(p, row) for row in rows]
         d2 = [core.dist_sq(x, y) for x in points for y in points]
         got = kernels.pair_totals(p, np.array(rows, dtype=kernels.exact_dtype(m)), m)
-        assert got == (sum(d2), sum(d * d for d in d2))
+        assert got == sum(d2)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_d2_total_equals_the_block_sweep(self, p):
@@ -503,7 +530,7 @@ class TestPairTotals:
         box = BoxSpec(p, 3)
         spec = kernels.EdgeSpec(box, 2, kernels.vertex_orbits(box), ((0, 1, ()),))
         weighted = kernels.tally(spec, 0, 1, 1).d2_sum
-        d2, _ = kernels.pair_totals(p, rng.unpack_signs(kernels.box_vertex_rows(box), box.dim), 1)
+        d2 = kernels.pair_totals(p, rng.unpack_signs(kernels.vertex_rows(box.dim), box.dim), 1)
         assert d2 * box.N ** 2 == weighted
 
 
@@ -635,7 +662,7 @@ class TestPackedKernel:
         box = BoxSpec(7, 2 ** 62)
         apex = kernels.PackedApex(box, alpha)
         assert {c for c, _ in apex.terms} == values
-        got = apex.mask_sum(kernels.box_vertex_rows(box), 7, -4 * box.N)
+        got = apex.mask_sum(kernels.vertex_rows(box.dim), 7, -4 * box.N)
         assert got.tolist() == [7 - 4 * box.N * sum(c for j, c in enumerate(alpha) if v >> j & 1)
                                 for v in range(2 ** box.dim)]
 
@@ -662,7 +689,7 @@ class TestPackedKernel:
     @pytest.mark.parametrize("p,N", [(3, 1), (7, 5), (13, 2 ** 62)])
     def test_sweep_rows_unpack_to_the_vertex_matrix(self, p, N):
         box = BoxSpec(p, N)
-        rows = kernels.box_vertex_rows(box)
+        rows = kernels.vertex_rows(box.dim)
         assert rows.dtype == np.uint64 and rows.shape == (2 ** box.dim, 1)
         want = [v.coeffs for v in box.vertices()]
         coords = [tuple(N if int(row) >> j & 1 else -N for j in range(box.dim)) for row in rows[:, 0]]
@@ -672,11 +699,13 @@ class TestPackedKernel:
             tuple(row) for row in kernels.vertex_matrix(box.dim, N).tolist()]
 
     def test_exhaustive_guard_on_packed_rows(self):
-        box = BoxSpec(19, 1)
+        """The oracle's one limit is the orbit batch: pair orbits pass it at p = 521, the
+        north pole's at p = 809; p = 19, past the vertex enumeration guard, is in it."""
         with pytest.raises(GuardError):
-            kernels.box_vertex_rows(box)
+            oracle_moments(BoxSpec(521, 1))
         with pytest.raises(GuardError):
-            oracle_moments(box, CyclotomicInt.zero(19))
+            oracle_moments(BoxSpec(809, 1), core.north_pole_point(BoxSpec(809, 1)))
+        assert all(r.exact_equal for r in oracle_moments(BoxSpec(19, 1), CyclotomicInt.zero(19)))
 
 
 class TestPairSweepLimit:
@@ -721,18 +750,6 @@ class TestPairSweepLimit:
         box = BoxSpec(3, 511)  # 1023^2 = 1,046,529 points, the most an enumeration lists
         assert box.num_points() <= core.POINT_ENUM_MAX < BoxSpec(3, 512).num_points()
         assert oracle_mean_box_pair_dist_sq(box) == mean_box_pair_dist_sq(box)
-        # the a-priori bound on S2 = sum Q(x)^2, about 2.3e19, passes int64 here; check
-        # the d^4 total against a sum over difference vectors v, each met by
-        # prod_j (2N + 1 - |v_j|) ordered pairs
-        rows = kernels.box_matrix(box.dim, box.N)
-        assert len(rows) * kernels.dist_sq_bound(3, 2, box.N) ** 2 > kernels.INT64_MAX
-        v = np.arange(-2 * box.N, 2 * box.N + 1)
-        met = (2 * box.N + 1 - np.abs(v)).astype(object)
-        d4 = 0
-        for v1, met1 in zip(v.tolist(), met.tolist()):
-            q = (9 * (v1 * v1 + v * v) - 4 * (v1 + v) ** 2).astype(object)
-            d4 += met1 * int(np.sum(q * q * met))
-        assert kernels.pair_totals(3, rows, box.N)[1] == d4
         with pytest.raises(GuardError):
             oracle_mean_box_pair_dist_sq(BoxSpec(3, 512))  # 1025^2 = 1,050,625 points
         with pytest.raises(GuardError):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from cyclobox import kernels
 from cyclobox.core import BoxSpec, CyclotomicInt, FieldMismatchError, GuardError, north_pole_point
 from cyclobox.moments import (
     avg_point_to_vertices,
@@ -132,11 +133,23 @@ class TestOracleAgreement:
             assert a_lit == avg_point_to_vertices(alpha, box)
             assert m_lit == second_moment_point_to_vertices(alpha, box)
 
-    def test_guards(self):
+    def test_guards(self, monkeypatch):
+        """Orbits past one batch are refused before any row is formed: the pair orbits
+        at p = 521, the north pole's at p = 809, and the 2^22 orbits of an alpha with 22
+        distinct values at p = 23."""
+        def no_rows(*args):
+            raise AssertionError("a row was formed")
+
+        monkeypatch.setattr(kernels, "_pack", no_rows)
         with pytest.raises(GuardError):
-            oracle_moments(BoxSpec(19, 1))
-        with pytest.raises(GuardError):
-            oracle_moments(BoxSpec(19, 1), CyclotomicInt.zero(19))
+            oracle_moments(BoxSpec(521, 1))
+        pole = BoxSpec(809, 1)
+        distinct = CyclotomicInt(23, tuple(range(-11, 11)))
+        for alpha, box in ((north_pole_point(pole), pole), (distinct, BoxSpec(23, 11))):
+            with pytest.raises(GuardError):
+                oracle_moments(box, alpha)
+            with pytest.raises(GuardError):
+                oracle_cancellation_sums(alpha, box)
 
 
 class TestCancellationSums:
@@ -199,6 +212,22 @@ class TestOracleReach:
         elapsed = time.perf_counter() - start
         assert [r.kind for r in reports if not r.exact_equal] == []
         assert len(reports) == 3 and elapsed < 1.0
+
+    @pytest.mark.parametrize("N", [1, 2 ** 31, 2 ** 62], ids=["N1", "N2^31", "N2^62"])
+    @pytest.mark.parametrize("p", [19, 23, 101])
+    def test_past_the_vertex_enumeration_guard(self, p, N):
+        """Exact-equal past p = 17, where no vertex list is formed: the origin, the
+        north pole, a seeded in-box point of three values and an alpha past int64."""
+        box = BoxSpec(p, N)
+        gen = np.random.default_rng(p + N)
+        pool = [int(v) for v in gen.integers(-N, N, 3, endpoint=True)]
+        alphas = [CyclotomicInt.zero(p), north_pole_point(box),
+                  CyclotomicInt(p, tuple(int(c) for c in gen.choice(pool, p - 1))),
+                  CyclotomicInt(p, tuple([2 ** 64 + 3, -(2 ** 70), 0] * p)[:p - 1])]
+        assert [r.kind for r in oracle_moments(box) if not r.exact_equal] == []
+        for alpha in alphas:
+            assert [r.kind for r in oracle_moments(box, alpha) if not r.exact_equal] == []
+            assert oracle_cancellation_sums(alpha, box).all_match
 
 
 class TestOracleExactAtLargeN:
