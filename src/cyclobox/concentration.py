@@ -36,7 +36,7 @@ from .core import (
     CyclotomicInt,
     DegenerateAngleError,
     FieldMismatchError,
-    north_pole_point,
+    north_pole,
     require_float_range,
 )
 from .moments import avg_point_to_vertices, avg_vertex_pairs
@@ -186,10 +186,10 @@ def _bound(p: int, eps: Fraction, constant: int) -> float:
 
 
 def _alpha_label(alpha: CyclotomicInt) -> str:
-    if alpha.is_zero():
+    box_n = max(map(abs, alpha.coeffs))
+    if not box_n:
         return "origin"
-    box_n = max(abs(c) for c in alpha.coeffs)
-    if alpha.coeffs == north_pole_point(BoxSpec(alpha.p, box_n)).coeffs:
+    if alpha.coeffs == north_pole(alpha.p, box_n):
         return "north-pole"
     if len(alpha.coeffs) <= 16:
         return "coeffs:" + ",".join(str(c) for c in alpha.coeffs)
@@ -355,9 +355,9 @@ def right_angle_report(alpha: CyclotomicInt, box: BoxSpec, eps_cos: float,
         cos_abs = np.abs(tw_f / 2) / np.sqrt(na / (1 << 2 * a) * nb_f)
         return int(np.sum(ok)), cos_abs
 
-    # packed vertex chunks run on the calling thread, through the buffers above
-    # (see `kernels.run_chunks`)
-    parts = kernels.run_chunks(work, cfg.sample_count, 1, dim)
+    # packed vertex chunks run on the calling thread, slice by slice through the
+    # buffers above (see `kernels.run_chunks`)
+    parts = kernels.run_chunks(work, cfg.sample_count, 1, 1, dim, True)
     hits = sum(x[0] for x in parts)
     cos_all = np.concatenate([x[1] for x in parts])
     return _finish(

@@ -12,9 +12,10 @@ d = h 2^k + l while the limb sums fit, lifting only the row sums; else in
 Python ints.  Vertices stay packed sign words (bit j set: coordinate j is +N),
 and q and s come from popcounts of whole rows.  `tally` runs an `EdgeSpec`
 through `run_chunks`, a draw in chunks of samples that depend only on the
-sample count and the row width, so tallies are the same for any worker count;
-an exhaustive law is one batch of `vertex_orbits`, one tuple per orbit of tuples
-that share every d^2, weighted by its size.  Chunks of sampled packed vertices
+sample count and the row width, each run in slices of at most `_SLICE_WORDS`
+words, so tallies are the same for any worker count; an exhaustive law is one
+batch of `vertex_orbits`, one tuple per orbit of tuples that share every d^2,
+weighted by its size.  Chunks of sampled packed vertices
 run on the calling thread: each holds about 1/64 of the words its row width
 claims, and its short numpy steps lose more to GIL handoffs between two threads
 than the second thread saves.  Kernel steps scale and subtract in place, but only
@@ -23,12 +24,13 @@ or an array `lift` passed through: a fresh temporary per step faults its pages
 in again whenever glibc has trimmed the heap since the last one (`vertex_dist_sq`
 on 2^18 vertex pairs at p = 11 took 2,080 minor faults and 9-10 ms with fresh
 temporaries, 1,056 and 5.4 ms without, on a 2-core x86-64 machine).  A sampled
-run makes no chunk-sized array per chunk: it owns `run_buffers`, a points buffer and
-a scratch for its largest chunk.  A packed-vertex chunk draws its words into the
-buffer and forms x ^ y and x & M_c in the scratch; a box-point chunk draws its points
+run makes no slice-sized array per slice: it owns `run_buffers`, a points buffer and
+a scratch for its largest slice.  A packed-vertex slice draws its words into the
+buffer and forms x ^ y and x & M_c in the scratch; a box-point slice draws its points
 into the buffer through the scratch (`rng.box_offsets_at`), and `dist_sq` then forms
 the differences and low limbs there, a block of `rng.block_rows(dim)` rows at a time.
 Only the (count,) results, the uint8 bit counts and the draws' retry rounds are new.
+A box-point slice holds 2 MB of points where its chunk would hold 16 MB.
 Buffer and scratch are one allocation: glibc then serves the next run's from the pages
 this run frees, where two separate buffers are given back to the system and faulted
 in again by every run (per warmed pass of the vertex-laws benchmark: 3,571 minor
@@ -36,7 +38,7 @@ faults with per-chunk arrays, 1,052 with two buffers, 0 with one; of the exact
 benchmark, whose box-pair cell had drawn fresh points: 1,532 before box-point runs
 owned theirs, 2 after).  Pooled box-point chunks take a set per chunk running at
 once.  `popcount` contracts the per-word bit counts in one einsum, for all K members
-of a chunk at once.
+of a slice at once.
 Every exact vertex law reads `vertex_orbits` and adds its weighted values with
 `weighted_sum`: exhaustive T4 and T5 in `tally`, the moment oracle and the
 cancellation sums; only the renderer lists every vertex (`vertex_matrix`).  A
@@ -47,6 +49,7 @@ visits no pairs: `pair_totals` reads the exact d^2 total from per-point sums.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate, combinations, groupby
@@ -60,9 +63,10 @@ from .core import BoxSpec, GuardError
 
 INT64_MAX = 2 ** 63 - 1
 APEX = -1  # edge endpoint that stands for the spec's fixed apex
-EDGE_MAX = 1 << 16  # edges of one K-polytope, one kernel pass per chunk each: K <= 362
+EDGE_MAX = 1 << 16  # edges of one K-polytope, one kernel pass per slice each: K <= 362
 
 _BATCH_ELEMENTS = 1 << 21  # per-batch int64 budget, ~16 MB per temporary
+_SLICE_WORDS = 1 << 18  # words of samples in one slice of a chunk, 2 MB: an L2's worth
 
 
 # --- overflow policy ------------------------------------------------------------
@@ -213,19 +217,22 @@ class PackedApex:
     has q = N^2 dim + E + 2NT - 4N L(x) and s = N (2 pc(x) - dim) - T.
     The masks are one per distinct nonzero alpha_j, or one per sign and bit of
     |alpha_j| when that takes fewer, so no alpha needs more than 2 bitlen(max |alpha_j|);
-    the bit masks are read off the distinct values, not every coefficient."""
+    the bit masks are read off the distinct values, not every coefficient.  One pass
+    groups the coordinates by value; max |alpha_j|, T and E come from the groups."""
 
     def __init__(self, box: BoxSpec, coeffs: tuple):
         N, dim = box.N, box.dim
         self.box = box
-        self.bound = dist_sq_bound(box.p, dim, N + max(abs(c) for c in coeffs))
-        trace = sum(coeffs)
-        self.q0 = N * N * dim + sum(c * c for c in coeffs) + 2 * N * trace
-        self.s0 = N * dim + trace
-        by_value, by_bit = {}, {}
+        by_value = defaultdict(list)  # value c -> the coordinates j with alpha_j = c
         for j, c in enumerate(coeffs):
-            if c:
-                by_value.setdefault(c, []).append(j)
+            by_value[c].append(j)
+        self.bound = dist_sq_bound(box.p, dim, N + max(map(abs, by_value)))
+        trace = sum(c * len(idx) for c, idx in by_value.items())
+        energy = sum(c * c * len(idx) for c, idx in by_value.items())
+        self.q0 = N * N * dim + energy + 2 * N * trace
+        self.s0 = N * dim + trace
+        by_value.pop(0, None)
+        by_bit = {}
         for c, idx in by_value.items():
             for k in range(abs(c).bit_length()):
                 if abs(c) >> k & 1:
@@ -306,43 +313,60 @@ def _batch(unit_dim: int) -> int:
     return max(1, _BATCH_ELEMENTS // max(unit_dim, 1))
 
 
-def run_chunks(fn, total: int, workers: int, unit_dim: int = 1) -> list:
-    """[fn(lo, hi)] over batches of [0, total) small enough to keep temporaries bounded.
+def _slice(K: int, dim: int, packed: bool) -> int:
+    """Samples in a full slice of a chunk: at most _SLICE_WORDS words, at least one
+    sample.  A box-point sample holds K dim int64 words, a packed-vertex sample
+    K ceil(dim/64) uint64 words."""
+    width = (dim + 63) // 64 if packed else dim
+    return max(1, _SLICE_WORDS // max(K * width, 1))
 
-    The split depends only on `total` and the row width, never on the worker
-    count, and tallies are summed, so results are worker-count independent.
-    This is the one place a thread pool is made.  Callers whose chunks are
-    sampled packed vertices pass workers = 1: such a chunk is sized by its
-    K * dim coefficients but holds K * ceil(dim / 64) words (2080 x 16 words,
-    about 256 KB, at p = 1009), about 1/64 of the budget, and its 30-60 us numpy
-    steps cost more in GIL handoffs between two threads than the second
-    thread saves (the vertex-laws benchmark read 13-27 % slower at two workers
-    than at one).  Box-point chunks hold K * dim int64 coefficients a sample,
-    the whole budget, and keep the pool.  Every sampled caller owns its chunks'
-    points and scratch (`run_buffers`), made once for the largest chunk and
-    reused by each, one set per chunk running at once, so no chunk allocates an
-    array of its size.
+
+def run_chunks(fn, total: int, workers: int, K: int, dim: int, packed: bool) -> list:
+    """[fn(lo, hi)] over the slices of chunks of [0, total), in order.
+
+    Chunks are the pool's tasks.  Their split depends only on `total` and the row
+    width K * dim, never on the worker count; each chunk runs as slices of at most
+    `_SLICE_WORDS` words of samples of K points (`_slice`), one `fn` call each, so
+    a slice's buffers stay in cache and only they are held.  Tallies are exact sums
+    over samples that read their own streams, so results are independent of the
+    worker count, the chunks and the slices.  This is the one place a thread pool
+    is made.  Callers whose chunks are sampled packed vertices pass workers = 1:
+    such a chunk is sized by its K * dim coefficients but holds K * ceil(dim / 64)
+    words (2080 x 16 words, about 256 KB, at p = 1009, one slice), about 1/64 of
+    the budget, and its 30-60 us numpy steps cost more in GIL handoffs between two
+    threads than the second thread saves (the vertex-laws benchmark read 13-27 %
+    slower at two workers than at one).  Box-point chunks hold K * dim int64
+    coefficients a sample, the whole budget in 2^21 / 2^18 = 8 slices, and keep
+    the pool.  Every sampled caller owns its slices' points and scratch
+    (`run_buffers`), made once for the largest slice and reused by each, one set
+    per chunk running at once, so no slice allocates an array of its size.
     """
-    batch = _batch(unit_dim)
+    batch, step = _batch(K * dim), _slice(K, dim, packed)
+
+    def chunk(lo, hi):
+        return [fn(s, min(s + step, hi)) for s in range(lo, hi, step)]
+
     tasks = [(lo, min(lo + batch, total)) for lo in range(0, total, batch)]
     if workers <= 1 or len(tasks) <= 1:
-        return [fn(*t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        futures = [ex.submit(fn, *t) for t in tasks]
-        return [f.result() for f in futures]
+        parts = [chunk(*t) for t in tasks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            futures = [ex.submit(chunk, *t) for t in tasks]
+            parts = [f.result() for f in futures]
+    return [result for part in parts for result in part]
 
 
 def run_buffers(total: int, K: int, dim: int, packed: bool) -> tuple:
     """The points buffer and scratch of a run of samples [0, total) of K points, sized
-    for the largest chunk `run_chunks` makes of it at row width K * dim.  Packed
-    vertices (`packed`) get a words buffer and a scratch of a row of ceil(dim/64) words
-    for every vertex of that chunk; box points get an int64 points buffer of a row of
-    `dim` for every point and a scratch of two blocks of `rng.block_rows(dim)` rows,
-    the work area of the draw and then of `dist_sq`.  The run makes them when it
-    starts, hands them to every chunk and drops them when it returns.  Each pair is
-    the two parts of one allocation, so that a run reuses the pages the last run
-    freed (see the module docstring)."""
-    rows = K * min(total, _batch(K * dim))
+    for the largest slice `run_chunks` makes of it.  Packed vertices (`packed`) get a
+    words buffer and a scratch of a row of ceil(dim/64) words for every vertex of that
+    slice; box points get an int64 points buffer of a row of `dim` for every point and
+    a scratch of two blocks of `rng.block_rows(dim)` rows, the work area of the draw
+    and then of `dist_sq`.  The run makes them when it starts, hands them to every
+    slice and drops them when it returns.  Each pair is the two parts of one
+    allocation, so that a run reuses the pages the last run freed (see the module
+    docstring)."""
+    rows = K * min(total, _batch(K * dim), _slice(K, dim, packed))
     if packed:
         words, scratch = np.empty((2, rows, (dim + 63) // 64), dtype=np.uint64)
         return words, scratch
@@ -442,15 +466,15 @@ class Tally:
 
 
 def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
-    """Run samples [0, total) of `spec` in chunks and merge their counts.  The
-    (tuples, total, weights) of `vertex_orbits` run as one batch, so seed, total and
-    workers do not matter, and a tuple of weight w counts w hits and w d^2.  A
-    sampled chunk draws into, and its kernels work in, a set of `run_buffers` that
-    no other running chunk holds: the run makes one when it starts, a chunk that
-    finds every set held makes another, and the run drops them when it returns.
-    Chunks of `draw_vertices` run on the calling thread at any worker count (see
-    `run_chunks`); box-point chunks use the pool.  The popcounts of all K members
-    of a chunk are one call."""
+    """Run samples [0, total) of `spec` in the slices of `run_chunks` and sum the
+    slices' tallies.  The (tuples, total, weights) of `vertex_orbits` run as one
+    batch, so seed, total and workers do not matter, and a tuple of weight w counts
+    w hits and w d^2.  A sampled slice draws into, and its kernels work in, a set of
+    `run_buffers` that no other running chunk holds: the run makes one when it
+    starts, a slice that finds every set held makes another, and the run drops them
+    when it returns.  Chunks of `draw_vertices` run on the calling thread at any
+    worker count (see `run_chunks`); box-point chunks use the pool.  The popcounts
+    of all K members of a slice are one call."""
     box = spec.box
     p, d2 = box.p, box.diameter_sq()
     if spec.apex is None and any(k == APEX for _, k, _ in spec.edges):
@@ -461,8 +485,8 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
              [iv.members(d2) for iv in ivs]) for j, k, ivs in spec.edges]
 
     vertices = spec.draw is draw_vertices
-    # the run_buffers sets that no running chunk holds: the run's own, made here, and
-    # one more for each chunk that finds them all held
+    # the run_buffers sets that no running slice holds: the run's own, made here, and
+    # one more for each slice that finds them all held
     idle = [run_buffers(total, spec.K, box.dim, vertices)] if callable(spec.draw) else []
 
     def edge_dist_sq(members, pcs, j, k, scratch):
@@ -489,16 +513,16 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
         hits = (np.count_nonzero(row) if weights is None else np.sum(weights[row]) for row in ok)
         return (attempts, d2_sum, *map(int, hits))
 
-    def chunk(lo, hi):
+    def one_slice(lo, hi):
         buffers = idle.pop() if idle else run_buffers(total, spec.K, box.dim, vertices)
         try:
             return work(*spec.draw(box, spec.K, seed, lo, hi, *buffers), scratch=buffers[1])
         finally:
             idle.append(buffers)  # list pop and append are atomic: no lock
 
-    if vertices:
-        workers = 1
-    unit = spec.K * box.dim
-    parts = run_chunks(chunk, total, workers, unit) if callable(spec.draw) else [work(*spec.draw)]
+    if not callable(spec.draw):
+        parts = [work(*spec.draw)]
+    else:  # packed-vertex chunks run on the calling thread
+        parts = run_chunks(one_slice, total, 1 if vertices else workers, spec.K, box.dim, vertices)
     attempts, d2_sum, *hits = map(sum, zip(*parts))
     return Tally(tuple(hits), attempts, d2_sum)

@@ -1,7 +1,9 @@
 import math
 import random
+import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclobox import core, kernels, rng
+from cyclobox import concentration, core, kernels, rng
 from cyclobox.concentration import (
     CounterStream,
     IntervalSpec,
@@ -686,6 +688,34 @@ class TestPackedKernel:
             for c, mask in kernels.PackedApex(box, alpha).terms}
         assert got == _per_coordinate_terms(alpha)
 
+    @pytest.mark.parametrize("kind", ALPHA_KINDS)
+    @pytest.mark.parametrize("p,N", [(7, 2), (17, 3), (101, 2 ** 62)])
+    def test_setup_reads_alpha_once(self, kind, p, N):
+        """The apex setup's one pass by value gives the masks, the bound, q0 and s0 of a
+        pass per quantity, and the label is the one read off a built north pole."""
+        box, alpha = BoxSpec(p, N), _alpha(kind, p, N)
+        apex = kernels.PackedApex(box, alpha)
+        got = {(c, frozenset(np.flatnonzero(np.unpackbits(
+            mask.astype("<u8").view(np.uint8), bitorder="little")).tolist()))
+            for c, mask in apex.terms}
+        assert got == _per_coordinate_terms(alpha)
+        trace, energy = sum(alpha), sum(c * c for c in alpha)
+        assert apex.bound == kernels.dist_sq_bound(p, p - 1, N + max(abs(c) for c in alpha))
+        assert (apex.q0, apex.s0) == (N * N * (p - 1) + energy + 2 * N * trace,
+                                      N * (p - 1) + trace)
+        point = CyclotomicInt(p, alpha)
+        top = max(abs(c) for c in alpha)
+        if point.is_zero():
+            want = "origin"
+        elif alpha == core.north_pole_point(BoxSpec(p, top)).coeffs:
+            want = "north-pole"
+        elif p <= 17:
+            want = "coeffs:" + ",".join(map(str, alpha))
+        else:
+            want = f"custom(trace={point.trace()},eucl_sq={energy})"
+        assert concentration._alpha_label(point) == want
+        assert (want == "north-pole") == (kind == "north-pole")
+
     @pytest.mark.parametrize("p,N", [(3, 1), (7, 5), (13, 2 ** 62)])
     def test_sweep_rows_unpack_to_the_vertex_matrix(self, p, N):
         box = BoxSpec(p, N)
@@ -911,17 +941,45 @@ def pools(monkeypatch):
 
 
 @pytest.fixture
-def chunk_counts(monkeypatch):
-    """The number of chunks of each `run_chunks` call."""
+def slice_counts(monkeypatch):
+    """The number of slices, one `fn` call each, of each `run_chunks` call."""
     counts = []
 
-    def counting(fn, total, workers, unit_dim=1, run=kernels.run_chunks):
-        parts = run(fn, total, workers, unit_dim)
+    def counting(fn, total, workers, *shape, run=kernels.run_chunks):
+        parts = run(fn, total, workers, *shape)
         counts.append(len(parts))
         return parts
 
     monkeypatch.setattr(kernels, "run_chunks", counting)
     return counts
+
+
+def _track_buffer_sets(monkeypatch, pause):
+    """Record the buffer set of each box-point slice, from its draw to its last d^2
+    call, and assert that no slice draws into a set another slice holds.  The first
+    slice of each chunk sleeps `pause` s after taking its set, so that another worker
+    starts a chunk meanwhile.  Returns the held sets and each draw's (out, scratch)."""
+    held, drawn, lock = set(), [], threading.Lock()
+
+    def drawing(box, K, seed, start, stop, out, scratch, draw=kernels.draw_box_points):
+        with lock:
+            assert scratch.ctypes.data not in held
+            held.add(scratch.ctypes.data)
+            drawn.append((out, scratch))
+        if start % kernels._batch(K * box.dim) == 0:
+            time.sleep(pause)
+        return draw(box, K, seed, start, stop, out, scratch)
+
+    def measuring(p, x, y, m, scratch, dist_sq=kernels.dist_sq):
+        try:
+            return dist_sq(p, x, y, m, scratch)
+        finally:
+            with lock:
+                held.remove(scratch.ctypes.data)
+
+    monkeypatch.setattr(kernels, "draw_box_points", drawing)
+    monkeypatch.setattr(kernels, "dist_sq", measuring)
+    return held, drawn
 
 
 _BOX = BoxSpec(1009, 1)
@@ -944,61 +1002,49 @@ class TestThreadUse:
     exhaustive vertex orbits run as one batch there too; box-point draws keep the pool."""
 
     @pytest.mark.parametrize("name", sorted(VERTEX_REPORTS))
-    def test_vertex_reports_build_no_pool(self, pools, chunk_counts, name):
+    def test_vertex_reports_build_no_pool(self, pools, slice_counts, name):
         report, samples = VERTEX_REPORTS[name]
         one = report(SamplerConfig(11, samples, 1))
         two = report(SamplerConfig(11, samples, 2))
         assert pools == []
-        assert min(chunk_counts) >= 3
+        assert min(slice_counts) >= 3
         assert replace(two, worker_count=1) == one
 
-    def test_box_pair_means_build_a_pool(self, pools, chunk_counts):
+    # 2100 box pairs at p = 1009 are chunks of 1040, 1040 and 20 pairs, and slices of
+    # 130 pairs (2^18 // 2016 words): 8 + 8 + 1 slices
+    PAIR_SLICES = 17
+
+    def test_box_pair_means_build_a_pool(self, pools, slice_counts):
         box = BoxSpec(1009, 3)
+        assert kernels._batch(2 * box.dim) == 1040 and kernels._slice(2, box.dim, False) == 130
         one = box_pair_mean_report(box, SamplerConfig(2, 2100, 1))
         assert pools == []
         assert box_pair_mean_report(box, SamplerConfig(2, 2100, 2)) == one
-        assert pools == [2] and chunk_counts == [3, 3]
+        assert pools == [2] and slice_counts == [self.PAIR_SLICES] * 2
 
     def test_box_pair_chunks_running_at_once_hold_their_own_buffers(self, monkeypatch, pools,
-                                                                    chunk_counts):
-        """A box-pair chunk holds a buffer set from its draw to its one kernel call, and
-        no other chunk draws into a set while it is held: one worker reuses one set for
-        3 chunks, two workers use two, and the mean is that of one worker."""
+                                                                    slice_counts):
+        """A box-pair slice holds a buffer set from its draw to its one kernel call, and
+        no other slice draws into a set while it is held: one worker reuses one set for
+        all 17 slices of 3 chunks, two workers, each running a chunk, use two sets, and
+        the mean is that of one worker."""
         box, cfg = BoxSpec(1009, 3), SamplerConfig(2, 2100, 1)
-        held, drawn, lock = set(), [], threading.Lock()
-
-        def drawing(box, K, seed, start, stop, out, scratch, draw=kernels.draw_box_points):
-            with lock:
-                assert scratch.ctypes.data not in held
-                held.add(scratch.ctypes.data)
-                drawn.append((out, scratch))
-            time.sleep(0.05)  # the other worker starts the next chunk meanwhile
-            return draw(box, K, seed, start, stop, out, scratch)
-
-        def measuring(p, x, y, m, scratch, dist_sq=kernels.dist_sq):
-            try:
-                return dist_sq(p, x, y, m, scratch)
-            finally:
-                with lock:
-                    held.remove(scratch.ctypes.data)
-
-        monkeypatch.setattr(kernels, "draw_box_points", drawing)
-        monkeypatch.setattr(kernels, "dist_sq", measuring)
+        held, drawn = _track_buffer_sets(monkeypatch, pause=0.05)
         results = []
         for workers in (1, 2):
             drawn.clear()
             results.append(box_pair_mean_report(box, replace(cfg, worker_count=workers)))
             sets = list({scratch.ctypes.data: (out, scratch) for out, scratch in drawn}.values())
-            assert len(drawn) == 3 and len(sets) == workers and not held
+            assert len(drawn) == self.PAIR_SLICES and len(sets) == workers and not held
             for a, b in combinations([array for pair in sets for array in pair], 2):
                 assert not np.shares_memory(a, b)
-        assert chunk_counts == [3, 3] and pools == [2]
+        assert slice_counts == [self.PAIR_SLICES] * 2 and pools == [2]
         assert results[0] == results[1] == box_pair_mean_report(box, cfg)
 
-    def test_exhaustive_reports_build_no_pool(self, pools, chunk_counts):
+    def test_exhaustive_reports_build_no_pool(self, pools, slice_counts):
         for sweep, p in ((_t5_sweep, 11), (_t4_sweep, 17)):
             assert replace(sweep(p, 2), worker_count=1) == sweep(p, 1)
-        assert pools == [] and chunk_counts == []
+        assert pools == [] and slice_counts == []
 
 
 _SMALL = BoxSpec(67, 3)
@@ -1017,36 +1063,156 @@ RAGGED_REPORTS = {
 class TestRaggedChunks:
     """Every chunk of a sampled run writes into the same buffers, so a short last
     chunk must read nothing a longer chunk left behind: a report is the same as one
-    chunk, as 3 full chunks, and as 3 full chunks and a short one."""
+    chunk, as 3 full chunks, and as 3 full chunks and a short one.  At these row
+    widths each chunk is one slice."""
 
     @staticmethod
-    def _by_chunks(monkeypatch, chunk_counts, report, width):
+    def _by_chunks(monkeypatch, slice_counts, report, width):
         got = []
         for samples, chunks in ((30, 1), (10, 3), (8, 4)):  # 8 + 8 + 8 + 6
             monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", samples * width)
             got.append(report(SamplerConfig(5, 30)))
-            assert chunk_counts[-1] == chunks
+            assert slice_counts[-1] == chunks
         assert got[0] == got[1] == got[2]
         return got[0]
 
     @pytest.mark.parametrize("name", sorted(RAGGED_REPORTS))
-    def test_reports_do_not_depend_on_the_chunks(self, monkeypatch, chunk_counts, name):
+    def test_reports_do_not_depend_on_the_chunks(self, monkeypatch, slice_counts, name):
         report, K = RAGGED_REPORTS[name]
-        got = self._by_chunks(monkeypatch, chunk_counts, report, K * _SMALL.dim)
+        got = self._by_chunks(monkeypatch, slice_counts, report, K * _SMALL.dim)
         assert 0 < got.hits < got.trials  # the verdict reads every sample
 
-    def test_box_pair_means_do_not_depend_on_the_chunks(self, monkeypatch, chunk_counts):
+    def test_box_pair_means_do_not_depend_on_the_chunks(self, monkeypatch, slice_counts):
         box = BoxSpec(67, 2 ** 40)  # "limbs" d^2, and about half the words redrawn
-        got = self._by_chunks(monkeypatch, chunk_counts,
+        got = self._by_chunks(monkeypatch, slice_counts,
                               lambda cfg: box_pair_mean_report(box, cfg), 2 * box.dim)
         stream = CounterStream(5)
         want = sum(core.dist_sq(*(sample_box_point(box, stream) for _ in range(2)))
                    for _ in range(30))
         assert got == Fraction(want, 30 * box.diameter_sq())
 
-    def test_visibility_does_not_depend_on_the_chunks(self, monkeypatch, chunk_counts):
+    def test_visibility_does_not_depend_on_the_chunks(self, monkeypatch, slice_counts):
         box = BoxSpec(5, 3)  # about a third of the tuples are redrawn
-        got = self._by_chunks(monkeypatch, chunk_counts,
+        got = self._by_chunks(monkeypatch, slice_counts,
                               lambda cfg: visibility_concentration_report(box, 3, 0.2, cfg),
                               3 * box.dim)
         assert 0 < got.visible_fraction < 1 and 0 < got.proportion_near_center < 1
+
+
+class TestSlices:
+    """A chunk runs as slices of at most `_SLICE_WORDS` words, through buffers sized for
+    one slice: a report is the same with slices of one sample, with a short last slice
+    in each chunk, and with one slice per chunk, at one worker and at two."""
+
+    @staticmethod
+    def _by_slices(monkeypatch, slice_counts, report, width):
+        monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", 10 * width)  # 3 chunks of 10
+        got = []
+        for samples, slices in ((1, 30), (4, 9), (10, 3)):  # 4 + 4 + 2 a chunk; 10
+            monkeypatch.setattr(kernels, "_SLICE_WORDS", samples * width)
+            for workers in (1, 2):
+                got.append(report(SamplerConfig(5, 30, workers)))
+                assert slice_counts[-1] == slices
+        if not isinstance(got[0], Fraction):  # a report, which names its worker count
+            got = [replace(g, worker_count=1) for g in got]
+        assert all(g == got[0] for g in got)
+        return got[0]
+
+    def test_pooled_slices_under_a_short_switch_interval(self, monkeypatch, slice_counts):
+        """Four workers on two cores, switching threads every microsecond, over 7 chunks
+        of 4 slices: no slice draws into a set another holds, and the mean is that of
+        one worker."""
+        box = BoxSpec(67, 2 ** 40)
+        width = 2 * box.dim
+        monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", 10 * width)
+        monkeypatch.setattr(kernels, "_SLICE_WORDS", 3 * width)
+        want = box_pair_mean_report(box, SamplerConfig(5, 70))
+        held, drawn = _track_buffer_sets(monkeypatch, pause=0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                drawn.clear()
+                assert box_pair_mean_report(box, SamplerConfig(5, 70, 4)) == want
+                assert len({scratch.ctypes.data for _, scratch in drawn}) <= 4 and not held
+        finally:
+            sys.setswitchinterval(interval)
+        assert slice_counts == [28] * 4
+
+    def test_box_pair_means_do_not_depend_on_the_slices(self, monkeypatch, slice_counts):
+        box = BoxSpec(67, 2 ** 40)  # "limbs" d^2, and about half the words redrawn
+        got = self._by_slices(monkeypatch, slice_counts,
+                              lambda cfg: box_pair_mean_report(box, cfg), 2 * box.dim)
+        stream = CounterStream(5)
+        want = sum(core.dist_sq(*(sample_box_point(box, stream) for _ in range(2)))
+                   for _ in range(30))
+        assert got == Fraction(want, 30 * box.diameter_sq())
+
+    def test_visibility_does_not_depend_on_the_slices(self, monkeypatch, slice_counts):
+        box = BoxSpec(5, 3)  # about a third of the tuples are redrawn
+        got = self._by_slices(monkeypatch, slice_counts,
+                              lambda cfg: visibility_concentration_report(box, 3, 0.2, cfg),
+                              3 * box.dim)
+        assert 0 < got.visible_fraction < 1 and 0 < got.proportion_near_center < 1
+
+    @pytest.mark.parametrize("p", [11, 67, 1009])
+    def test_packed_vertex_chunks_are_one_slice_from_p11(self, p):
+        for K in (1, 2, 4):
+            assert kernels._slice(K, p - 1, True) >= kernels._batch(K * (p - 1))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("name", ["T5", "right-angle"])
+    def test_small_p_vertex_chunks_run_past_one_slice(self, monkeypatch, slice_counts, p, name):
+        """At p <= 7 a packed-vertex chunk holds more than one slice: a run of one chunk
+        in two slices, the second short, is the same as one slice."""
+        box = BoxSpec(p, 2)
+        K, report = {"T5": (2, lambda cfg: vertex_pair_report(box, Fraction(1, 3), cfg)),
+                     "right-angle": (1, lambda cfg: right_angle_report(
+                         core.north_pole_point(box), box, 0.3, cfg))}[name]
+        samples = kernels._slice(K, box.dim, True) + 1000
+        assert samples < kernels._batch(K * box.dim)
+        cfg = SamplerConfig(9, samples)
+        sliced = report(cfg)
+        monkeypatch.setattr(kernels, "_SLICE_WORDS", K * samples)
+        whole = report(cfg)
+        assert slice_counts == [2, 1]
+        assert sliced == whole and 0 < sliced.hits < sliced.trials
+
+
+class TestSliceMemory:
+    """A box-point run holds one slice's buffers per running chunk, not a chunk's: the
+    traced peak of a warmed call stays within two slices of int64 words per worker (the
+    slice, its scratch of two draw blocks and every temporary), and on the Python-int
+    path within that plus a slice's words as Python ints."""
+
+    SLICE_BYTES = 8 * kernels._SLICE_WORDS
+
+    @staticmethod
+    def _peak(call) -> int:
+        call()  # warmed: caches and first-call allocations are not the run's
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_box_pairs(self, workers):
+        box = BoxSpec(1009, 10 ** 4)  # 2000 pairs: two chunks of 8 and 8 slices
+        peak = self._peak(lambda: box_pair_mean_report(box, SamplerConfig(3, 2000, workers)))
+        assert peak <= 2 * self.SLICE_BYTES * workers
+
+    def test_visibility(self):
+        box = BoxSpec(101, 10 ** 4)  # 2000 tuples of 3: one chunk of 3 slices
+        peak = self._peak(lambda: visibility_concentration_report(box, 3, 0.05,
+                                                                  SamplerConfig(3, 2000)))
+        assert peak <= 2 * self.SLICE_BYTES
+
+    def test_box_pairs_on_python_ints(self):
+        box = BoxSpec(1009, 2 ** 62)  # 300 pairs: one chunk of 3 slices
+        assert kernels.arithmetic_path(box.p, box.dim, 2 * box.N) == "object"
+        peak = self._peak(lambda: box_pair_mean_report(box, SamplerConfig(3, 300)))
+        # each word a pointer and an int of up to 2^126, the square of a difference
+        as_ints = kernels._SLICE_WORDS * (8 + sys.getsizeof(2 ** 126))
+        assert peak <= 2 * self.SLICE_BYTES + as_ints
