@@ -3,7 +3,10 @@
 Each report function samples vertices or box points with counter-based
 streams (see `rng`): the randomness of sample i depends only on
 (seed, i), so a run gives bit-identical tallies for any worker count, and
-workers merge by plain summation.
+workers merge by plain summation.  Every report states its law as a
+`kernels.EdgeSpec` and runs it through `kernels.tally`, the one sampling
+engine: the interval reports with one `IntervalSpec` per verdict, the
+right-angle report with a predicate on d^2(x, alpha) and the popcount of x.
 
 Interval membership |sqrt(d^2) - sqrt(A)| <= eps is decided in exact
 rational and integer arithmetic (no float square roots are taken); floats
@@ -329,44 +332,37 @@ def right_angle_report(alpha: CyclotomicInt, box: BoxSpec, eps_cos: float,
     require_float_range(d_origin, "the normalized d^2(0, alpha)")
     en2 = eps_frac.numerator ** 2
     ed2 = eps_frac.denominator ** 2
-    p, dim = box.p, box.dim
-    # 2<alpha, x> = ||alpha||^2 + ||x||^2 - d^2(alpha, x), at most ||alpha||^2 + ||x||^2
-    nb_bound = kernels.dist_sq_bound(p, dim, box.N)
-    apex = kernels.PackedApex(box, alpha.coeffs)
-    origin = kernels.PackedApex(box, (0,) * dim)
-    twice_bound = na + nb_bound + apex.bound
-    compare_bound = max((na + nb_bound) ** 2 * ed2, 4 * en2 * na * nb_bound)
+    # twice = 2<alpha, x> = ||alpha||^2 + ||x||^2 - d^2(alpha, x): ||x||^2 + ||alpha||^2 is
+    # at most twice_bound, and so is |twice| <= 2 sqrt(||alpha||^2 ||x||^2) (Cauchy-Schwarz)
+    nb_bound = kernels.dist_sq_bound(box.p, box.dim, box.N)
+    origin = kernels.PackedApex(box, (0,) * box.dim)
+    twice_bound = na + nb_bound
+    compare_bound = max(twice_bound ** 2 * ed2, 4 * en2 * na * nb_bound)
     # |cos| = |twice| / (2 sqrt(na nb)) is unchanged by na / 4^a, nb / 4^b, twice / 2^(a+b);
     # a and b bring each norm under 2^500, so their float product cannot overflow, and
     # twice stays below 2^501 by Cauchy-Schwarz.  Below that size a = b = 0 and nothing moves.
     a, b = (max(0, (n.bit_length() - 499) // 2) for n in (na, nb_bound))
+    cos_parts = []  # each slice's |cos|; their median does not depend on slice order
 
-    words, scratch = kernels.run_buffers(cfg.sample_count, 1, dim, packed=True)
-
-    def work(start, stop):
-        x = kernels.draw_vertices(box, 1, cfg.seed, start, stop, words, scratch)[0][:, 0]
-        pcx = kernels.popcount(x)
-        nb = origin.dist_sq(x, pcx)
-        twice = kernels.lift(nb, twice_bound) + na - apex.dist_sq(x, pcx, scratch)
+    def near_right(d2_alpha, pcx):  # |cos| <= eps_cos, exactly: twice^2 ed2 <= 4 en2 na nb
+        nb = origin.dist_sq(None, pcx)
+        twice = kernels.lift(nb, twice_bound) + na - d2_alpha
         tw = kernels.lift(twice, compare_bound)
-        ok = tw * tw * ed2 <= 4 * en2 * na * kernels.lift(nb, compare_bound)
         tw_f = (twice / (1 << (a + b))).astype(np.float64, copy=False)
         nb_f = (nb / (1 << 2 * b)).astype(np.float64, copy=False)
-        cos_abs = np.abs(tw_f / 2) / np.sqrt(na / (1 << 2 * a) * nb_f)
-        return int(np.sum(ok)), cos_abs
+        cos_parts.append(np.abs(tw_f / 2) / np.sqrt(na / (1 << 2 * a) * nb_f))
+        return tw * tw * ed2 <= 4 * en2 * na * kernels.lift(nb, compare_bound)
 
-    # packed vertex chunks run on the calling thread, slice by slice through the
-    # buffers above (see `kernels.run_chunks`)
-    parts = kernels.run_chunks(work, cfg.sample_count, 1, 1, dim, True)
-    hits = sum(x[0] for x in parts)
-    cos_all = np.concatenate([x[1] for x in parts])
+    leg = ((0, kernels.APEX, (near_right,)),)
+    spec = kernels.EdgeSpec(box, 1, kernels.draw_vertices, leg, apex=alpha.coeffs)
+    hits = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count).hits[0]
     return _finish(
         "right_angle", box, cfg, hits, cfg.sample_count, float(target),
         "pilot-calibrated target (decay proxy 2*sqrt(3/p))",
         alpha=_alpha_label(alpha), eps=eps_frac,
         extra={
             "eps_cos": float(eps_cos),
-            "median_abs_cos": float(np.median(cos_all)),
+            "median_abs_cos": float(np.median(np.concatenate(cos_parts))),
             "origin_dist_sq": f"{d_origin.numerator}/{d_origin.denominator}",
             "origin_dist": math.sqrt(d_origin),
             "decay_proxy": 2.0 * math.sqrt(3.0 / box.p),

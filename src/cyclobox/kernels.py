@@ -1,5 +1,5 @@
 """The arithmetic every report shares: one distance kernel, one overflow
-policy, one chunk runner and one edge-spec sampling engine.
+policy, one slice runner and one edge-spec sampling engine.
 
 Overflow policy: each array step knows a bound on every value it makes;
 `exact_dtype` picks int64 when the bound fits and Python ints (object
@@ -10,15 +10,13 @@ s = sum(d_j) of a difference d.  Coefficient rows reduce d directly, on the
 path `arithmetic_path` picks: all in int64 while d^2 fits; in two int64 limbs
 d = h 2^k + l while the limb sums fit, lifting only the row sums; else in
 Python ints.  Vertices stay packed sign words (bit j set: coordinate j is +N),
-and q and s come from popcounts of whole rows.  `tally` runs an `EdgeSpec`
-through `run_chunks`, a draw in chunks of samples that depend only on the
-sample count and the row width, each run in slices of at most `_SLICE_WORDS`
-words, so tallies are the same for any worker count; an exhaustive law is one
-batch of `vertex_orbits`, one tuple per orbit of tuples that share every d^2,
-weighted by its size.  Chunks of sampled packed vertices
-run on the calling thread: each holds about 1/64 of the words its row width
-claims, and its short numpy steps lose more to GIL handoffs between two threads
-than the second thread saves.  Kernel steps scale and subtract in place, but only
+and q and s come from popcounts of whole rows.  `tally`, the engine of every
+sampled report, runs an `EdgeSpec` through `run_chunks`, a draw in slices of
+samples that depend only on the sample count and the row width, so tallies are
+the same for any worker count; an exhaustive law is one batch of
+`vertex_orbits`, one tuple per orbit of tuples that share every d^2, weighted by
+its size.  Slices of sampled packed vertices run on the calling thread (see
+`run_chunks`).  Kernel steps scale and subtract in place, but only
 into temporaries they made (`_combine` into its q and s), never into an argument
 or an array `lift` passed through: a fresh temporary per step faults its pages
 in again whenever glibc has trimmed the heap since the last one (`vertex_dist_sq`
@@ -30,26 +28,27 @@ buffer and forms x ^ y and x & M_c in the scratch; a box-point slice draws its p
 into the buffer through the scratch (`rng.box_offsets_at`), and `dist_sq` then forms
 the differences and low limbs there, a block of `rng.block_rows(dim)` rows at a time.
 Only the (count,) results, the uint8 bit counts and the draws' retry rounds are new.
-A box-point slice holds 2 MB of points where its chunk would hold 16 MB.
+A box-point slice holds 2 MB of points where the batch budget would allow 16 MB.
 Buffer and scratch are one allocation: glibc then serves the next run's from the pages
 this run frees, where two separate buffers are given back to the system and faulted
 in again by every run (per warmed pass of the vertex-laws benchmark: 3,571 minor
-faults with per-chunk arrays, 1,052 with two buffers, 0 with one; of the exact
+faults with per-slice arrays, 1,052 with two buffers, 0 with one; of the exact
 benchmark, whose box-pair cell had drawn fresh points: 1,532 before box-point runs
-owned theirs, 2 after).  Pooled box-point chunks take a set per chunk running at
+owned theirs, 2 after).  Pooled box-point slices take a set per slice running at
 once.  `popcount` contracts the per-word bit counts in one einsum, for all K members
 of a slice at once.
 Every exact vertex law reads `vertex_orbits` and adds its weighted values with
 `weighted_sum`: exhaustive T4 and T5 in `tally`, the moment oracle and the
 cancellation sums; only the renderer lists every vertex (`vertex_matrix`).  A
 fixed point meets vertex rows only as a `PackedApex` and its mask sums, for apex
-legs, point moments, the angles and the cancellation sums.  The box-pair oracle
-visits no pairs: `pair_totals` reads the exact d^2 total from per-point sums.
+legs (the angles' among them), point moments and the cancellation sums.  The
+box-pair oracle visits no pairs: `pair_totals` reads the exact d^2 total from
+per-point sums.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate, combinations, groupby
@@ -66,7 +65,7 @@ APEX = -1  # edge endpoint that stands for the spec's fixed apex
 EDGE_MAX = 1 << 16  # edges of one K-polytope, one kernel pass per slice each: K <= 362
 
 _BATCH_ELEMENTS = 1 << 21  # per-batch int64 budget, ~16 MB per temporary
-_SLICE_WORDS = 1 << 18  # words of samples in one slice of a chunk, 2 MB: an L2's worth
+_SLICE_WORDS = 1 << 18  # words of samples in one slice, 2 MB: an L2's worth
 
 
 # --- overflow policy ------------------------------------------------------------
@@ -243,12 +242,12 @@ class PackedApex:
     def mask_sum(self, x: np.ndarray, start: int, weight: int,
                  scratch: Optional[np.ndarray] = None):
         """start + weight * L(x) over packed rows x, exact while |start| + |weight| sum_j
-        |alpha_j| <= bound; just `start`, a scalar, when alpha = 0 has no masks.  Each
-        x & M_c is formed in `scratch` (as for `vertex_dist_sq`) if given."""
+        |alpha_j| <= bound; just `start`, a scalar, with x unread, when alpha = 0 has no
+        masks.  Each x & M_c is formed in `scratch` (as for `vertex_dist_sq`) if given."""
         total = start
-        masked = _into(scratch, x.shape)
         for c, mask in self.terms:
-            term = lift(popcount(np.bitwise_and(x, mask, out=masked)), self.bound)
+            masked = np.bitwise_and(x, mask, out=_into(scratch, x.shape))
+            term = lift(popcount(masked), self.bound)
             term *= weight * c
             term += total
             total = term
@@ -257,7 +256,7 @@ class PackedApex:
     def dist_sq(self, x: np.ndarray, pcx: np.ndarray,
                 scratch: Optional[np.ndarray] = None) -> np.ndarray:
         """Exact d^2(x, alpha) over packed vertex rows x with popcounts pcx; `scratch`
-        as for `mask_sum`."""
+        as for `mask_sum`.  For alpha = 0 it reads only pcx: x may be None."""
         q = self.mask_sum(x, self.q0, -4 * self.box.N, scratch)
         s = lift(pcx, self.bound) * (2 * self.box.N)  # a new array: pcx is the caller's
         s -= self.s0
@@ -308,52 +307,43 @@ def box_matrix(dim: int, N: int) -> np.ndarray:
     return idx // side ** np.arange(dim - 1, -1, -1, dtype=np.int64) % side - N
 
 
-def _batch(unit_dim: int) -> int:
-    """Samples in a full chunk of `run_chunks` at row width `unit_dim`."""
-    return max(1, _BATCH_ELEMENTS // max(unit_dim, 1))
-
-
 def _slice(K: int, dim: int, packed: bool) -> int:
-    """Samples in a full slice of a chunk: at most _SLICE_WORDS words, at least one
-    sample.  A box-point sample holds K dim int64 words, a packed-vertex sample
-    K ceil(dim/64) uint64 words."""
+    """Samples in a full slice of `run_chunks`: at most _BATCH_ELEMENTS coefficients of
+    K dim each and _SLICE_WORDS words, at least one sample.  A box-point sample holds
+    K dim int64 words, a packed-vertex sample K ceil(dim/64) uint64 words."""
     width = (dim + 63) // 64 if packed else dim
-    return max(1, _SLICE_WORDS // max(K * width, 1))
+    return max(1, min(_BATCH_ELEMENTS // max(K * dim, 1), _SLICE_WORDS // max(K * width, 1)))
 
 
 def run_chunks(fn, total: int, workers: int, K: int, dim: int, packed: bool) -> list:
-    """[fn(lo, hi)] over the slices of chunks of [0, total), in order.
+    """[fn(lo, hi)] over the slices of [0, total), in order.
 
-    Chunks are the pool's tasks.  Their split depends only on `total` and the row
-    width K * dim, never on the worker count; each chunk runs as slices of at most
-    `_SLICE_WORDS` words of samples of K points (`_slice`), one `fn` call each, so
-    a slice's buffers stay in cache and only they are held.  Tallies are exact sums
-    over samples that read their own streams, so results are independent of the
-    worker count, the chunks and the slices.  This is the one place a thread pool
-    is made.  Callers whose chunks are sampled packed vertices pass workers = 1:
-    such a chunk is sized by its K * dim coefficients but holds K * ceil(dim / 64)
-    words (2080 x 16 words, about 256 KB, at p = 1009, one slice), about 1/64 of
-    the budget, and its 30-60 us numpy steps cost more in GIL handoffs between two
-    threads than the second thread saves (the vertex-laws benchmark read 13-27 %
-    slower at two workers than at one).  Box-point chunks hold K * dim int64
-    coefficients a sample, the whole budget in 2^21 / 2^18 = 8 slices, and keep
-    the pool.  Every sampled caller owns its slices' points and scratch
-    (`run_buffers`), made once for the largest slice and reused by each, one set
-    per chunk running at once, so no slice allocates an array of its size.
+    Slices, `_slice` samples of K points each but the last, are the pool's tasks, and
+    their split depends only on `total` and the row width.  Tallies are exact sums
+    over samples that read their own streams, so results do not depend on the worker
+    count or the split.  This is the one place a thread pool is made.  Callers whose
+    slices are sampled packed vertices pass workers = 1: such a slice is sized by its
+    K * dim coefficients but holds K * ceil(dim / 64) words (2080 x 16 words, about
+    256 KB, at p = 1009), about 1/64 of the budget, and its 30-60 us numpy steps cost
+    more in GIL handoffs between two threads than the second thread saves (the
+    vertex-laws benchmark read 13-27 % slower at two workers than at one).  Box-point
+    slices hold up to `_SLICE_WORDS` int64 coefficients and keep the pool.  Each
+    running slice holds its own set of `run_buffers`, so no slice allocates an array
+    of its size.  At most workers + 1 slices wait to be read, so the pending tasks,
+    about 1.5 KB each, do not grow with `total`.
     """
-    batch, step = _batch(K * dim), _slice(K, dim, packed)
-
-    def chunk(lo, hi):
-        return [fn(s, min(s + step, hi)) for s in range(lo, hi, step)]
-
-    tasks = [(lo, min(lo + batch, total)) for lo in range(0, total, batch)]
-    if workers <= 1 or len(tasks) <= 1:
-        parts = [chunk(*t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            futures = [ex.submit(chunk, *t) for t in tasks]
-            parts = [f.result() for f in futures]
-    return [result for part in parts for result in part]
+    step = _slice(K, dim, packed)
+    spans = ((lo, min(lo + step, total)) for lo in range(0, total, step))
+    if workers <= 1 or total <= step:
+        return [fn(*span) for span in spans]
+    parts, pending = [], deque()
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        for span in spans:
+            pending.append(ex.submit(fn, *span))
+            if len(pending) > workers:
+                parts.append(pending.popleft().result())
+        parts += [future.result() for future in pending]
+    return parts
 
 
 def run_buffers(total: int, K: int, dim: int, packed: bool) -> tuple:
@@ -366,7 +356,7 @@ def run_buffers(total: int, K: int, dim: int, packed: bool) -> tuple:
     slice and drops them when it returns.  Each pair is the two parts of one
     allocation, so that a run reuses the pages the last run freed (see the module
     docstring)."""
-    rows = K * min(total, _batch(K * dim), _slice(K, dim, packed))
+    rows = K * min(total, _slice(K, dim, packed))
     if packed:
         words, scratch = np.empty((2, rows, (dim + 63) // 64), dtype=np.uint64)
         return words, scratch
@@ -447,9 +437,11 @@ class EdgeSpec:
     uint64 (a vertex, drawn only by `draw_vertices`), and out and scratch are the
     run's `run_buffers`.
     In place of a draw, the (tuples, total, weights) of `vertex_orbits` give the exact law.
-    Edge (j, k, intervals) joins points j and k (k == APEX: the fixed `apex`, met
-    as a `PackedApex`, so an apex leg needs the apex and vertex points) and must hit
-    intervals[v] for verdict v; every edge lists one interval per verdict."""
+    Edge (j, k, tests) joins points j and k (k == APEX: the fixed `apex`, met as a
+    `PackedApex`, so an apex leg needs the apex and vertex points) and must pass
+    tests[v] for verdict v; every edge lists one test per verdict.  A test is an
+    interval, anything with the `IntervalSpec.members` of d^2 numerators, or a
+    predicate (d^2 values, popcounts of point j or None for box points) -> hit mask."""
 
     box: BoxSpec
     K: int
@@ -465,34 +457,42 @@ class Tally:
     d2_sum: int    # exact total of d^2 over all edges of all samples
 
 
+def _in_range(lo: int, hi: int) -> Callable:
+    """The predicate of an interval whose d^2 numerators are [lo, hi]."""
+    return lambda vals, pcs: (vals >= lo) & (vals <= hi)
+
+
 def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
-    """Run samples [0, total) of `spec` in the slices of `run_chunks` and sum the
-    slices' tallies.  The (tuples, total, weights) of `vertex_orbits` run as one
-    batch, so seed, total and workers do not matter, and a tuple of weight w counts
-    w hits and w d^2.  A sampled slice draws into, and its kernels work in, a set of
-    `run_buffers` that no other running chunk holds: the run makes one when it
-    starts, a slice that finds every set held makes another, and the run drops them
-    when it returns.  Chunks of `draw_vertices` run on the calling thread at any
-    worker count (see `run_chunks`); box-point chunks use the pool.  The popcounts
-    of all K members of a slice are one call."""
+    """Run samples [0, total) of `spec`, the engine of every sampled report, in the
+    slices of `run_chunks` and sum their tallies.  The (tuples, total, weights) of
+    `vertex_orbits` run as one batch, so seed, total and workers do not matter, and a
+    tuple of weight w counts w hits and w d^2.  Before any draw the plan refuses an
+    apex leg without an apex or over box points, and makes each interval a predicate.
+    A sampled slice draws into, and its kernels work in, a set of `run_buffers` that
+    no other running slice holds: the run makes one, a slice that finds every set
+    held makes another.  Slices of `draw_vertices` run on the calling thread (see
+    `run_chunks`); box-point slices use the pool."""
     box = spec.box
     p, d2 = box.p, box.diameter_sq()
-    if spec.apex is None and any(k == APEX for _, k, _ in spec.edges):
-        raise ValueError("an apex leg (k == APEX) needs the spec's apex, and it has none")
+    drawn = callable(spec.draw)
+    packed = spec.draw is draw_vertices if drawn else spec.draw[0].dtype == np.uint64
+    if any(k == APEX for _, k, _ in spec.edges):
+        if spec.apex is None:
+            raise ValueError("an apex leg (k == APEX) needs the spec's apex, and it has none")
+        if not packed:
+            raise ValueError("an apex leg needs vertex points (packed sign words)")
     apex = None if spec.apex is None else PackedApex(box, spec.apex)
     verdicts = len(spec.edges[0][2])
     plan = [(j, k, apex.bound if k == APEX else dist_sq_bound(p, box.dim, 2 * box.N),
-             [iv.members(d2) for iv in ivs]) for j, k, ivs in spec.edges]
+             [test if callable(test) else _in_range(*test.members(d2)) for test in tests])
+            for j, k, tests in spec.edges]
 
-    vertices = spec.draw is draw_vertices
     # the run_buffers sets that no running slice holds: the run's own, made here, and
     # one more for each slice that finds them all held
-    idle = [run_buffers(total, spec.K, box.dim, vertices)] if callable(spec.draw) else []
+    idle = [run_buffers(total, spec.K, box.dim, packed)] if drawn else []
 
     def edge_dist_sq(members, pcs, j, k, scratch):
         if k == APEX:
-            if pcs is None:
-                raise ValueError("an apex leg needs vertex points (packed sign words)")
             return apex.dist_sq(members[j], pcs[:, j], scratch)
         if pcs is None:
             return dist_sq(p, members[j], members[k], 2 * box.N, scratch)
@@ -500,12 +500,13 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
 
     def work(pts, attempts, weights=None, scratch=None):  # (attempts, d^2 total, *hits)
         members = [pts[:, m] for m in range(pts.shape[1])]
-        pcs = popcount(pts) if pts.dtype == np.uint64 else None  # (count, K)
+        pcs = popcount(pts) if packed else None  # (count, K)
         ok = [True] * verdicts
         d2_sum = 0
-        for j, k, bound, ranges in plan:
+        for j, k, bound, tests in plan:
             vals = edge_dist_sq(members, pcs, j, k, scratch)
-            ok = [row & (vals >= lo) & (vals <= hi) for row, (lo, hi) in zip(ok, ranges)]
+            pcj = None if pcs is None else pcs[:, j]
+            ok = [row & test(vals, pcj) for row, test in zip(ok, tests)]
             if weights is None:
                 d2_sum += exact_sum(vals, bound)
             else:
@@ -514,15 +515,15 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
         return (attempts, d2_sum, *map(int, hits))
 
     def one_slice(lo, hi):
-        buffers = idle.pop() if idle else run_buffers(total, spec.K, box.dim, vertices)
+        buffers = idle.pop() if idle else run_buffers(total, spec.K, box.dim, packed)
         try:
             return work(*spec.draw(box, spec.K, seed, lo, hi, *buffers), scratch=buffers[1])
         finally:
             idle.append(buffers)  # list pop and append are atomic: no lock
 
-    if not callable(spec.draw):
+    if not drawn:
         parts = [work(*spec.draw)]
-    else:  # packed-vertex chunks run on the calling thread
-        parts = run_chunks(one_slice, total, 1 if vertices else workers, spec.K, box.dim, vertices)
+    else:  # packed-vertex slices run on the calling thread
+        parts = run_chunks(one_slice, total, 1 if packed else workers, spec.K, box.dim, packed)
     attempts, d2_sum, *hits = map(sum, zip(*parts))
     return Tally(tuple(hits), attempts, d2_sum)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -319,6 +320,29 @@ class TestRightAngles:
         lo = right_angle_report(north_pole_point(BoxSpec(211, 1)), BoxSpec(211, 1), 0.1, cfg)
         hi = right_angle_report(north_pole_point(BoxSpec(2003, 1)), BoxSpec(2003, 1), 0.1, cfg)
         assert hi.extra["median_abs_cos"] < lo.extra["median_abs_cos"]
+
+    @pytest.mark.parametrize("N", [1, 2 ** 62], ids=["N1", "N2^62"])
+    @pytest.mark.parametrize("kind", ["pole", "unit", "custom"])
+    @pytest.mark.parametrize("p", [5, 7, 211])
+    def test_against_the_one_point_path(self, p, kind, N):
+        """Hits and the median |cos| equal those of `cos_central_angle` over the same
+        vertices, for a vertex, a unit and a non-vertex alpha, in int64 and past it."""
+        from cyclobox.core import cos_central_angle
+
+        box = BoxSpec(p, N)
+        rnd = random.Random(p)
+        alpha = {"pole": north_pole_point(box),
+                 "unit": CyclotomicInt(p, (1,) + (0,) * (p - 2)),
+                 "custom": CyclotomicInt(p, tuple(rnd.randint(-N, N) for _ in range(p - 1)))}[kind]
+        assert (kind == "pole") == all(abs(c) == N for c in alpha.coeffs)
+        eps_cos, samples = 0.07 if p == 211 else 0.3, 200  # some samples hit, some miss
+        r = right_angle_report(alpha, box, eps_cos, SamplerConfig(8, samples))
+        stream = CounterStream(8)
+        cos = [cos_central_angle(alpha, sample_vertex(box, stream)) for _ in range(samples)]
+        assert 0 < r.hits < samples
+        assert r.hits == sum(cos_sq <= F(eps_cos) ** 2 for _, cos_sq, _ in cos)
+        want = float(np.median([abs(c) for _, _, c in cos]))
+        assert r.extra["median_abs_cos"] == pytest.approx(want, rel=1e-12)
 
 
 class TestPyramids:

@@ -1,6 +1,6 @@
 """Source hygiene, checked with the standard library: no module imports a name it
 never uses, every `module.name` the docs cite exists, one function makes
-thread pools, one counts bits and one lists every vertex."""
+thread pools, one runs sampled slices, one counts bits and one lists every vertex."""
 
 import ast
 import importlib
@@ -115,9 +115,16 @@ def _read_only_in(name: str, function: str) -> None:
 
 
 def test_thread_pools_are_made_only_in_run_chunks():
-    """One chunk runner: `kernels.run_chunks` is the only code that reads
+    """One slice runner: `kernels.run_chunks` is the only code that reads
     `ThreadPoolExecutor`, so no report grows a pool of its own."""
     _read_only_in("ThreadPoolExecutor", "run_chunks")
+
+
+@pytest.mark.parametrize("name", ["run_chunks", "run_buffers"])
+def test_slices_are_run_only_in_tally(name):
+    """One sampling engine: `kernels.tally` is the only code that reads the slice
+    runner and the run buffers, so no report grows a sampling loop of its own."""
+    _read_only_in(name, "tally")
 
 
 def test_bits_are_counted_only_in_popcount():

@@ -222,6 +222,28 @@ class TestEngine:
         assert got.attempts == 200
         assert got.d2_sum == total
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_predicate_verdict_equals_its_interval(self, workers):
+        """A verdict test may be a predicate of (d^2 values, popcounts): the one built
+        from `IntervalSpec.members` tallies what the interval does, d2_sum included."""
+        box = BoxSpec(101, 1)
+        pole = core.north_pole_point(box).coeffs
+        interval = IntervalSpec(avg_point_to_vertices(CyclotomicInt(101, pole), box),
+                                Fraction(1, 100))
+        lo, hi = interval.members(box.diameter_sq())
+        seen = []
+
+        def predicate(vals, pcs):
+            seen.append(pcs.shape == vals.shape)
+            return (vals >= lo) & (vals <= hi)
+
+        got = [kernels.tally(kernels.EdgeSpec(box, 1, kernels.draw_vertices,
+                                              ((0, kernels.APEX, (test,)),), apex=pole),
+                             3, 30_000, workers)
+               for test in (interval, predicate)]
+        assert got[0] == got[1] and 0 < got[0].hits[0] < got[0].attempts == 30_000
+        assert len(seen) == 2 and all(seen)  # one call per slice: 20971 + 9029 samples
+
 
 class TestBoxMatrix:
     @pytest.mark.parametrize("p,N", [(3, 1), (3, 4), (5, 1), (7, 2)])
@@ -456,18 +478,27 @@ class TestExhaustiveSweeps:
                     orbits.add(ks)
                 assert len(orbits) == len(tuples) == math.prod(len(idx) + 1 for idx in classes)
 
-    def test_apex_leg_refuses_box_points(self):
+    def test_apex_leg_refuses_box_points(self, monkeypatch):
+        """The apex leg is refused when `tally` plans the run, before any slice draws
+        its box points, at one worker and at two; so are box-point orbit tuples."""
+        def no_slices(*args):
+            raise AssertionError("a slice ran")
+
+        monkeypatch.setattr(kernels, "run_chunks", no_slices)
         box = BoxSpec(5, 3)
         leg = (0, kernels.APEX, (IntervalSpec(Fraction(1, 2), Fraction(1, 10)),))
-        spec = kernels.EdgeSpec(box, 1, kernels.draw_box_points, (leg,), apex=(1, 0, -2, 3))
-        with pytest.raises(ValueError, match="vertex points"):
-            kernels.tally(spec, 0, 10, 1)
+        tuples = kernels.draw_box_points(box, 1, 0, 0, 4)[0]
+        for draw in (kernels.draw_box_points, (tuples, 4, np.ones(4, dtype=np.int64))):
+            spec = kernels.EdgeSpec(box, 1, draw, (leg,), apex=(1, 0, -2, 3))
+            for workers in (1, 2):
+                with pytest.raises(ValueError, match="vertex points"):
+                    kernels.tally(spec, 0, 10, workers)
 
     def test_apex_leg_without_an_apex_is_refused_before_any_chunk(self, monkeypatch):
-        def no_chunks(*args):
-            raise AssertionError("a chunk ran")
+        def no_slices(*args):
+            raise AssertionError("a slice ran")
 
-        monkeypatch.setattr(kernels, "run_chunks", no_chunks)
+        monkeypatch.setattr(kernels, "run_chunks", no_slices)
         leg = (0, kernels.APEX, (IntervalSpec(Fraction(1, 2), Fraction(1, 10)),))
         for K, edges in ((1, (leg,)), (3, kernels.all_edges(3, leg[2]) + (leg,))):
             spec = kernels.EdgeSpec(BoxSpec(5, 1), K, kernels.draw_vertices, edges)
@@ -957,8 +988,8 @@ def slice_counts(monkeypatch):
 def _track_buffer_sets(monkeypatch, pause):
     """Record the buffer set of each box-point slice, from its draw to its last d^2
     call, and assert that no slice draws into a set another slice holds.  The first
-    slice of each chunk sleeps `pause` s after taking its set, so that another worker
-    starts a chunk meanwhile.  Returns the held sets and each draw's (out, scratch)."""
+    slice sleeps `pause` s after taking its set, so that another worker starts a
+    slice meanwhile.  Returns the held sets and each draw's (out, scratch)."""
     held, drawn, lock = set(), [], threading.Lock()
 
     def drawing(box, K, seed, start, stop, out, scratch, draw=kernels.draw_box_points):
@@ -966,7 +997,7 @@ def _track_buffer_sets(monkeypatch, pause):
             assert scratch.ctypes.data not in held
             held.add(scratch.ctypes.data)
             drawn.append((out, scratch))
-        if start % kernels._batch(K * box.dim) == 0:
+        if start == 0:
             time.sleep(pause)
         return draw(box, K, seed, start, stop, out, scratch)
 
@@ -984,7 +1015,7 @@ def _track_buffer_sets(monkeypatch, pause):
 
 _BOX = BoxSpec(1009, 1)
 _POLE = core.north_pole_point(_BOX)
-# report and sample count, each at three or more chunks, so that two workers
+# report and sample count, each at three or more slices, so that two workers
 # would have built a pool
 VERTEX_REPORTS = {
     "T5": (lambda cfg: vertex_pair_report(_BOX, Fraction(1, 4), cfg), 2500),
@@ -998,7 +1029,7 @@ VERTEX_REPORTS = {
 
 
 class TestThreadUse:
-    """Sampled packed-vertex chunks run on the calling thread at any worker count, and
+    """Sampled packed-vertex slices run on the calling thread at any worker count, and
     exhaustive vertex orbits run as one batch there too; box-point draws keep the pool."""
 
     @pytest.mark.parametrize("name", sorted(VERTEX_REPORTS))
@@ -1010,13 +1041,13 @@ class TestThreadUse:
         assert min(slice_counts) >= 3
         assert replace(two, worker_count=1) == one
 
-    # 2100 box pairs at p = 1009 are chunks of 1040, 1040 and 20 pairs, and slices of
-    # 130 pairs (2^18 // 2016 words): 8 + 8 + 1 slices
+    # 2100 box pairs at p = 1009 are slices of 130 pairs (2^18 // 2016 words), 16 full
+    # and one of 20
     PAIR_SLICES = 17
 
     def test_box_pair_means_build_a_pool(self, pools, slice_counts):
         box = BoxSpec(1009, 3)
-        assert kernels._batch(2 * box.dim) == 1040 and kernels._slice(2, box.dim, False) == 130
+        assert kernels._slice(2, box.dim, False) == 130
         one = box_pair_mean_report(box, SamplerConfig(2, 2100, 1))
         assert pools == []
         assert box_pair_mean_report(box, SamplerConfig(2, 2100, 2)) == one
@@ -1026,8 +1057,8 @@ class TestThreadUse:
                                                                     slice_counts):
         """A box-pair slice holds a buffer set from its draw to its one kernel call, and
         no other slice draws into a set while it is held: one worker reuses one set for
-        all 17 slices of 3 chunks, two workers, each running a chunk, use two sets, and
-        the mean is that of one worker."""
+        all 17 slices, two workers, each running a slice, use two sets, and the mean is
+        that of one worker."""
         box, cfg = BoxSpec(1009, 3), SamplerConfig(2, 2100, 1)
         held, drawn = _track_buffer_sets(monkeypatch, pause=0.05)
         results = []
@@ -1061,30 +1092,30 @@ RAGGED_REPORTS = {
 
 
 class TestRaggedChunks:
-    """Every chunk of a sampled run writes into the same buffers, so a short last
-    chunk must read nothing a longer chunk left behind: a report is the same as one
-    chunk, as 3 full chunks, and as 3 full chunks and a short one.  At these row
-    widths each chunk is one slice."""
+    """Every slice of a sampled run writes into the same buffers, so a short last
+    slice must read nothing a longer slice left behind: a report is the same as one
+    slice, as 3 full slices, and as 3 full slices and a short one.  At these row
+    widths the batch budget sets the slice."""
 
     @staticmethod
-    def _by_chunks(monkeypatch, slice_counts, report, width):
+    def _ragged(monkeypatch, slice_counts, report, width):
         got = []
-        for samples, chunks in ((30, 1), (10, 3), (8, 4)):  # 8 + 8 + 8 + 6
+        for samples, slices in ((30, 1), (10, 3), (8, 4)):  # 8 + 8 + 8 + 6
             monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", samples * width)
             got.append(report(SamplerConfig(5, 30)))
-            assert slice_counts[-1] == chunks
+            assert slice_counts[-1] == slices
         assert got[0] == got[1] == got[2]
         return got[0]
 
     @pytest.mark.parametrize("name", sorted(RAGGED_REPORTS))
     def test_reports_do_not_depend_on_the_chunks(self, monkeypatch, slice_counts, name):
         report, K = RAGGED_REPORTS[name]
-        got = self._by_chunks(monkeypatch, slice_counts, report, K * _SMALL.dim)
+        got = self._ragged(monkeypatch, slice_counts, report, K * _SMALL.dim)
         assert 0 < got.hits < got.trials  # the verdict reads every sample
 
     def test_box_pair_means_do_not_depend_on_the_chunks(self, monkeypatch, slice_counts):
         box = BoxSpec(67, 2 ** 40)  # "limbs" d^2, and about half the words redrawn
-        got = self._by_chunks(monkeypatch, slice_counts,
+        got = self._ragged(monkeypatch, slice_counts,
                               lambda cfg: box_pair_mean_report(box, cfg), 2 * box.dim)
         stream = CounterStream(5)
         want = sum(core.dist_sq(*(sample_box_point(box, stream) for _ in range(2)))
@@ -1093,22 +1124,22 @@ class TestRaggedChunks:
 
     def test_visibility_does_not_depend_on_the_chunks(self, monkeypatch, slice_counts):
         box = BoxSpec(5, 3)  # about a third of the tuples are redrawn
-        got = self._by_chunks(monkeypatch, slice_counts,
+        got = self._ragged(monkeypatch, slice_counts,
                               lambda cfg: visibility_concentration_report(box, 3, 0.2, cfg),
                               3 * box.dim)
         assert 0 < got.visible_fraction < 1 and 0 < got.proportion_near_center < 1
 
 
 class TestSlices:
-    """A chunk runs as slices of at most `_SLICE_WORDS` words, through buffers sized for
-    one slice: a report is the same with slices of one sample, with a short last slice
-    in each chunk, and with one slice per chunk, at one worker and at two."""
+    """A run's slices hold at most `_SLICE_WORDS` words and the batch budget, through
+    buffers sized for one slice: a report is the same with slices of one sample, with
+    a short last slice, and with slices of the whole budget, at one worker and at two."""
 
     @staticmethod
     def _by_slices(monkeypatch, slice_counts, report, width):
-        monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", 10 * width)  # 3 chunks of 10
+        monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", 10 * width)  # slices of 10 at most
         got = []
-        for samples, slices in ((1, 30), (4, 9), (10, 3)):  # 4 + 4 + 2 a chunk; 10
+        for samples, slices in ((1, 30), (4, 8), (10, 3)):  # 4 x 7 + 2; 10 x 3
             monkeypatch.setattr(kernels, "_SLICE_WORDS", samples * width)
             for workers in (1, 2):
                 got.append(report(SamplerConfig(5, 30, workers)))
@@ -1119,9 +1150,9 @@ class TestSlices:
         return got[0]
 
     def test_pooled_slices_under_a_short_switch_interval(self, monkeypatch, slice_counts):
-        """Four workers on two cores, switching threads every microsecond, over 7 chunks
-        of 4 slices: no slice draws into a set another holds, and the mean is that of
-        one worker."""
+        """Four workers on two cores, switching threads every microsecond, over 24 slices
+        of 3 pairs, the last of one: no slice draws into a set another holds, and the
+        mean is that of one worker."""
         box = BoxSpec(67, 2 ** 40)
         width = 2 * box.dim
         monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", 10 * width)
@@ -1137,7 +1168,7 @@ class TestSlices:
                 assert len({scratch.ctypes.data for _, scratch in drawn}) <= 4 and not held
         finally:
             sys.setswitchinterval(interval)
-        assert slice_counts == [28] * 4
+        assert slice_counts == [24] * 4
 
     def test_box_pair_means_do_not_depend_on_the_slices(self, monkeypatch, slice_counts):
         box = BoxSpec(67, 2 ** 40)  # "limbs" d^2, and about half the words redrawn
@@ -1157,20 +1188,21 @@ class TestSlices:
 
     @pytest.mark.parametrize("p", [11, 67, 1009])
     def test_packed_vertex_chunks_are_one_slice_from_p11(self, p):
+        """From p = 11 the batch budget, not the words limit, sets a packed-vertex slice."""
         for K in (1, 2, 4):
-            assert kernels._slice(K, p - 1, True) >= kernels._batch(K * (p - 1))
+            assert kernels._slice(K, p - 1, True) == kernels._BATCH_ELEMENTS // (K * (p - 1))
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("name", ["T5", "right-angle"])
     def test_small_p_vertex_chunks_run_past_one_slice(self, monkeypatch, slice_counts, p, name):
-        """At p <= 7 a packed-vertex chunk holds more than one slice: a run of one chunk
-        in two slices, the second short, is the same as one slice."""
+        """At p <= 7 the words limit sets a packed-vertex slice: a run of two slices, the
+        second short, is the same as one slice of the batch budget."""
         box = BoxSpec(p, 2)
         K, report = {"T5": (2, lambda cfg: vertex_pair_report(box, Fraction(1, 3), cfg)),
                      "right-angle": (1, lambda cfg: right_angle_report(
                          core.north_pole_point(box), box, 0.3, cfg))}[name]
         samples = kernels._slice(K, box.dim, True) + 1000
-        assert samples < kernels._batch(K * box.dim)
+        assert samples < kernels._BATCH_ELEMENTS // (K * box.dim)
         cfg = SamplerConfig(9, samples)
         sliced = report(cfg)
         monkeypatch.setattr(kernels, "_SLICE_WORDS", K * samples)
@@ -1180,7 +1212,7 @@ class TestSlices:
 
 
 class TestSliceMemory:
-    """A box-point run holds one slice's buffers per running chunk, not a chunk's: the
+    """A box-point run holds one slice's buffers per slice running at once: the
     traced peak of a warmed call stays within two slices of int64 words per worker (the
     slice, its scratch of two draw blocks and every temporary), and on the Python-int
     path within that plus a slice's words as Python ints."""
@@ -1199,18 +1231,18 @@ class TestSliceMemory:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_box_pairs(self, workers):
-        box = BoxSpec(1009, 10 ** 4)  # 2000 pairs: two chunks of 8 and 8 slices
+        box = BoxSpec(1009, 10 ** 4)  # 2000 pairs: 16 slices
         peak = self._peak(lambda: box_pair_mean_report(box, SamplerConfig(3, 2000, workers)))
         assert peak <= 2 * self.SLICE_BYTES * workers
 
     def test_visibility(self):
-        box = BoxSpec(101, 10 ** 4)  # 2000 tuples of 3: one chunk of 3 slices
+        box = BoxSpec(101, 10 ** 4)  # 2000 tuples of 3: 3 slices
         peak = self._peak(lambda: visibility_concentration_report(box, 3, 0.05,
                                                                   SamplerConfig(3, 2000)))
         assert peak <= 2 * self.SLICE_BYTES
 
     def test_box_pairs_on_python_ints(self):
-        box = BoxSpec(1009, 2 ** 62)  # 300 pairs: one chunk of 3 slices
+        box = BoxSpec(1009, 2 ** 62)  # 300 pairs: 3 slices
         assert kernels.arithmetic_path(box.p, box.dim, 2 * box.N) == "object"
         peak = self._peak(lambda: box_pair_mean_report(box, SamplerConfig(3, 300)))
         # each word a pointer and an int of up to 2^126, the square of a difference

@@ -38,7 +38,7 @@ def _oracles(box):
             + mom.oracle_moments(box, north_pole_point(box)))
 
 
-# name -> workers -> report(s); sample counts past one chunk where that is cheap
+# name -> workers -> report(s); sample counts past one slice where that is cheap
 REPORTS = {
     "t4_origin": lambda w: con.theorem4_report(
         ORIGIN, BOX, F(1, 500), SamplerConfig(SEED, 30_000, w)),
