@@ -342,15 +342,18 @@ def right_angle_report(alpha: CyclotomicInt, box: BoxSpec, eps_cos: float,
     # a and b bring each norm under 2^500, so their float product cannot overflow, and
     # twice stays below 2^501 by Cauchy-Schwarz.  Below that size a = b = 0 and nothing moves.
     a, b = (max(0, (n.bit_length() - 499) // 2) for n in (na, nb_bound))
-    cos_parts = []  # each slice's |cos|; their median does not depend on slice order
+    abs_cos = np.empty(cfg.sample_count)  # every sample's |cos|, written slice by slice
+    filled = 0  # samples written: packed-vertex slices run in order on the calling thread
 
     def near_right(d2_alpha, pcx):  # |cos| <= eps_cos, exactly: twice^2 ed2 <= 4 en2 na nb
+        nonlocal filled
         nb = origin.dist_sq(None, pcx)
         twice = kernels.lift(nb, twice_bound) + na - d2_alpha
         tw = kernels.lift(twice, compare_bound)
         tw_f = (twice / (1 << (a + b))).astype(np.float64, copy=False)
         nb_f = (nb / (1 << 2 * b)).astype(np.float64, copy=False)
-        cos_parts.append(np.abs(tw_f / 2) / np.sqrt(na / (1 << 2 * a) * nb_f))
+        abs_cos[filled:filled + len(nb_f)] = np.abs(tw_f / 2) / np.sqrt(na / (1 << 2 * a) * nb_f)
+        filled += len(nb_f)
         return tw * tw * ed2 <= 4 * en2 * na * kernels.lift(nb, compare_bound)
 
     leg = ((0, kernels.APEX, (near_right,)),)
@@ -362,7 +365,7 @@ def right_angle_report(alpha: CyclotomicInt, box: BoxSpec, eps_cos: float,
         alpha=_alpha_label(alpha), eps=eps_frac,
         extra={
             "eps_cos": float(eps_cos),
-            "median_abs_cos": float(np.median(np.concatenate(cos_parts))),
+            "median_abs_cos": float(np.median(abs_cos, overwrite_input=True)),
             "origin_dist_sq": f"{d_origin.numerator}/{d_origin.denominator}",
             "origin_dist": math.sqrt(d_origin),
             "decay_proxy": 2.0 * math.sqrt(3.0 / box.p),

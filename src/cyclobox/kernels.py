@@ -48,6 +48,7 @@ per-point sums.
 
 from __future__ import annotations
 
+import os
 from collections import defaultdict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -329,13 +330,16 @@ def run_chunks(fn, total: int, workers: int, K: int, dim: int, packed: bool) -> 
     vertex-laws benchmark read 13-27 % slower at two workers than at one).  Box-point
     slices hold up to `_SLICE_WORDS` int64 coefficients and keep the pool.  Each
     running slice holds its own set of `run_buffers`, so no slice allocates an array
-    of its size.  At most workers + 1 slices wait to be read, so the pending tasks,
+    of its size.  The pool has at most one thread per core (`os.cpu_count`): a thread
+    more gains nothing and holds another set, about 3 MB at p = 1009, so any worker
+    count is safe.  At most workers + 1 slices wait to be read, so the pending tasks,
     about 1.5 KB each, do not grow with `total`.
     """
     step = _slice(K, dim, packed)
     spans = ((lo, min(lo + step, total)) for lo in range(0, total, step))
     if workers <= 1 or total <= step:
         return [fn(*span) for span in spans]
+    workers = min(workers, os.cpu_count() or 1)
     parts, pending = [], deque()
     with ThreadPoolExecutor(max_workers=workers) as ex:
         for span in spans:

@@ -152,6 +152,14 @@ class TestCommands:
         assert "visible_fraction" in out
         assert code in (0, 3)
 
+    def test_a_million_workers_emit_the_payload_of_one(self, capsys):
+        """A pool has a thread per core at most, so any `--workers` is safe, and the
+        payload is that of one worker but for its worker_count."""
+        argv = ("visibility", "--p", "101", "--N", "10000", "--samples", "2000", "--seed", "4")
+        payloads = [json.loads(run(capsys, *argv, "--workers", w)[1]) for w in ("1", "1000000")]
+        assert [payload.pop("worker_count") for payload in payloads] == [1, 10 ** 6]
+        assert payloads[0] == payloads[1]
+
     def test_polytopes_command(self, capsys):
         code, out, _ = run(
             capsys, "polytopes", "--p", "211", "--K", "3", "--eta", "0.1",

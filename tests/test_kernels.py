@@ -959,8 +959,9 @@ class TestKernelsLeaveTheirInputs:
 @pytest.fixture
 def pools(monkeypatch):
     """The worker count of each pool built, counted by a stand-in for
-    `kernels.ThreadPoolExecutor`."""
+    `kernels.ThreadPoolExecutor`, on two cores: a pool has a thread per core at most."""
     built = []
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 2)
 
     class CountingPool(ThreadPoolExecutor):
         def __init__(self, max_workers):
@@ -1072,6 +1073,16 @@ class TestThreadUse:
         assert slice_counts == [self.PAIR_SLICES] * 2 and pools == [2]
         assert results[0] == results[1] == box_pair_mean_report(box, cfg)
 
+    def test_a_pool_has_at_most_one_thread_per_core(self, monkeypatch, pools, slice_counts):
+        """A million workers on two cores build a pool of two threads, which hold two
+        buffer sets, and the mean is that of one worker."""
+        box = BoxSpec(1009, 3)
+        one = box_pair_mean_report(box, SamplerConfig(2, 2100, 1))
+        held, drawn = _track_buffer_sets(monkeypatch, pause=0.05)
+        assert box_pair_mean_report(box, SamplerConfig(2, 2100, 10 ** 6)) == one
+        assert len({scratch.ctypes.data for _, scratch in drawn}) == 2 and not held
+        assert pools == [2] and slice_counts == [self.PAIR_SLICES] * 2
+
     def test_exhaustive_reports_build_no_pool(self, pools, slice_counts):
         for sweep, p in ((_t5_sweep, 11), (_t4_sweep, 17)):
             assert replace(sweep(p, 2), worker_count=1) == sweep(p, 1)
@@ -1150,9 +1161,10 @@ class TestSlices:
         return got[0]
 
     def test_pooled_slices_under_a_short_switch_interval(self, monkeypatch, slice_counts):
-        """Four workers on two cores, switching threads every microsecond, over 24 slices
-        of 3 pairs, the last of one: no slice draws into a set another holds, and the
-        mean is that of one worker."""
+        """Four threads, twice what two cores run at once, switching every microsecond,
+        over 24 slices of 3 pairs, the last of one: no slice draws into a set another
+        holds, and the mean is that of one worker."""
+        monkeypatch.setattr(kernels.os, "cpu_count", lambda: 4)  # a pool of four threads
         box = BoxSpec(67, 2 ** 40)
         width = 2 * box.dim
         monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", 10 * width)
@@ -1240,6 +1252,14 @@ class TestSliceMemory:
         peak = self._peak(lambda: visibility_concentration_report(box, 3, 0.05,
                                                                   SamplerConfig(3, 2000)))
         assert peak <= 2 * self.SLICE_BYTES
+
+    def test_right_angles(self):
+        """Right angles keep each sample's |cos|, 8 bytes, for their median, and one
+        slice's buffers and temporaries: not every slice's |cos| and their concatenation."""
+        box, samples = BoxSpec(211, 1), 10 ** 6  # 101 slices of up to 9986 samples
+        pole = core.north_pole_point(box)
+        peak = self._peak(lambda: right_angle_report(pole, box, 0.125, SamplerConfig(3, samples)))
+        assert peak <= 8 * samples + self.SLICE_BYTES
 
     def test_box_pairs_on_python_ints(self):
         box = BoxSpec(1009, 2 ** 62)  # 300 pairs: 3 slices
