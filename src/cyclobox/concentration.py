@@ -343,7 +343,7 @@ def right_angle_report(alpha: CyclotomicInt, box: BoxSpec, eps_cos: float,
     # twice stays below 2^501 by Cauchy-Schwarz.  Below that size a = b = 0 and nothing moves.
     a, b = (max(0, (n.bit_length() - 499) // 2) for n in (na, nb_bound))
     abs_cos = np.empty(cfg.sample_count)  # every sample's |cos|, written slice by slice
-    filled = 0  # samples written: packed-vertex slices run in order on the calling thread
+    filled = 0  # samples written: `run_chunks` runs packed-vertex slices in order, on one thread
 
     def near_right(d2_alpha, pcx):  # |cos| <= eps_cos, exactly: twice^2 ed2 <= 4 en2 na nb
         nonlocal filled

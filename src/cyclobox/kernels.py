@@ -22,11 +22,13 @@ or an array `lift` passed through: a fresh temporary per step faults its pages
 in again whenever glibc has trimmed the heap since the last one (`vertex_dist_sq`
 on 2^18 vertex pairs at p = 11 took 2,080 minor faults and 9-10 ms with fresh
 temporaries, 1,056 and 5.4 ms without, on a 2-core x86-64 machine).  A sampled
-run makes no slice-sized array per slice: it owns `run_buffers`, a points buffer and
-a scratch for its largest slice.  A packed-vertex slice draws its words into the
-buffer and forms x ^ y and x & M_c in the scratch; a box-point slice draws its points
-into the buffer through the scratch (`rng.box_offsets_at`), and `dist_sq` then forms
-the differences and low limbs there, a block of `rng.block_rows(dim)` rows at a time.
+run makes no slice-sized array per slice: each thread that runs slices owns one set
+of `run_buffers`, a points buffer and a scratch for the run's largest slice.  A
+packed-vertex slice draws its words into the buffer and forms x ^ y and x & M_c in
+the scratch; a box-point slice draws its points into the buffer through the scratch
+(`rng.box_offsets_at`), and `dist_sq` then forms the differences and low limbs
+there, a block of `rng.block_rows(dim)` rows at a time (on the Python-int path,
+each block's differences as Python ints).
 Only the (count,) results, the uint8 bit counts and the draws' retry rounds are new.
 A box-point slice holds 2 MB of points where the batch budget would allow 16 MB.
 Buffer and scratch are one allocation: glibc then serves the next run's from the pages
@@ -34,9 +36,8 @@ this run frees, where two separate buffers are given back to the system and faul
 in again by every run (per warmed pass of the vertex-laws benchmark: 3,571 minor
 faults with per-slice arrays, 1,052 with two buffers, 0 with one; of the exact
 benchmark, whose box-pair cell had drawn fresh points: 1,532 before box-point runs
-owned theirs, 2 after).  Pooled box-point slices take a set per slice running at
-once.  `popcount` contracts the per-word bit counts in one einsum, for all K members
-of a slice at once.
+owned theirs, 2 after).  `popcount` contracts the per-word bit counts in one einsum,
+for all K members of a slice at once.
 Every exact vertex law reads `vertex_orbits` and adds its weighted values with
 `weighted_sum`: exhaustive T4 and T5 in `tally`, the moment oracle and the
 cancellation sums; only the renderer lists every vertex (`vertex_matrix`).  A
@@ -49,7 +50,7 @@ per-point sums.
 from __future__ import annotations
 
 import os
-from collections import defaultdict, deque
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate, combinations, groupby
@@ -125,36 +126,30 @@ def arithmetic_path(p: int, dim: int, m: int) -> str:
     return "object"
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...j,...j->...", a, b)
-
-
 def dist_sq(p: int, x: np.ndarray, y, m: int,
             scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """Exact d^2(x, y) over the broadcast rows of x and y, given |x_j - y_j| <= m.
-    On the int64 and "limbs" paths the rows are reduced in blocks of
-    `rng.block_rows(dim)` rows, each block's difference (and on the "limbs" path its
-    low limbs) formed in `scratch`, a contiguous 8-byte array with room for two
-    blocks, or in a new one; only the row sums are of the rows' size.  On the "limbs"
-    path q = (sum h^2 << 2k) + (sum hl << k+1) + sum l^2, and only these row sums and
-    s become Python ints."""
+    """Exact d^2(x, y) over the broadcast rows of x and y, given |x_j - y_j| <= m, in
+    blocks of `rng.block_rows(dim)` rows: each block's difference (and on the "limbs"
+    path its low limbs) is formed in `scratch`, a contiguous 8-byte array with room
+    for two blocks, or in a new one, and only the row sums are of the rows' size.  On
+    the "limbs" path q = (sum h^2 << 2k) + (sum hl << k+1) + sum l^2, and only these
+    row sums and s become Python ints.  On the "object" path the scratch is a new
+    array of Python ints, so that a slice's differences are lifted one block at a time."""
     dim = x.shape[-1]
     bound = dist_sq_bound(p, dim, m)
     path = arithmetic_path(p, dim, m)
-    if path == "object":
-        diff = lift(lift(x, m) - y, bound)
-        return _combine(p, _row_dot(diff, diff), np.einsum("...j->...", diff))
     shape = np.broadcast_shapes(x.shape, np.shape(y))
     x, y = (np.broadcast_to(a, shape).reshape(-1, dim) for a in (x, y))
     count, step = len(x), rng.block_rows(dim)
-    if scratch is None:
-        scratch = np.empty(2 * min(count, step) * dim, dtype=np.int64)
+    dtype = object if path == "object" else np.int64
+    if scratch is None or dtype is object:
+        scratch = np.empty(2 * min(count, step) * dim, dtype=dtype)
     limbs, k = path == "limbs", _limb_bits(m)
-    sums = np.empty((4 if limbs else 2, count), dtype=np.int64)  # s, then q or hh, hl, ll
+    sums = np.empty((4 if limbs else 2, count), dtype=dtype)  # s, then q or hh, hl, ll
     for lo in range(0, count, step):
         hi = min(lo + step, count)
-        diff, low = _into(scratch.view(np.int64), (2, hi - lo, dim))
-        np.subtract(x[lo:hi], y[lo:hi], out=diff)
+        diff, low = _into(scratch.view(dtype), (2, hi - lo, dim))
+        np.subtract(x[lo:hi], y[lo:hi], out=diff, dtype=dtype)
         np.einsum("ij->i", diff, out=sums[0, lo:hi])
         if limbs:
             np.bitwise_and(diff, (1 << k) - 1, out=low)
@@ -317,37 +312,45 @@ def _slice(K: int, dim: int, packed: bool) -> int:
 
 
 def run_chunks(fn, total: int, workers: int, K: int, dim: int, packed: bool) -> list:
-    """[fn(lo, hi)] over the slices of [0, total), in order.
+    """[fn(lo, hi, buffers)] over the slices of [0, total): in slice order from the
+    calling thread, grouped by thread from a pool.
 
-    Slices, `_slice` samples of K points each but the last, are the pool's tasks, and
+    Slices, `_slice` samples of K points each but the last, are the unit of work, and
     their split depends only on `total` and the row width.  Tallies are exact sums
     over samples that read their own streams, so results do not depend on the worker
-    count or the split.  This is the one place a thread pool is made.  Callers whose
-    slices are sampled packed vertices pass workers = 1: such a slice is sized by its
-    K * dim coefficients but holds K * ceil(dim / 64) words (2080 x 16 words, about
-    256 KB, at p = 1009), about 1/64 of the budget, and its 30-60 us numpy steps cost
-    more in GIL handoffs between two threads than the second thread saves (the
-    vertex-laws benchmark read 13-27 % slower at two workers than at one).  Box-point
-    slices hold up to `_SLICE_WORDS` int64 coefficients and keep the pool.  Each
-    running slice holds its own set of `run_buffers`, so no slice allocates an array
-    of its size.  The pool has at most one thread per core (`os.cpu_count`): a thread
-    more gains nothing and holds another set, about 3 MB at p = 1009, so any worker
-    count is safe.  At most workers + 1 slices wait to be read, so the pending tasks,
-    about 1.5 KB each, do not grow with `total`.
+    count or the split.  This is the one place a thread pool is made.  Each thread
+    that runs slices owns one set of `run_buffers`, which it hands to every slice it
+    runs, so no slice allocates an array of its size; the threads of a pool take
+    their slices from one shared list iterator, whose next span the GIL gives to
+    exactly one of them, and a slice that raises ends the list.  The pool has at
+    most one thread per core (`os.cpu_count`) and one task per thread: a thread more
+    gains nothing and holds another set, about 3 MB at p = 1009, so any worker count
+    is safe.  Slices of sampled packed vertices (`packed`) run on the calling thread
+    at any worker count: such a slice is sized by its K * dim coefficients but holds
+    K * ceil(dim / 64) words (2080 x 16 words, about 256 KB, at p = 1009), about 1/64
+    of the budget, and its 30-60 us numpy steps cost more in GIL handoffs between two
+    threads than the second thread saves (the vertex-laws benchmark read 13-27 %
+    slower at two workers than at one).  Box-point slices hold up to `_SLICE_WORDS`
+    int64 coefficients and keep the pool.
     """
     step = _slice(K, dim, packed)
-    spans = ((lo, min(lo + step, total)) for lo in range(0, total, step))
-    if workers <= 1 or total <= step:
-        return [fn(*span) for span in spans]
-    workers = min(workers, os.cpu_count() or 1)
-    parts, pending = [], deque()
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        for span in spans:
-            pending.append(ex.submit(fn, *span))
-            if len(pending) > workers:
-                parts.append(pending.popleft().result())
-        parts += [future.result() for future in pending]
-    return parts
+    spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+    threads = 1 if packed else min(workers, os.cpu_count() or 1, len(spans))
+    todo = iter(spans)
+
+    def drain():
+        buffers = run_buffers(total, K, dim, packed)
+        try:
+            return [fn(lo, hi, buffers) for lo, hi in todo]
+        except BaseException:
+            spans.clear()  # ends `todo`: the other threads start no further slice
+            raise
+
+    if threads <= 1:
+        return drain()
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        futures = [ex.submit(drain) for _ in range(threads)]
+    return [part for future in futures for part in future.result()]
 
 
 def run_buffers(total: int, K: int, dim: int, packed: bool) -> tuple:
@@ -356,10 +359,10 @@ def run_buffers(total: int, K: int, dim: int, packed: bool) -> tuple:
     words buffer and a scratch of a row of ceil(dim/64) words for every vertex of that
     slice; box points get an int64 points buffer of a row of `dim` for every point and
     a scratch of two blocks of `rng.block_rows(dim)` rows, the work area of the draw
-    and then of `dist_sq`.  The run makes them when it starts, hands them to every
-    slice and drops them when it returns.  Each pair is the two parts of one
-    allocation, so that a run reuses the pages the last run freed (see the module
-    docstring)."""
+    and then of `dist_sq`.  Each thread that runs slices makes one set when it starts
+    (`run_chunks`), hands it to every slice it runs and drops it when it is done.
+    Each pair is the two parts of one allocation, so that a run reuses the pages the
+    last run freed (see the module docstring)."""
     rows = K * min(total, _slice(K, dim, packed))
     if packed:
         words, scratch = np.empty((2, rows, (dim + 63) // 64), dtype=np.uint64)
@@ -373,7 +376,7 @@ def draw_vertices(box: BoxSpec, K: int, seed: int, start: int, stop: int,
                   out: Optional[np.ndarray] = None,
                   scratch: Optional[np.ndarray] = None) -> tuple:
     """Uniform vertices as packed sign words; member m of sample i reads stream K*i + m.
-    With the `run_buffers` of the run, the words are a view of `out`."""
+    With its thread's `run_buffers`, the words are a view of `out`."""
     count = stop - start
     words = rng.vertex_words(seed, K * start, K * count, box.dim, out, scratch)
     return words.reshape(count, K, -1), count
@@ -382,8 +385,8 @@ def draw_vertices(box: BoxSpec, K: int, seed: int, start: int, stop: int,
 def draw_box_points(box: BoxSpec, K: int, seed: int, start: int, stop: int,
                     out: Optional[np.ndarray] = None,
                     scratch: Optional[np.ndarray] = None) -> tuple:
-    """Uniform box points; member m of sample i reads stream K*i + m.  With the
-    `run_buffers` of the run, the points are a view of `out`, drawn through `scratch`."""
+    """Uniform box points; member m of sample i reads stream K*i + m.  With its
+    thread's `run_buffers`, the points are a view of `out`, drawn through `scratch`."""
     count = stop - start
     pts = rng.box_offsets(seed, K * start, K * count, box.dim, box.N, out, scratch)
     return pts.reshape(count, K, box.dim), count
@@ -439,7 +442,7 @@ class EdgeSpec:
     draw(box, K, seed, start, stop, out, scratch) -> ((count, K, width) points,
     tuples drawn), where a point is `dim` coefficients, or packed sign words if
     uint64 (a vertex, drawn only by `draw_vertices`), and out and scratch are the
-    run's `run_buffers`.
+    `run_buffers` of the thread that runs the slice.
     In place of a draw, the (tuples, total, weights) of `vertex_orbits` give the exact law.
     Edge (j, k, tests) joins points j and k (k == APEX: the fixed `apex`, met as a
     `PackedApex`, so an apex leg needs the apex and vertex points) and must pass
@@ -472,10 +475,9 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
     `vertex_orbits` run as one batch, so seed, total and workers do not matter, and a
     tuple of weight w counts w hits and w d^2.  Before any draw the plan refuses an
     apex leg without an apex or over box points, and makes each interval a predicate.
-    A sampled slice draws into, and its kernels work in, a set of `run_buffers` that
-    no other running slice holds: the run makes one, a slice that finds every set
-    held makes another.  Slices of `draw_vertices` run on the calling thread (see
-    `run_chunks`); box-point slices use the pool."""
+    A sampled slice draws into, and its kernels work in, the `run_buffers` of the
+    thread that runs it, which `run_chunks` hands it; `tally` only sums the slices'
+    results."""
     box = spec.box
     p, d2 = box.p, box.diameter_sq()
     drawn = callable(spec.draw)
@@ -490,10 +492,6 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
     plan = [(j, k, apex.bound if k == APEX else dist_sq_bound(p, box.dim, 2 * box.N),
              [test if callable(test) else _in_range(*test.members(d2)) for test in tests])
             for j, k, tests in spec.edges]
-
-    # the run_buffers sets that no running slice holds: the run's own, made here, and
-    # one more for each slice that finds them all held
-    idle = [run_buffers(total, spec.K, box.dim, packed)] if drawn else []
 
     def edge_dist_sq(members, pcs, j, k, scratch):
         if k == APEX:
@@ -518,16 +516,12 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
         hits = (np.count_nonzero(row) if weights is None else np.sum(weights[row]) for row in ok)
         return (attempts, d2_sum, *map(int, hits))
 
-    def one_slice(lo, hi):
-        buffers = idle.pop() if idle else run_buffers(total, spec.K, box.dim, packed)
-        try:
-            return work(*spec.draw(box, spec.K, seed, lo, hi, *buffers), scratch=buffers[1])
-        finally:
-            idle.append(buffers)  # list pop and append are atomic: no lock
+    def one_slice(lo, hi, buffers):
+        return work(*spec.draw(box, spec.K, seed, lo, hi, *buffers), scratch=buffers[1])
 
-    if not drawn:
+    if drawn:
+        parts = run_chunks(one_slice, total, workers, spec.K, box.dim, packed)
+    else:
         parts = [work(*spec.draw)]
-    else:  # packed-vertex slices run on the calling thread
-        parts = run_chunks(one_slice, total, 1 if packed else workers, spec.K, box.dim, packed)
     attempts, d2_sum, *hits = map(sum, zip(*parts))
     return Tally(tuple(hits), attempts, d2_sum)

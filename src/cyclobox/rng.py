@@ -27,13 +27,14 @@ returns it: a fresh temporary per step of a (count, dim) draw costs a page
 fault per 4 KB whenever glibc has trimmed the heap since the last draw.  So
 each caller hands the round an array of its own: `words` the sum it has just
 formed, `box_offsets_at` a copy of its keyed counters, which the retry rounds
-read again.  A sampled run of `kernels.tally` goes further: it owns its
-slices' buffers, made once for its largest slice (`kernels.run_buffers`).
-`vertex_words` writes each slice's words into the run's words buffer and mixes
-them there with the scratch as the shift buffer.  `box_offsets_at` mixes each
-block's values in the rows of the run's points buffer they end in, and keeps the
-keyed counters and the shift buffer in a work area of two blocks; only its retry
-rounds, a fraction of a block, make arrays of their own.  So a slice allocates nothing of its size.
+read again.  A sampled run of `kernels.tally` goes further: each thread that
+runs its slices owns one buffer set, made once for the run's largest slice
+(`kernels.run_buffers`).  `vertex_words` writes each slice's words into the
+set's words buffer and mixes them there with the scratch as the shift buffer.
+`box_offsets_at` mixes each block's values in the rows of the set's points
+buffer they end in, and keeps the keyed counters and the shift buffer in a work
+area of two blocks; only its retry rounds, a fraction of a block, make arrays of
+their own.  So a slice allocates nothing of its size.
 """
 
 from __future__ import annotations

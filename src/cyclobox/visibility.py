@@ -109,9 +109,10 @@ def _sample_visible_tuples(box: BoxSpec, K: int, seed: int, start: int, stop: in
     Tuple t, retry a, member m reads stream (t*max_attempts + a)*K + m, so
     the result is a pure function of (seed, t).  Returns the points and the
     number of draw attempts made, in the form of an `EdgeSpec` draw: with the
-    `kernels.run_buffers` that `kernels.tally` hands each slice, the first
-    attempt is drawn straight into `out`, through `scratch`, and each retry
-    redraws and scatters only the tuples still rejected.
+    `kernels.run_buffers` of the thread that runs the slice, which
+    `kernels.run_chunks` hands it, the first attempt is drawn straight into
+    `out`, through `scratch`, and each retry redraws and scatters only the
+    tuples still rejected.
     """
     _require_tuple_streams(K, stop, max_attempts)
     count = stop - start

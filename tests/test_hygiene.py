@@ -120,11 +120,17 @@ def test_thread_pools_are_made_only_in_run_chunks():
     _read_only_in("ThreadPoolExecutor", "run_chunks")
 
 
-@pytest.mark.parametrize("name", ["run_chunks", "run_buffers"])
-def test_slices_are_run_only_in_tally(name):
+def test_slices_are_run_only_in_tally():
     """One sampling engine: `kernels.tally` is the only code that reads the slice
-    runner and the run buffers, so no report grows a sampling loop of its own."""
-    _read_only_in(name, "tally")
+    runner, so no report grows a sampling loop of its own."""
+    _read_only_in("run_chunks", "tally")
+
+
+def test_run_buffers_are_read_only_in_run_chunks():
+    """One owner of the buffer sets: `kernels.run_chunks` is the only code that reads
+    `run_buffers`, so each thread that runs slices makes one set and no slice or
+    report makes another."""
+    _read_only_in("run_buffers", "run_chunks")
 
 
 def test_bits_are_counted_only_in_popcount():

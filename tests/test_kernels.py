@@ -1054,6 +1054,60 @@ class TestThreadUse:
         assert box_pair_mean_report(box, SamplerConfig(2, 2100, 2)) == one
         assert pools == [2] and slice_counts == [self.PAIR_SLICES] * 2
 
+    def test_a_pool_runs_one_task_per_thread(self, monkeypatch, pools, slice_counts):
+        """A pooled run submits one task per pool thread, and each makes one buffer set
+        and takes its slices from the run's shared list: 17 slices at two workers are
+        2 tasks and 2 sets, and one worker makes 1 set and no pool."""
+        submitted, sets = [], []
+
+        def submitting(pool, fn, *args, submit=kernels.ThreadPoolExecutor.submit):
+            submitted.append(fn)
+            return submit(pool, fn, *args)
+
+        def making(*args, run_buffers=kernels.run_buffers):
+            sets.append(args)
+            return run_buffers(*args)
+
+        monkeypatch.setattr(kernels.ThreadPoolExecutor, "submit", submitting)
+        monkeypatch.setattr(kernels, "run_buffers", making)
+        box = BoxSpec(1009, 3)
+        one = box_pair_mean_report(box, SamplerConfig(2, 2100, 1))
+        assert len(sets) == 1 and submitted == []
+        sets.clear()
+        assert box_pair_mean_report(box, SamplerConfig(2, 2100, 2)) == one
+        assert len(submitted) == 2 and len(sets) == 2
+        assert pools == [2] and slice_counts == [self.PAIR_SLICES] * 2
+
+    def test_an_error_in_a_pooled_slice_reaches_the_caller(self, monkeypatch, pools):
+        """A slice that raises on a pool thread raises in the caller, and the pool's
+        threads have ended when it does."""
+        box = BoxSpec(5, 3)  # about a third of the tuples are redrawn
+        monkeypatch.setattr(kernels, "_SLICE_WORDS", 10 * 3 * box.dim)
+        assert kernels._slice(3, box.dim, False) == 10  # 30 tuples: 3 slices
+        before = threading.active_count()
+        with pytest.raises(GuardError, match="within 1 attempts"):
+            visibility_concentration_report(box, 3, 0.2, SamplerConfig(5, 30, 2), max_attempts=1)
+        assert threading.active_count() == before
+        assert pools == [2]
+
+    def test_a_failed_slice_ends_the_pooled_run(self, monkeypatch, pools):
+        """Once a pooled slice raises, the other threads start no further slice: of
+        100 slices, each of which sleeps 1 ms, the first raises before its draw."""
+        box, drawn = BoxSpec(5, 3), []
+
+        def drawing(box, K, seed, start, stop, out, scratch, draw=kernels.draw_box_points):
+            if start == 0:
+                raise GuardError("the first slice fails")
+            drawn.append(start)
+            time.sleep(1e-3)
+            return draw(box, K, seed, start, stop, out, scratch)
+
+        monkeypatch.setattr(kernels, "draw_box_points", drawing)
+        monkeypatch.setattr(kernels, "_SLICE_WORDS", 2 * box.dim)  # slices of one pair
+        with pytest.raises(GuardError, match="first slice"):
+            box_pair_mean_report(box, SamplerConfig(5, 100, 2))
+        assert pools == [2] and len(drawn) < 50
+
     def test_box_pair_chunks_running_at_once_hold_their_own_buffers(self, monkeypatch, pools,
                                                                     slice_counts):
         """A box-pair slice holds a buffer set from its draw to its one kernel call, and
@@ -1224,10 +1278,10 @@ class TestSlices:
 
 
 class TestSliceMemory:
-    """A box-point run holds one slice's buffers per slice running at once: the
+    """A box-point run holds one set of slice buffers per thread that runs slices: the
     traced peak of a warmed call stays within two slices of int64 words per worker (the
     slice, its scratch of two draw blocks and every temporary), and on the Python-int
-    path within that plus a slice's words as Python ints."""
+    path within that plus one block's words as Python ints."""
 
     SLICE_BYTES = 8 * kernels._SLICE_WORDS
 
@@ -1265,6 +1319,8 @@ class TestSliceMemory:
         box = BoxSpec(1009, 2 ** 62)  # 300 pairs: 3 slices
         assert kernels.arithmetic_path(box.p, box.dim, 2 * box.N) == "object"
         peak = self._peak(lambda: box_pair_mean_report(box, SamplerConfig(3, 300)))
-        # each word a pointer and an int of up to 2^126, the square of a difference
-        as_ints = kernels._SLICE_WORDS * (8 + sys.getsizeof(2 ** 126))
+        # one block of differences lifted at a time, not the slice's 2^18 words: each
+        # word of the block two pointers (the scratch has room for two blocks) and an
+        # int of up to 2^126, the square of a difference
+        as_ints = rng._BLOCK_WORDS * (2 * 8 + sys.getsizeof(2 ** 126))
         assert peak <= 2 * self.SLICE_BYTES + as_ints
