@@ -2,7 +2,7 @@
 
 Subcommands:
   moments     exact closed-form moment values
-  verify      formula-vs-oracle certification (exact sums over vertex orbits)
+  verify      formula-vs-oracle certification (exact sums over vertex states)
   sample      interval-concentration sampling runs (--theorem t4|t5|isosceles)
   angles      right central angles from a fixed point to random vertices
   polytopes   K-polytope super-regularity

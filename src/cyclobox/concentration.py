@@ -234,7 +234,7 @@ def _leg_report(theorem: str, alpha: CyclotomicInt, box: BoxSpec, eps, cfg: Samp
     eps = Fraction(eps)
     bound = _bound(box.p, eps, constant)
     a_val = avg_point_to_vertices(alpha, box)
-    draw = kernels.vertex_orbits(box, alpha.coeffs) if exhaustive else kernels.draw_vertices
+    draw = None if exhaustive else kernels.draw_vertices
     legs = tuple((j, kernels.APEX, (IntervalSpec(a_val, eps),)) for j in range(K))
     spec = kernels.EdgeSpec(box, K, draw, legs, apex=alpha.coeffs)
     result = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count)
@@ -267,7 +267,7 @@ def vertex_pair_report(box: BoxSpec, eps, cfg: SamplerConfig,
     eps = Fraction(eps)
     bound = _bound(box.p, eps, 2)
     a_vv = avg_vertex_pairs(box)
-    draw = kernels.vertex_orbits(box) if exhaustive else kernels.draw_vertices
+    draw = None if exhaustive else kernels.draw_vertices
     intervals = (IntervalSpec(a_vv, eps), IntervalSpec(Fraction(1, 2), eps))
     spec = kernels.EdgeSpec(box, 2, draw, ((0, 1, intervals),))
     result = kernels.tally(spec, cfg.seed, cfg.sample_count, cfg.worker_count)

@@ -14,8 +14,8 @@ and q and s come from popcounts of whole rows.  `tally`, the engine of every
 sampled report, runs an `EdgeSpec` through `run_chunks`, a draw in slices of
 samples that depend only on the sample count and the row width, so tallies are
 the same for any worker count; an exhaustive law is one batch of
-`vertex_orbits`, one tuple per orbit of tuples that share every d^2, weighted by
-its size.  Slices of sampled packed vertices run on the calling thread (see
+`vertex_states`, one d^2 per state of the tuples that share it, weighted by the
+tuples in it.  Slices of sampled packed vertices run on the calling thread (see
 `run_chunks`).  Kernel steps scale and subtract in place, but only
 into temporaries they made (`_combine` into its q and s), never into an argument
 or an array `lift` passed through: a fresh temporary per step faults its pages
@@ -38,22 +38,22 @@ faults with per-slice arrays, 1,052 with two buffers, 0 with one; of the exact
 benchmark, whose box-pair cell had drawn fresh points: 1,532 before box-point runs
 owned theirs, 2 after).  `popcount` contracts the per-word bit counts in one einsum,
 for all K members of a slice at once.
-Every exact vertex law reads `vertex_orbits` and adds its weighted values with
+Every exact vertex law reads `vertex_states` and adds its weighted values with
 `weighted_sum`: exhaustive T4 and T5 in `tally`, the moment oracle and the
-cancellation sums; only the renderer lists every vertex (`vertex_matrix`).  A
-fixed point meets vertex rows only as a `PackedApex` and its mask sums, for apex
-legs (the angles' among them), point moments and the cancellation sums.  The
-box-pair oracle visits no pairs: `pair_totals` reads the exact d^2 total from
-per-point sums.
+cancellation sums; only the renderer lists every vertex (`vertex_matrix`).  A state
+fixes (pc(x ^ y), pc(x) - pc(y)) of a pair or (pc(x), L(x)) of a vertex met by a fixed
+point, which fix d^2.  Sampled vertex rows meet a fixed point only as a `PackedApex`
+and its mask sums, in apex legs (the angles' among them).  The box-pair oracle visits
+no pairs: `pair_totals` reads the exact d^2 total from per-point sums.
 """
 
 from __future__ import annotations
 
 import os
-from collections import defaultdict
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate, combinations, groupby
+from itertools import combinations
 from math import comb, prod
 from typing import Callable, Optional
 
@@ -398,33 +398,39 @@ def require_orbit_batch(count: int, K: int, dim: int) -> None:
         raise GuardError(f"refusing {count} orbits of {K} vertices (limit {_BATCH_ELEMENTS} words)")
 
 
-def vertex_orbits(box: BoxSpec, apex: Optional[tuple] = None) -> tuple:
-    """Every vertex pair (no apex) or vertex met by `apex`, as (tuples, total, weights):
-    a packed (K, words) tuple per orbit of tuples that share every d^2, the 2^(K dim)
-    tuples in all, and the orbit sizes, in int64 while that total fits.  Pair orbit
-    (a, b), for the a and b coordinates where x alone or y alone is +N, is x = bits
-    [0, a), y = bits [a, a+b), of size C(n, a+b) C(a+b, a) 2^(n-a-b), n = dim.  Apex
-    orbit (k_c) sets the first k_c of the m_c coordinates where alpha_j = c, for each
-    value c, of size prod_c C(m_c, k_c).  `require_orbit_batch` runs before any row."""
-    n = box.dim
+def vertex_states(box: BoxSpec, apex: Optional[tuple] = None) -> tuple:
+    """Every vertex pair (no apex) or vertex met by `apex`, as (d^2, u, v, weights, total,
+    bound): per state, its d^2, coordinates u and v and tuple count (int64 while the
+    2^(K dim) tuples' total fits), and a bound on d^2.  Pair state (a, t), 0 <= a <= t <=
+    n = dim: u = t = pc(x ^ y), v = 2a - t = pc(x) - pc(y), q = 4N^2 u, s = 2N v, and
+    C(n, t) C(t, a) 2^(n-t) pairs.  Apex state (k_c), k_c of the m_c coordinates with
+    alpha_j = c set for each value c: u = sum k_c = pc(x), v = sum c k_c = L(x), q = q0 -
+    4N v, s = 2N u - s0 (`PackedApex`), and prod_c C(m_c, k_c) vertices.  d^2 is
+    `_combine`(q, s).  `require_orbit_batch` runs before any state is built."""
+    n, N = box.dim, box.N
     if apex is None:
         require_orbit_batch((n + 1) * (n + 2) // 2, 2, n)
-        a, t = np.triu_indices(n + 1)  # every 0 <= a <= t = a + b <= n
-        weights = [comb(n, j) * comb(j, i) << n - j for i, j in zip(a.tolist(), t.tolist())]
-        prefix = np.bitwise_or.accumulate([_pack([], n)] + [_pack([j], n) for j in range(n)])
-        tuples = np.stack([prefix[a], prefix[t] ^ prefix[a]], axis=1)
-        return tuples, 1 << 2 * n, np.array(weights, dtype=exact_dtype(1 << 2 * n))
-    value = apex.__getitem__  # classes: the coordinates of each value of alpha
-    classes = [list(idx) for _, idx in groupby(sorted(range(n), key=value), key=value)]
-    require_orbit_batch(prod(len(idx) + 1 for idx in classes), 1, n)
-    rows, weights = _pack([], n)[None], np.ones(1, dtype=exact_dtype(1 << n))
-    for idx in classes:
-        prefix = np.bitwise_or.accumulate([_pack([], n)] + [_pack([j], n) for j in idx])
-        rows = (rows[:, None] | prefix).reshape(-1, rows.shape[1])
-        m = len(idx)  # the sizes C(m, k), k = 0 .. m, one product each
-        sizes = list(accumulate(range(m), lambda c, k: c * (m - k) // (k + 1), initial=1))
-        weights = np.multiply.outer(weights, sizes).ravel()
-    return rows[:, None], 1 << n, weights
+        total, bound = 1 << 2 * n, dist_sq_bound(box.p, n, 2 * N)
+        a, u = np.triu_indices(n + 1)  # every 0 <= a <= t <= n
+        weights = [comb(n, t) * comb(t, i) << n - t for i, t in zip(a.tolist(), u.tolist())]
+        weights, v = np.array(weights, dtype=exact_dtype(total)), 2 * a - u
+        q, s = lift(u, bound) * (4 * N * N), lift(v, bound) * (2 * N)
+    else:
+        classes = Counter(apex)  # m_c, the coordinates of each value c of alpha
+        require_orbit_batch(prod(m + 1 for m in classes.values()), 1, n)
+        point = PackedApex(box, apex)
+        total, bound = 1 << n, point.bound
+        u, v = np.zeros(1, np.int64), np.zeros(1, exact_dtype(bound))
+        weights = np.ones(1, exact_dtype(total))
+        for c, m in classes.items():  # k_c = 0 .. m_c, one outer step each
+            k = np.arange(m + 1)
+            u, v = np.add.outer(u, k).ravel(), np.add.outer(v, lift(k, bound) * c).ravel()
+            sizes = [1]  # C(m, j), each from the last: one `comb` per j took 18 s at m = 11578
+            for j in range(m):
+                sizes.append(sizes[-1] * (m - j) // (j + 1))
+            weights = np.multiply.outer(weights, sizes).ravel()
+        q, s = lift(v, bound) * (-4 * N) + point.q0, lift(u, bound) * (2 * N) - point.s0
+    return _combine(box.p, q, s), u, v, weights, total, bound
 
 
 # --- engine -------------------------------------------------------------------------
@@ -443,7 +449,7 @@ class EdgeSpec:
     tuples drawn), where a point is `dim` coefficients, or packed sign words if
     uint64 (a vertex, drawn only by `draw_vertices`), and out and scratch are the
     `run_buffers` of the thread that runs the slice.
-    In place of a draw, the (tuples, total, weights) of `vertex_orbits` give the exact law.
+    With draw None the law is exact: the `vertex_states` of a pair (K = 2) or leg (K = 1).
     Edge (j, k, tests) joins points j and k (k == APEX: the fixed `apex`, met as a
     `PackedApex`, so an apex leg needs the apex and vertex points) and must pass
     tests[v] for verdict v; every edge lists one test per verdict.  A test is an
@@ -452,7 +458,7 @@ class EdgeSpec:
 
     box: BoxSpec
     K: int
-    draw: Callable | tuple
+    draw: Optional[Callable]
     edges: tuple
     apex: Optional[tuple] = None
 
@@ -460,7 +466,7 @@ class EdgeSpec:
 @dataclass(frozen=True)
 class Tally:
     hits: tuple    # per verdict: samples whose every edge hits its interval
-    attempts: int  # K-tuples drawn, rejected ones included, or the orbits' weight
+    attempts: int  # K-tuples drawn, rejected ones included, or the states' weight
     d2_sum: int    # exact total of d^2 over all edges of all samples
 
 
@@ -471,27 +477,37 @@ def _in_range(lo: int, hi: int) -> Callable:
 
 def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
     """Run samples [0, total) of `spec`, the engine of every sampled report, in the
-    slices of `run_chunks` and sum their tallies.  The (tuples, total, weights) of
-    `vertex_orbits` run as one batch, so seed, total and workers do not matter, and a
-    tuple of weight w counts w hits and w d^2.  Before any draw the plan refuses an
-    apex leg without an apex or over box points, and makes each interval a predicate.
-    A sampled slice draws into, and its kernels work in, the `run_buffers` of the
-    thread that runs it, which `run_chunks` hands it; `tally` only sums the slices'
-    results."""
+    slices of `run_chunks` and sum their tallies; a sampled slice draws into, and its
+    kernels work in, the `run_buffers` `run_chunks` hands it.  An exact law (no draw)
+    applies the tests to the d^2 of its `vertex_states`, an apex predicate reading
+    pc(x) = u, and a state of weight w counts w hits and w d^2 per edge.  Before any
+    draw or state the plan refuses an apex leg without an apex or over box points, and
+    an exact law of another K or with a predicate on pair states, which fix no pc(x)."""
     box = spec.box
     p, d2 = box.p, box.diameter_sq()
-    drawn = callable(spec.draw)
-    packed = spec.draw is draw_vertices if drawn else spec.draw[0].dtype == np.uint64
+    packed = spec.draw is None or spec.draw is draw_vertices
     if any(k == APEX for _, k, _ in spec.edges):
         if spec.apex is None:
             raise ValueError("an apex leg (k == APEX) needs the spec's apex, and it has none")
         if not packed:
             raise ValueError("an apex leg needs vertex points (packed sign words)")
+    if spec.draw is None and (spec.K != (2 if spec.apex is None else 1) or (
+            spec.apex is None and any(callable(t) for e in spec.edges for t in e[2]))):
+        raise ValueError("an exact law is of one apex leg (K = 1) or one vertex pair "
+                         "(K = 2) without predicates: a pair state fixes no pc(x)")
     apex = None if spec.apex is None else PackedApex(box, spec.apex)
     verdicts = len(spec.edges[0][2])
     plan = [(j, k, apex.bound if k == APEX else dist_sq_bound(p, box.dim, 2 * box.N),
              [test if callable(test) else _in_range(*test.members(d2)) for test in tests])
             for j, k, tests in spec.edges]
+
+    if spec.draw is None:
+        vals, pcs, _, weights, attempts, bound = vertex_states(box, spec.apex)
+        ok = [True] * verdicts
+        for _, _, _, tests in plan:
+            ok = [row & test(vals, pcs) for row, test in zip(ok, tests)]
+        hits = tuple(int(np.sum(weights[row])) for row in ok)
+        return Tally(hits, attempts, len(plan) * weighted_sum(vals, weights, attempts, bound))
 
     def edge_dist_sq(members, pcs, j, k, scratch):
         if k == APEX:
@@ -500,7 +516,7 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
             return dist_sq(p, members[j], members[k], 2 * box.N, scratch)
         return vertex_dist_sq(box, members[j], members[k], pcs[:, j], pcs[:, k], scratch)
 
-    def work(pts, attempts, weights=None, scratch=None):  # (attempts, d^2 total, *hits)
+    def work(pts, attempts, scratch):  # (attempts, d^2 total, *hits)
         members = [pts[:, m] for m in range(pts.shape[1])]
         pcs = popcount(pts) if packed else None  # (count, K)
         ok = [True] * verdicts
@@ -509,19 +525,12 @@ def tally(spec: EdgeSpec, seed: int, total: int, workers: int) -> Tally:
             vals = edge_dist_sq(members, pcs, j, k, scratch)
             pcj = None if pcs is None else pcs[:, j]
             ok = [row & test(vals, pcj) for row, test in zip(ok, tests)]
-            if weights is None:
-                d2_sum += exact_sum(vals, bound)
-            else:
-                d2_sum += weighted_sum(vals, weights, attempts, bound)
-        hits = (np.count_nonzero(row) if weights is None else np.sum(weights[row]) for row in ok)
-        return (attempts, d2_sum, *map(int, hits))
+            d2_sum += exact_sum(vals, bound)
+        return (attempts, d2_sum, *(int(np.count_nonzero(row)) for row in ok))
 
     def one_slice(lo, hi, buffers):
-        return work(*spec.draw(box, spec.K, seed, lo, hi, *buffers), scratch=buffers[1])
+        return work(*spec.draw(box, spec.K, seed, lo, hi, *buffers), buffers[1])
 
-    if drawn:
-        parts = run_chunks(one_slice, total, workers, spec.K, box.dim, packed)
-    else:
-        parts = [work(*spec.draw)]
+    parts = run_chunks(one_slice, total, workers, spec.K, box.dim, packed)
     attempts, d2_sum, *hits = map(sum, zip(*parts))
     return Tally(tuple(hits), attempts, d2_sum)

@@ -15,12 +15,12 @@ results are asserted identical; the polynomial is easy to mistranscribe.
 
 The oracle recomputes each moment in exact integer arithmetic over the uniform
 law on the vertices, so a formula/oracle match is a zero-tolerance certificate at
-that (p, N).  It reads the law the exhaustive reports read: the weighted orbits of
-`kernels.vertex_orbits`, whose d^2 come from `kernels.vertex_dist_sq` (pairs) or
-`kernels.PackedApex.dist_sq` (a point).  The cancellation sums weight
-<a, s> = 2 L(x) + Tr(a), from the apex's mask sums, and sum s = 2 pc(x) - (p-1)
-over the +-1 signs s of the same orbits.  The orbits must fit one batch
-(`kernels.require_orbit_batch`): pairs do to p = 509, the north pole to p = 797.
+that (p, N).  It reads the law the exhaustive reports read: the weighted states of
+`kernels.vertex_states`, each with its exact d^2 and its coordinates u and v.  The
+cancellation sums weight <a, s> = 2 L(x) + Tr(a) = 2v + Tr(a) and
+sum s = 2 pc(x) - (p-1) = 2u - (p-1) over the +-1 signs s of the vertices of each
+state met by a point.  The states must fit one batch (`kernels.require_orbit_batch`):
+pairs do to p = 509, the north pole to p = 797.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from . import kernels
 from .core import BoxSpec, CyclotomicInt, FieldMismatchError
@@ -150,23 +148,15 @@ def closed_forms(box: BoxSpec, alpha: Optional[CyclotomicInt] = None) -> list:
 # --- exhaustive oracle -------------------------------------------------------
 
 def oracle_moments(box: BoxSpec, alpha: Optional[CyclotomicInt] = None) -> list:
-    """Recompute the `closed_forms` moments over the vertex orbits and pair them up.
+    """Recompute the `closed_forms` moments over the vertex states and pair them up.
 
     Oracle values are computed from exact integer power sums, so equality
     with the closed forms is literal rational equality.
     """
     forms = closed_forms(box, alpha)
     d2 = box.diameter_sq()
-    if alpha is None:
-        tuples, count, weights = kernels.vertex_orbits(box)
-        x, y = tuples[:, 0], tuples[:, 1]
-        vals = kernels.vertex_dist_sq(box, x, y, kernels.popcount(x), kernels.popcount(y))
-        bound = kernels.dist_sq_bound(box.p, box.dim, 2 * box.N)
-    else:
-        tuples, count, weights = kernels.vertex_orbits(box, alpha.coeffs)
-        apex = kernels.PackedApex(box, alpha.coeffs)
-        rows = tuples[:, 0]
-        vals, bound = apex.dist_sq(rows, kernels.popcount(rows)), apex.bound
+    apex = None if alpha is None else alpha.coeffs
+    vals, _, _, weights, count, bound = kernels.vertex_states(box, apex)
     sq = kernels.lift(vals, bound * bound)
     d2_sum = kernels.weighted_sum(vals, weights, count, bound)
     d4_sum = kernels.weighted_sum(sq * sq, weights, count, bound * bound)
@@ -200,19 +190,17 @@ class CancellationCheck:
 
 
 def oracle_cancellation_sums(alpha: CyclotomicInt, box: BoxSpec) -> CancellationCheck:
-    """Verify over the weighted vertex orbits the sums that cancel or collapse."""
+    """Verify over the weighted vertex states the sums that cancel or collapse."""
     _check_pair(alpha, box)
     p, N, dim = box.p, box.N, box.dim
-    tuples, nv, weights = kernels.vertex_orbits(box, alpha.coeffs)
-    rows = tuples[:, 0]
+    _, u, v, weights, nv, _ = kernels.vertex_states(box, alpha.coeffs)
     tr = alpha.trace()
-    # <a, s> = 2 L(x) + Tr(a), Tr(a) = -sum a_j, over the +-1 signs s of row x; 0 if a = 0
-    dots = np.broadcast_to(kernels.PackedApex(box, alpha.coeffs).mask_sum(rows, tr, 2), len(rows))
+    dots = 2 * v + tr  # <a, s> = 2 L(x) + Tr(a), Tr(a) = -sum a_j, over the signs s of x
     bound = dim * max(abs(c) for c in alpha.coeffs)  # on |<a, s>|
     lin = N * kernels.weighted_sum(dots, weights, nv, bound)
     quad = N * N * kernels.weighted_sum(kernels.lift(dots, bound * bound) ** 2, weights, nv,
                                         bound * bound)
-    srow = kernels.lift(2 * kernels.popcount(rows) - dim, dim ** 4)  # sum s, |sum s| <= dim
+    srow = kernels.lift(2 * u - dim, dim ** 4)  # sum s = 2 pc(x) - dim, |sum s| <= dim
     s2, s3, s4 = (N ** k * kernels.weighted_sum(srow ** k, weights, nv, dim ** k) for k in (2, 3, 4))
     return CancellationCheck(
         p=p,

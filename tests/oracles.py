@@ -5,7 +5,8 @@ Galois-conjugate summation, distances from the trace-embedding definition,
 moments from literal deviation sums over full enumerations, and visibility
 from a geometric segment walk.  The exhaustive vertex laws enumerate every
 vertex pair (numpy int64 rows) or every vertex met by a point (`core.dist_sq`
-on Python ints), not the orbits the reports count.
+on Python ints), not the states the reports count; `vertex_orbits` lists one
+packed representative of each state, for the packed distance kernels to measure.
 """
 
 import cmath
@@ -13,10 +14,12 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, groupby
+from math import comb, prod
 
 import numpy as np
 
-from cyclobox import core
+from cyclobox import core, kernels
 from cyclobox.concentration import IntervalSpec, within_sqrt_interval
 
 
@@ -109,6 +112,35 @@ def point_vertex_histogram(p, N, alpha_coeffs):
     `core.dist_sq` on Python ints per vertex."""
     alpha = core.CyclotomicInt(p, tuple(alpha_coeffs))
     return Counter(core.dist_sq(alpha, core.CyclotomicInt(p, v)) for v in iter_vertex_coeffs(p, N))
+
+
+def vertex_orbits(box, apex=None):
+    """Every vertex pair (no apex) or vertex met by `apex`, as (tuples, total, weights):
+    a packed (K, words) tuple per orbit of tuples that share every d^2, the 2^(K dim)
+    tuples in all, and the orbit sizes, in int64 while that total fits.  Pair orbit
+    (a, b), for the a and b coordinates where x alone or y alone is +N, is x = bits
+    [0, a), y = bits [a, a+b), of size C(n, a+b) C(a+b, a) 2^(n-a-b), n = dim.  Apex
+    orbit (k_c) sets the first k_c of the m_c coordinates where alpha_j = c, for each
+    value c, of size prod_c C(m_c, k_c).  `require_orbit_batch` runs before any row."""
+    n, pack = box.dim, kernels._pack
+    if apex is None:
+        kernels.require_orbit_batch((n + 1) * (n + 2) // 2, 2, n)
+        a, t = np.triu_indices(n + 1)  # every 0 <= a <= t = a + b <= n
+        weights = [comb(n, j) * comb(j, i) << n - j for i, j in zip(a.tolist(), t.tolist())]
+        prefix = np.bitwise_or.accumulate([pack([], n)] + [pack([j], n) for j in range(n)])
+        tuples = np.stack([prefix[a], prefix[t] ^ prefix[a]], axis=1)
+        return tuples, 1 << 2 * n, np.array(weights, dtype=kernels.exact_dtype(1 << 2 * n))
+    value = apex.__getitem__  # classes: the coordinates of each value of alpha
+    classes = [list(idx) for _, idx in groupby(sorted(range(n), key=value), key=value)]
+    kernels.require_orbit_batch(prod(len(idx) + 1 for idx in classes), 1, n)
+    rows, weights = pack([], n)[None], np.ones(1, dtype=kernels.exact_dtype(1 << n))
+    for idx in classes:
+        prefix = np.bitwise_or.accumulate([pack([], n)] + [pack([j], n) for j in idx])
+        rows = (rows[:, None] | prefix).reshape(-1, rows.shape[1])
+        m = len(idx)  # the sizes C(m, k), k = 0 .. m, one product each
+        sizes = list(accumulate(range(m), lambda c, k: c * (m - k) // (k + 1), initial=1))
+        weights = np.multiply.outer(weights, sizes).ravel()
+    return rows[:, None], 1 << n, weights
 
 
 def histogram_law(hist, p, N, center, eps):

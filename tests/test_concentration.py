@@ -25,6 +25,7 @@ from cyclobox.concentration import (
     within_sqrt_interval,
 )
 from cyclobox.moments import avg_point_to_vertices, avg_vertex_pairs, variance_vertex_pairs
+from cyclobox.reports import report_to_dict
 
 F = Fraction
 
@@ -265,6 +266,14 @@ class TestIsosceles:
         r = isosceles_report(CyclotomicInt.zero(5), box, F(1), SamplerConfig(3, 2000))
         assert r.empirical_proportion == 1.0
 
+    def test_a_zero_bound_is_vacuous(self):
+        """A bound of exactly 0.0 is vacuous: at the p = 11 pole, eps = 2 gives
+        1 - 44/(11 * 4) = 0."""
+        box = BoxSpec(11, 1)
+        r = isosceles_report(north_pole_point(box), box, F(2), SamplerConfig(1, 100))
+        assert r.bound == 0.0 and r.vacuous
+        assert report_to_dict(r)["verdict"] == "vacuous"
+
     def test_bound_doubles_theorem4_deficit(self):
         box = BoxSpec(1009, 1)
         eps = F(501, 1000)
@@ -307,6 +316,15 @@ class TestRightAngles:
             right_angle_report(
                 CyclotomicInt.zero(5), BoxSpec(5, 1), 0.1, SamplerConfig(1, 10)
             )
+
+    def test_the_test_counts_cos_equal_to_eps(self):
+        """|cos| <= eps_cos takes in |cos| == eps_cos: at p = 3, alpha = (1, -1), every
+        vertex has |cos| 0 or 1, so eps_cos = 1 takes in every sample and eps_cos = 1/2
+        only those at |cos| = 0."""
+        box, alpha = BoxSpec(3, 1), CyclotomicInt(3, (1, -1))
+        r = right_angle_report(alpha, box, 1.0, SamplerConfig(1, 1000))
+        assert (r.hits, r.extra["median_abs_cos"]) == (1000, 1.0)
+        assert right_angle_report(alpha, box, 0.5, SamplerConfig(1, 1000)).hits == 496
 
     def test_north_pole_run(self):
         box = BoxSpec(211, 1)

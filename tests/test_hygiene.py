@@ -141,9 +141,15 @@ def test_bits_are_counted_only_in_popcount():
 
 def test_vertices_are_listed_only_for_the_renderer():
     """One exact vertex law: `kernels.vertex_matrix`, the renderer's plotted cloud, is
-    the only code that reads `vertex_rows`, so every exact law reads `vertex_orbits`
+    the only code that reads `vertex_rows`, so every exact law reads `vertex_states`
     instead of listing 2^(p-1) vertices."""
     _read_only_in("vertex_rows", "vertex_matrix")
+
+
+def test_orbit_batches_are_refused_only_in_vertex_states():
+    """One reach for every exact law: `kernels.vertex_states` is the only code that
+    reads `require_orbit_batch`, so no exact law can build states past its guard."""
+    _read_only_in("require_orbit_batch", "vertex_states")
 
 
 LIMIT = re.compile(r"[A-Z0-9_]+_MAX(_P)?")

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -244,6 +245,23 @@ class TestEngine:
         assert got[0] == got[1] and 0 < got[0].hits[0] < got[0].attempts == 30_000
         assert len(seen) == 2 and all(seen)  # one call per slice: 20971 + 9029 samples
 
+    def test_an_exact_law_refuses_what_its_states_do_not_fix(self, monkeypatch):
+        """A pair state fixes pc(x ^ y) and pc(x) - pc(y), not pc(x), so a predicate on
+        an exact pair law is refused (a packed orbit representative once answered it:
+        `pc == 0` counted 3^n pairs at p = 5, where 2^n have x = 0), and so is an exact
+        law of a K its states do not cover; both before any state is built."""
+        monkeypatch.setattr(kernels, "vertex_states", None)
+        box = BoxSpec(5, 1)
+        interval = IntervalSpec(Fraction(1, 2), Fraction(1, 10))
+        with pytest.raises(ValueError, match="pair state"):
+            kernels.tally(kernels.EdgeSpec(box, 2, None, ((0, 1, (lambda vals, pcs: pcs == 0,)),)),
+                          0, 1, 1)
+        legs = tuple((j, kernels.APEX, (interval,)) for j in range(2))
+        for spec in (kernels.EdgeSpec(box, 2, None, legs, apex=(0,) * 4),
+                     kernels.EdgeSpec(box, 3, None, kernels.all_edges(3, (interval,)))):
+            with pytest.raises(ValueError, match="K = 1"):
+                kernels.tally(spec, 0, 1, 1)
+
 
 class TestBoxMatrix:
     @pytest.mark.parametrize("p,N", [(3, 1), (3, 4), (5, 1), (7, 2)])
@@ -423,8 +441,7 @@ class TestExhaustiveSweeps:
             hits, trials, _ = oracles.histogram_law(hist, p, N, center, eps)
             assert (r.hits, r.trials) == (hits, trials) == (hits, 2 ** (p - 1))
             assert r.hits == r.trials or eps < 1 or max(map(abs, alpha.coeffs)) > N
-        spec = kernels.EdgeSpec(box, 1, kernels.vertex_orbits(box, alpha.coeffs),
-                                ((0, kernels.APEX, ()),), apex=alpha.coeffs)
+        spec = kernels.EdgeSpec(box, 1, None, ((0, kernels.APEX, ()),), apex=alpha.coeffs)
         assert kernels.tally(spec, 0, 1, 1).d2_sum == sum(n * c for n, c in hist.items())
 
     def test_exhaustive_worker_count_invariance(self):
@@ -437,24 +454,73 @@ class TestExhaustiveSweeps:
     def test_t5_at_p11_is_one_orbit_batch(self, monkeypatch):
         batches = []
 
-        kernel = kernels.vertex_dist_sq
+        law = kernels.vertex_states
 
-        def recording(box, x, y, pcx, pcy, scratch=None):
-            batches.append(len(x))
-            return kernel(box, x, y, pcx, pcy, scratch)
+        def recording(box, apex=None):
+            states = law(box, apex)
+            batches.append(len(states[0]))
+            return states
 
-        monkeypatch.setattr(kernels, "vertex_dist_sq", recording)
+        monkeypatch.setattr(kernels, "vertex_states", recording)
+        monkeypatch.setattr(kernels, "vertex_dist_sq", None)  # no packed pair is measured
         one = _t5_sweep(11)
-        assert batches == [66]  # (n + 1)(n + 2) / 2 orbits of pairs, n = 10
+        assert batches == [66]  # (n + 1)(n + 2) / 2 states of pairs, n = 10
         assert one.trials == 1024 ** 2
         assert replace(_t5_sweep(11, 2), worker_count=1) == one
 
+    @pytest.mark.parametrize("kind", ALPHA_KINDS)
+    def test_an_exact_apex_predicate_reads_the_state_popcount(self, kind):
+        """On an exact apex law a predicate reads each state's u = pc(x): `pc == k` counts
+        the C(n, k) vertices with k coordinates at +N, whatever alpha is."""
+        box = BoxSpec(7, 3)
+        alpha = _alpha(kind, 7, 3)
+        for k in range(7):
+            leg = ((0, kernels.APEX, (lambda vals, pcs, k=k: pcs == k,)),)
+            got = kernels.tally(kernels.EdgeSpec(box, 1, None, leg, apex=alpha), 0, 1, 1)
+            assert (got.hits, got.attempts) == ((math.comb(6, k),), 64)
+
+    @pytest.mark.parametrize("N", BOX_SIZES)
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_states_weigh_the_orbit_representatives(self, p, N):
+        """The weighted (d^2, u, v) of `vertex_states` are those of the reference orbits'
+        packed representatives, d^2 measured by `vertex_dist_sq` (pairs, with u =
+        pc(x ^ y) and v = pc(x) - pc(y)) and by `PackedApex.dist_sq` (a vertex met by
+        alpha, with u = pc(x) and v = L(x)): the state formula stays tied to the one
+        distance kernel."""
+        box = BoxSpec(p, N)
+
+        def law(weights, *columns):
+            out = Counter()
+            for key, w in zip(zip(*(c.tolist() for c in columns)), weights.tolist()):
+                out[key] += w
+            return out
+
+        def states_law(apex=None):
+            vals, u, v, weights, total, bound = kernels.vertex_states(box, apex)
+            return law(weights, vals, u, v), total, bound
+
+        tuples, total, weights = oracles.vertex_orbits(box)
+        x, y = tuples[:, 0], tuples[:, 1]
+        pcx, pcy = kernels.popcount(x), kernels.popcount(y)
+        vals = kernels.vertex_dist_sq(box, x, y, pcx, pcy)
+        want = law(weights, vals, kernels.popcount(x ^ y), pcx - pcy)
+        assert states_law() == (want, total, kernels.dist_sq_bound(p, p - 1, 2 * N))
+        for kind in ALPHA_KINDS:
+            alpha = _alpha(kind, p, N)
+            tuples, total, weights = oracles.vertex_orbits(box, alpha)
+            apex, rows = kernels.PackedApex(box, alpha), tuples[:, 0]
+            pcs = kernels.popcount(rows)
+            dots = np.broadcast_to(apex.mask_sum(rows, 0, 1), len(rows))  # L(x)
+            want = law(weights, apex.dist_sq(rows, pcs), pcs, dots)
+            assert states_law(alpha) == (want, total, apex.bound)
+
     def test_orbit_weights_total_every_tuple(self):
-        """Each representative is the orbit its docstring names, once, with the orbit's
-        size as its weight; the weights total every tuple."""
+        """Each representative of the reference `oracles.vertex_orbits` is the orbit its
+        docstring names, once, with the orbit's size as its weight; the weights total
+        every tuple, and so do those of `vertex_states`, which has one state per orbit."""
         for p in (3, 7, 13):
             box, n = BoxSpec(p, 2 ** 62), p - 1
-            tuples, total, weights = kernels.vertex_orbits(box)
+            tuples, total, weights = oracles.vertex_orbits(box)
             assert sum(weights.tolist()) == total == 4 ** n
             orbits = set()
             for (x, y), w in zip(tuples[:, :, 0].tolist(), weights.tolist()):
@@ -463,11 +529,14 @@ class TestExhaustiveSweeps:
                 assert w == math.comb(n, a + b) * math.comb(a + b, a) * 2 ** (n - a - b)
                 orbits.add((a, b))
             assert len(orbits) == len(tuples) == (n + 1) * (n + 2) // 2
-            spec = kernels.EdgeSpec(box, 2, (tuples, total, weights), ((0, 1, ()),))
+            _, _, _, state_weights, state_total, _ = kernels.vertex_states(box)
+            assert len(state_weights) == len(orbits)
+            assert sum(state_weights.tolist()) == state_total == 4 ** n
+            spec = kernels.EdgeSpec(box, 2, None, ((0, 1, ()),))
             assert kernels.tally(spec, 0, 1, 1).attempts == 4 ** n
             for kind in ALPHA_KINDS:
                 alpha = _alpha(kind, p, box.N)
-                tuples, total, weights = kernels.vertex_orbits(box, alpha)
+                tuples, total, weights = oracles.vertex_orbits(box, alpha)
                 assert sum(weights.tolist()) == total == 2 ** n
                 classes = [[j for j in range(n) if alpha[j] == c] for c in set(alpha)]
                 orbits = set()
@@ -477,22 +546,23 @@ class TestExhaustiveSweeps:
                     assert w == math.prod(math.comb(len(idx), k) for idx, k in zip(classes, ks))
                     orbits.add(ks)
                 assert len(orbits) == len(tuples) == math.prod(len(idx) + 1 for idx in classes)
+                _, _, _, state_weights, state_total, _ = kernels.vertex_states(box, alpha)
+                assert len(state_weights) == len(orbits)
+                assert sum(state_weights.tolist()) == state_total == 2 ** n
 
     def test_apex_leg_refuses_box_points(self, monkeypatch):
         """The apex leg is refused when `tally` plans the run, before any slice draws
-        its box points, at one worker and at two; so are box-point orbit tuples."""
+        its box points, at one worker and at two."""
         def no_slices(*args):
             raise AssertionError("a slice ran")
 
         monkeypatch.setattr(kernels, "run_chunks", no_slices)
         box = BoxSpec(5, 3)
         leg = (0, kernels.APEX, (IntervalSpec(Fraction(1, 2), Fraction(1, 10)),))
-        tuples = kernels.draw_box_points(box, 1, 0, 0, 4)[0]
-        for draw in (kernels.draw_box_points, (tuples, 4, np.ones(4, dtype=np.int64))):
-            spec = kernels.EdgeSpec(box, 1, draw, (leg,), apex=(1, 0, -2, 3))
-            for workers in (1, 2):
-                with pytest.raises(ValueError, match="vertex points"):
-                    kernels.tally(spec, 0, 10, workers)
+        spec = kernels.EdgeSpec(box, 1, kernels.draw_box_points, (leg,), apex=(1, 0, -2, 3))
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="vertex points"):
+                kernels.tally(spec, 0, 10, workers)
 
     def test_apex_leg_without_an_apex_is_refused_before_any_chunk(self, monkeypatch):
         def no_slices(*args):
@@ -559,9 +629,9 @@ class TestPairTotals:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_d2_total_equals_the_block_sweep(self, p):
-        """The d^2 total of the pair orbits, weighted, is the pair oracle's total."""
+        """The d^2 total of the pair states, weighted, is the pair oracle's total."""
         box = BoxSpec(p, 3)
-        spec = kernels.EdgeSpec(box, 2, kernels.vertex_orbits(box), ((0, 1, ()),))
+        spec = kernels.EdgeSpec(box, 2, None, ((0, 1, ()),))
         weighted = kernels.tally(spec, 0, 1, 1).d2_sum
         d2 = kernels.pair_totals(p, rng.unpack_signs(kernels.vertex_rows(box.dim), box.dim), 1)
         assert d2 * box.N ** 2 == weighted
@@ -760,7 +830,7 @@ class TestPackedKernel:
             tuple(row) for row in kernels.vertex_matrix(box.dim, N).tolist()]
 
     def test_exhaustive_guard_on_packed_rows(self):
-        """The oracle's one limit is the orbit batch: pair orbits pass it at p = 521, the
+        """The oracle's one limit is the orbit batch: pair states pass it at p = 521, the
         north pole's at p = 809; p = 19, past the vertex enumeration guard, is in it."""
         with pytest.raises(GuardError):
             oracle_moments(BoxSpec(521, 1))
@@ -792,20 +862,25 @@ class TestPairSweepLimit:
                 kernels.require_orbit_batch(count, K, dim)
 
     def test_orbit_batch_is_refused_before_any_row(self, monkeypatch):
-        def no_rows(*args):
-            raise AssertionError("a row was formed")
+        """`vertex_states` refuses past one batch before it builds any state: it forms
+        no pair weight (`comb`) and no d^2 (`_combine`)."""
+        def no_states(*args):
+            raise AssertionError("a state was built")
 
-        monkeypatch.setattr(kernels, "_pack", no_rows)
-        distinct = CyclotomicInt(101, tuple(range(100)))  # 2^100 apex orbits
+        monkeypatch.setattr(kernels, "comb", no_states)
+        monkeypatch.setattr(kernels, "_combine", no_states)
+        distinct = CyclotomicInt(101, tuple(range(100)))  # 2^100 apex states
         with pytest.raises(GuardError):
-            kernels.vertex_orbits(BoxSpec(1009, 1))
+            kernels.vertex_states(BoxSpec(1009, 1))
         with pytest.raises(GuardError):
-            kernels.vertex_orbits(BoxSpec(101, 100), distinct.coeffs)
+            kernels.vertex_states(BoxSpec(101, 100), distinct.coeffs)
         with pytest.raises(GuardError):
             theorem4_report(distinct, BoxSpec(101, 100), Fraction(1, 10), SamplerConfig(1, 1),
                             exhaustive=True)
-        with pytest.raises(AssertionError, match="a row was formed"):
-            kernels.vertex_orbits(BoxSpec(101, 1))
+        with pytest.raises(AssertionError, match="a state was built"):
+            kernels.vertex_states(BoxSpec(101, 1))
+        with pytest.raises(AssertionError, match="a state was built"):
+            kernels.vertex_states(BoxSpec(101, 1), core.north_pole(101, 1))
 
     def test_box_pair_oracle_at_the_edge(self):
         box = BoxSpec(3, 511)  # 1023^2 = 1,046,529 points, the most an enumeration lists
@@ -1031,7 +1106,7 @@ VERTEX_REPORTS = {
 
 class TestThreadUse:
     """Sampled packed-vertex slices run on the calling thread at any worker count, and
-    exhaustive vertex orbits run as one batch there too; box-point draws keep the pool."""
+    exhaustive vertex states run as one batch there too; box-point draws keep the pool."""
 
     @pytest.mark.parametrize("name", sorted(VERTEX_REPORTS))
     def test_vertex_reports_build_no_pool(self, pools, slice_counts, name):

@@ -134,13 +134,14 @@ class TestOracleAgreement:
             assert m_lit == second_moment_point_to_vertices(alpha, box)
 
     def test_guards(self, monkeypatch):
-        """Orbits past one batch are refused before any row is formed: the pair orbits
-        at p = 521, the north pole's at p = 809, and the 2^22 orbits of an alpha with 22
+        """States past one batch are refused before any state is built: the pair states
+        at p = 521, the north pole's at p = 809, and the 2^22 states of an alpha with 22
         distinct values at p = 23."""
-        def no_rows(*args):
-            raise AssertionError("a row was formed")
+        def no_states(*args):
+            raise AssertionError("a state was built")
 
-        monkeypatch.setattr(kernels, "_pack", no_rows)
+        monkeypatch.setattr(kernels, "comb", no_states)
+        monkeypatch.setattr(kernels, "_combine", no_states)
         with pytest.raises(GuardError):
             oracle_moments(BoxSpec(521, 1))
         pole = BoxSpec(809, 1)
